@@ -16,6 +16,7 @@ from .catalog import (
     ClaimProfile,
     FixedPointSet,
     MapInstance,
+    Retraction,
     ScalarOrbit,
     affine_cube_map,
     affine_mixing_map,
@@ -66,9 +67,7 @@ from .errors import (
 )
 from .report import VerificationReport, canonical_bytes, write_report
 from .retractions import (
-    RETRACTION_TAGS,
     ExcessSplit,
-    RetractionTag,
     abs_retract,
     clamp_retract,
     excess_map,
@@ -95,19 +94,15 @@ from .seqvec import (
     tail_limit,
 )
 from .verify import (
+    CHECKS,
     CheckRecord,
     CheckRequest,
     DisplacementEstimate,
-    HolderEstimate,
     OrbitResult,
-    check_approx_fixed_set,
-    check_invariance,
-    check_oracle,
-    check_uniform_profile,
-    check_asymptotic_profile,
+    PairRatios,
     estimate_displacement,
-    estimate_holder_ratio,
     orbit,
+    pair_ratios,
     run_check,
 )
 

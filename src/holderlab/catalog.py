@@ -12,6 +12,8 @@ converges, yet arbitrarily good approximate fixed points exist.
 
 from __future__ import annotations
 
+import difflib
+import inspect
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping
@@ -30,9 +32,9 @@ from .errors import (
     InvalidParameterError,
     NotInSpaceError,
     DomainViolationError,
+    UnknownNameError,
 )
 from .retractions import (
-    RETRACTION_TAGS,
     abs_retract,
     clamp_retract,
     l1_sphere_retract,
@@ -57,6 +59,7 @@ __all__ = [
     "ClaimProfile",
     "MapInstance",
     "CatalogEntry",
+    "Retraction",
     "CATALOG",
     "RETRACTION_CATALOG",
     "build_map",
@@ -134,7 +137,6 @@ class ClaimProfile:
     uniform: bool
     hard: bool = True
     affine: bool = False
-    isometry: bool = False
     classical_lipschitz: float | None = None
     asymptotic_profile: Callable[[int], float] | None = None
     displacement_bound: float | None = None
@@ -681,7 +683,6 @@ def renormed_l1_map() -> MapInstance:
             holder_constant=1.0,
             uniform=True,
             affine=True,
-            isometry=True,
             classical_lipschitz=1.0,
             displacement_bound=0.0,
             fixed_points=FixedPointSet.empty(),
@@ -757,15 +758,12 @@ def l1_ball_composite_map(alpha: float = 0.5, lam: float = 0.5) -> MapInstance:
 # ---------------------------------------------------------------------------
 # Combinators
 
-_STAR_SHAPED = ("ball", "positive_ball", "coefficient_box", "c_interval",
-                "sub_simplex")
-
 
 def lambda_scale(inner: MapInstance, lam: float) -> MapInstance:
     """x -> inner(lam * x).  Needs a domain star-shaped about 0."""
     if not 0.0 < lam < 1.0:
         raise InvalidParameterError("lam", "requires 0 < lam < 1")
-    if inner.domain.kind not in _STAR_SHAPED:
+    if not inner.domain.star_shaped:
         raise InvalidCompositionError(
             f"lambda_scale needs a domain star-shaped about 0, "
             f"not {inner.domain.kind}"
@@ -1040,77 +1038,99 @@ CATALOG: dict[str, CatalogEntry] = {
     ]
 }
 
-def retraction_map(name: str, r: float = 1.0) -> MapInstance:
-    """Wrap a named retraction as a self-map so the verifier can sample it.
 
-    The domain is a set the retraction acts on (strictly larger than the
-    target where that makes the measurement interesting); the claimed
-    constant is the tag's Lipschitz budget and holds for every iterate
-    because retractions are idempotent."""
-    if not r > 0.0:
-        raise InvalidParameterError("r", "requires r > 0")
-    tag = RETRACTION_TAGS[name]
-    if name == "radial":
-        domain, kind = ball(2.0 * r, L2), L2
-        apply = lambda x: radial_retract(x, r, L2)  # noqa: E731
-        formula = "R(x) = x if ||x|| <= r else r x / ||x||"
-    elif name == "abs":
-        domain, kind = ball(r, L1), L1
-        apply = lambda x: abs_retract(x)  # noqa: E731
-        formula = "R((t_j)) = (|t_j|)"
-    elif name == "positive_part":
-        domain, kind = ball(r, L2), L2
-        apply = lambda x: positive_part(x)  # noqa: E731
-        formula = "R((t_j)) = (max(t_j, 0))"
-    elif name == "clamp":
-        domain, kind = coefficient_box(2.0 * r), SUP
-        apply = lambda x: clamp_retract(x, r)  # noqa: E731
-        formula = "R((t_j)) = (min(t_j, r)) on the nonnegative cone"
-    elif name == "l1_sphere":
-        domain, kind = ball(r, L1), L1
-        apply = lambda x: l1_sphere_retract(x, r)  # noqa: E731
-        formula = ("R(x) = (r - 2||x||_1) e_1 + 2 S(x) below mass r/2, "
-                   "else (x - Q(x)) + 2 S(Q(x)); identity on the sphere")
-    else:
-        from .errors import UnknownNameError
-        import difflib
+@dataclass(frozen=True)
+class Retraction:
+    """A named retraction: its claimed Lipschitz constant, the sets it
+    connects, and setup(r) -> (domain, norm, map), the set it is sampled on
+    at radius r (strictly larger than the target where that makes the
+    measurement interesting) with the map itself."""
 
-        raise UnknownNameError(
-            name, tuple(difflib.get_close_matches(name, RETRACTION_CATALOG, n=3))
+    name: str
+    lipschitz: float
+    source_set: str
+    target_set: str
+    formula: str
+    setup: Callable[[float], tuple[DomainSpec, NormKind,
+                                   Callable[[SeqVec], SeqVec]]]
+    params: tuple[ParamSpec, ...] = (ParamSpec("r", 1.0, "r > 0"),)
+
+    def __post_init__(self) -> None:
+        if not self.lipschitz >= 1.0:
+            raise ValueError("a retraction is at best 1-Lipschitz")
+
+    @property
+    def summary(self) -> str:
+        return (f"retraction wrapper: {self.source_set} -> {self.target_set} "
+                f"(Lipschitz {self.lipschitz:g})")
+
+    def factory(self, r: float = 1.0) -> MapInstance:
+        """The retraction as a self-map; the claimed constant holds for
+        every iterate because retractions are idempotent."""
+        if not r > 0.0:
+            raise InvalidParameterError("r", "requires r > 0")
+        domain, kind, apply = self.setup(r)
+        return MapInstance(
+            name=self.name,
+            params={"r": r},
+            domain=domain,
+            norm=kind,
+            apply=apply,
+            claims=ClaimProfile(
+                alpha=1.0,
+                holder_constant=self.lipschitz,
+                uniform=True,
+                hard=True,
+                classical_lipschitz=self.lipschitz,
+                displacement_bound=0.0,
+                fixed_points=FixedPointSet.unknown(),
+            ),
+            formula=self.formula,
+            notes=f"retraction of {self.source_set} onto {self.target_set}; "
+                  f"claimed Lipschitz constant {self.lipschitz:g}",
         )
-    claims = ClaimProfile(
-        alpha=1.0,
-        holder_constant=tag.claimed_lipschitz,
-        uniform=True,
-        hard=True,
-        classical_lipschitz=tag.claimed_lipschitz,
-        displacement_bound=0.0,
-        fixed_points=FixedPointSet.unknown(),
-    )
-    return MapInstance(
-        name=name,
-        params={"r": r},
-        domain=domain,
-        norm=kind,
-        apply=apply,
-        claims=claims,
-        formula=formula,
-        notes=f"retraction of {tag.source_set} onto {tag.target_set}; "
-              f"claimed Lipschitz constant {tag.claimed_lipschitz:g}",
-    )
 
 
-RETRACTION_CATALOG: dict[str, CatalogEntry] = {
-    name: _entry(
-        name,
-        lambda r=1.0, _n=name: retraction_map(_n, r),
-        [ParamSpec("r", 1.0, "r > 0")],
-        f"retraction wrapper: {RETRACTION_TAGS[name].source_set} -> "
-        f"{RETRACTION_TAGS[name].target_set} "
-        f"(Lipschitz {RETRACTION_TAGS[name].claimed_lipschitz:g})",
-    )
-    for name in ("radial", "abs", "positive_part", "clamp", "l1_sphere")
+# setup looks the retraction functions up in this module when it runs, so a
+# map built after one of those names is rebound (say, wrapped by a profiler)
+# calls the rebound function.
+RETRACTION_CATALOG: dict[str, Retraction] = {
+    e.name: e
+    for e in [
+        Retraction("radial", 2.0, "normed space", "ball(r)",
+                   "R(x) = x if ||x|| <= r else r x / ||x||",
+                   lambda r: (ball(2.0 * r, L2), L2,
+                              lambda x: radial_retract(x, r, L2))),
+        Retraction("abs", 1.0, "l1", "nonnegative cone", "R((t_j)) = (|t_j|)",
+                   lambda r: (ball(r, L1), L1, abs_retract)),
+        Retraction("positive_part", 1.0, "l2", "nonnegative cone",
+                   "R((t_j)) = (max(t_j, 0))",
+                   lambda r: (ball(r, L2), L2, positive_part)),
+        Retraction("clamp", 1.0, "nonnegative cone (sup norm)",
+                   "coefficient_box(r)",
+                   "R((t_j)) = (min(t_j, r)) on the nonnegative cone",
+                   lambda r: (coefficient_box(2.0 * r), SUP,
+                              lambda x: clamp_retract(x, r))),
+        Retraction("l1_sphere", 8.0, "l1 ball(r)", "l1 sphere(r)",
+                   "R(x) = (r - 2||x||_1) e_1 + 2 S(x) below mass r/2, "
+                   "else (x - Q(x)) + 2 S(Q(x)); identity on the sphere",
+                   lambda r: (ball(r, L1), L1,
+                              lambda x: l1_sphere_retract(x, r))),
+    ]
 }
+
+
+def _lookup(table: Mapping[str, object], name: str):
+    if name not in table:
+        raise UnknownNameError(
+            name, tuple(difflib.get_close_matches(name, table, n=3)))
+    return table[name]
+
+
+def retraction_map(name: str, r: float = 1.0) -> MapInstance:
+    """Wrap a named retraction as a self-map so the verifier can sample it."""
+    return _lookup(RETRACTION_CATALOG, name).factory(r)
+
 
 _INT_PARAMS = {"N", "breadth"}
 
@@ -1128,17 +1148,7 @@ def build_map(name: str, params: Mapping[str, object] | None = None,
     """Construct a registered map or retraction wrapper by name.  JSON
     parameter names are used ('lambda' maps onto the factory's lam
     argument)."""
-    from .errors import UnknownNameError
-    import difflib
-
-    if name in CATALOG:
-        entry = CATALOG[name]
-    elif name in RETRACTION_CATALOG:
-        entry = RETRACTION_CATALOG[name]
-    else:
-        known = list(CATALOG) + list(RETRACTION_CATALOG)
-        suggestions = tuple(difflib.get_close_matches(name, known, n=3))
-        raise UnknownNameError(name, suggestions)
+    entry = _lookup({**CATALOG, **RETRACTION_CATALOG}, name)
     kwargs: dict[str, object] = {}
     for key, value in (params or {}).items():
         if key not in {p.name for p in entry.params}:
@@ -1149,8 +1159,6 @@ def build_map(name: str, params: Mapping[str, object] | None = None,
         arg = "lam" if key == "lambda" else key
         kwargs[arg] = int(value) if key in _INT_PARAMS else value
     if breadth is not None:
-        import inspect
-
         if "breadth" in inspect.signature(entry.factory).parameters:
             kwargs["breadth"] = breadth
             return entry.factory(**kwargs)

@@ -1,7 +1,7 @@
 """Command line driver: run experiment configs, list the catalog, describe
 a map.
 
-Exit codes
+Exit codes (EXIT_CODES maps each exception class to one of them)
     0  every non-report-only check passed (all checks, under --strict)
     2  unreadable, malformed or schema-invalid config
     3  a parameter violated its constraint
@@ -15,8 +15,11 @@ because a silent typo would invalidate a verification run.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -38,6 +41,7 @@ from .errors import (
     InvalidBudgetError,
     InvalidCheckError,
     InvalidCompositionError,
+    InvalidIndexError,
     InvalidParameterError,
     InvalidStrategyError,
     NotInSpaceError,
@@ -45,9 +49,9 @@ from .errors import (
 )
 from .report import VerificationReport, write_report
 from .seqvec import NormKind, parse_vec
-from .verify import CHECK_KINDS, CheckRequest, run_check
+from .verify import CHECKS, COMMON_FIELDS, FIELDS, CheckRequest, run_check
 
-__all__ = ["main"]
+__all__ = ["main", "EXIT_CODES"]
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -55,21 +59,27 @@ EXIT_PARAMETER = 3
 EXIT_UNKNOWN_NAME = 4
 EXIT_CHECK_FAILED = 5
 
+# The exit code of every deliberate error; a class not listed takes the code
+# of its nearest listed base.
+EXIT_CODES: dict[type[HolderLabError], int] = {
+    ConfigError: EXIT_CONFIG,
+    InvalidCheckError: EXIT_CONFIG,
+    InvalidIndexError: EXIT_CONFIG,
+    InvalidParameterError: EXIT_PARAMETER,
+    InvalidCompositionError: EXIT_PARAMETER,
+    InvalidBudgetError: EXIT_PARAMETER,
+    InvalidStrategyError: EXIT_PARAMETER,
+    DomainViolationError: EXIT_PARAMETER,
+    NotInSpaceError: EXIT_PARAMETER,
+    UnknownNameError: EXIT_UNKNOWN_NAME,
+    InsufficientSamplesError: EXIT_CHECK_FAILED,
+    HolderLabError: EXIT_CONFIG,
+}
+
 _TOP_KEYS = {"schema_version", "name", "map", "domain", "seed", "checks",
              "strict", "out", "breadth", "tolerance"}
 _MAP_KEYS = {"name", "params"}
 _DOMAIN_KEYS = {"kind", "params", "tol", "breadth"}
-_COMMON_CHECK_KEYS = {"kind", "seed", "tolerance"}
-_CHECK_KEYS = {
-    "holder_ratio": {"pairs", "iterate", "exponent"},
-    "invariance": {"samples"},
-    "orbit": {"x0", "depth"},
-    "displacement": {"strategy", "budget", "lambdas", "target"},
-    "uniform_profile": {"n_list", "pairs"},
-    "asymptotic_profile": {"n_max", "pairs"},
-    "approx_fixed_set": {"delta", "samples"},
-    "oracle_compare": {"x0", "n_max"},
-}
 
 _DOMAIN_FACTORIES = {
     "ball": ball,
@@ -87,6 +97,62 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+# JSON value parsers: parse(value, name, where) returns the value or raises
+# ConfigError naming `where` + `name`.
+
+def _integer(value: object, name: str, where: str = "",
+             minimum: int | None = None) -> int:
+    _require(isinstance(value, int) and not isinstance(value, bool),
+             f"{where}{name} must be an integer")
+    _require(minimum is None or value >= minimum,
+             f"{where}{name} must be at least {minimum}")
+    return value
+
+
+def _number(value: object, name: str, where: str = "") -> float:
+    _require(isinstance(value, (int, float)) and not isinstance(value, bool)
+             and abs(value) <= sys.float_info.max,
+             f"{where}{name} must be a finite number")
+    return float(value)
+
+
+def _string(value: object, name: str, where: str = "") -> str:
+    _require(isinstance(value, str), f"{where}{name} must be a string")
+    return value
+
+
+def _vector(value: object, name: str, where: str = ""):
+    _require(isinstance(value, str),
+             f"{where}{name} must be a vector literal string")
+    try:
+        vec = parse_vec(value)
+    except (ValueError, InvalidIndexError) as exc:
+        raise ConfigError(f"{where}bad {name} literal: {exc}") from exc
+    _require(all(math.isfinite(v) for _, v in vec.support)
+             and math.isfinite(vec.tail),
+             f"{where}{name} must have finite coordinates")
+    return vec
+
+
+def _list_of(item):
+    def parse(value: object, name: str, where: str = "") -> tuple:
+        _require(isinstance(value, list) and value,
+                 f"{where}{name} must be a nonempty list")
+        return tuple(item(v, f"{name} entry", where) for v in value)
+    return parse
+
+
+_PARSERS = {
+    "int": _integer,
+    "seed": functools.partial(_integer, minimum=0),
+    "number": _number,
+    "int list": _list_of(_integer),
+    "number list": _list_of(_number),
+    "string": _string,
+    "vector": _vector,
+}
+
+
 def _norm_from_obj(obj: object) -> NormKind:
     _require(isinstance(obj, dict), "norm must be an object")
     extra = set(obj) - {"variant", "p"}
@@ -96,7 +162,7 @@ def _norm_from_obj(obj: object) -> NormKind:
              f"unknown norm variant {variant!r}")
     if variant == "lp":
         _require("p" in obj, "lp norm needs a p field")
-        return NormKind.lp(float(obj["p"]))
+        return NormKind.lp(_number(obj["p"], "p", "lp norm "))
     _require("p" not in obj, f"{variant} norm takes no p field")
     return NormKind.sup() if variant == "sup" else NormKind.max_pos_neg_l1()
 
@@ -116,9 +182,10 @@ def _domain_from_obj(obj: object):
         # is taken by the domain kind, so the params field is `norm`.
         kwargs["kind"] = _norm_from_obj(kwargs.pop("norm"))
     if "tol" in obj:
-        kwargs["tol"] = float(obj["tol"])
+        kwargs["tol"] = _number(obj["tol"], "tol", "domain ")
     if "breadth" in obj:
-        kwargs["breadth"] = int(obj["breadth"])
+        kwargs["breadth"] = _integer(obj["breadth"], "breadth", "domain ",
+                                     minimum=1)
     try:
         return _DOMAIN_FACTORIES[kind](**kwargs)
     except TypeError as exc:
@@ -126,51 +193,21 @@ def _domain_from_obj(obj: object):
 
 
 def _check_from_obj(obj: object, index: int) -> CheckRequest:
+    where = f"checks[{index}]: "
     _require(isinstance(obj, dict), f"checks[{index}] must be an object")
     kind = obj.get("kind")
-    _require(isinstance(kind, str) and kind in CHECK_KINDS,
-             f"checks[{index}]: unknown check kind {kind!r}; expected one of "
-             f"{', '.join(CHECK_KINDS)}")
-    allowed = _CHECK_KEYS[kind] | _COMMON_CHECK_KEYS
+    _require(isinstance(kind, str) and kind in CHECKS,
+             f"{where}unknown check kind {kind!r}; expected one of "
+             f"{', '.join(CHECKS)}")
+    allowed = {"kind", *CHECKS[kind].fields, *COMMON_FIELDS}
     extra = set(obj) - allowed
     _require(not extra,
              f"checks[{index}] ({kind}): unknown fields {sorted(extra)}; "
              f"allowed: {sorted(allowed)}")
-    kwargs: dict[str, object] = {"kind": kind}
-    for key, value in obj.items():
-        if key == "kind":
-            continue
-        if key == "x0":
-            _require(isinstance(value, str),
-                     f"checks[{index}]: x0 must be a vector literal string")
-            try:
-                kwargs["x0"] = parse_vec(value)
-            except ValueError as exc:
-                raise ConfigError(
-                    f"checks[{index}]: bad x0 literal: {exc}") from exc
-        elif key in ("n_list", "lambdas"):
-            _require(isinstance(value, list) and value,
-                     f"checks[{index}]: {key} must be a nonempty list")
-            kwargs[key] = tuple(
-                int(v) if key == "n_list" else float(v) for v in value
-            )
-        elif key in ("pairs", "samples", "iterate", "n_max", "depth",
-                     "budget", "seed"):
-            _require(isinstance(value, int) and not isinstance(value, bool),
-                     f"checks[{index}]: {key} must be an integer")
-            kwargs[key] = value
-        elif key in ("exponent", "delta", "tolerance", "target"):
-            _require(isinstance(value, (int, float))
-                     and not isinstance(value, bool),
-                     f"checks[{index}]: {key} must be a number")
-            kwargs[key] = float(value)
-        elif key == "strategy":
-            _require(isinstance(value, str),
-                     f"checks[{index}]: strategy must be a string")
-            kwargs[key] = value
-        else:  # pragma: no cover - guarded by the allowed-keys filter
-            raise ConfigError(f"checks[{index}]: unhandled field {key!r}")
-    return CheckRequest(**kwargs)
+    return CheckRequest(kind, **{
+        key: _PARSERS[FIELDS[key].type](value, key, where)
+        for key, value in obj.items() if key != "kind"
+    })
 
 
 def _parse_config(obj: object) -> dict:
@@ -193,9 +230,9 @@ def _parse_config(obj: object) -> dict:
     _require(isinstance(map_obj.get("name"), str), "map.name must be a string")
     params = map_obj.get("params", {})
     _require(isinstance(params, dict), "map.params must be an object")
-    seed = obj["seed"]
-    _require(isinstance(seed, int) and not isinstance(seed, bool),
-             "seed must be an integer")
+    for key, value in params.items():
+        _number(value, key, "map.params.")
+    seed = _integer(obj["seed"], "seed", minimum=0)
     checks_obj = obj["checks"]
     _require(isinstance(checks_obj, list) and checks_obj,
              "checks must be a nonempty list")
@@ -206,14 +243,10 @@ def _parse_config(obj: object) -> dict:
     _require(isinstance(out, str) and out, "out must be a nonempty string")
     breadth = obj.get("breadth")
     if breadth is not None:
-        _require(isinstance(breadth, int) and not isinstance(breadth, bool),
-                 "breadth must be an integer")
+        _integer(breadth, "breadth", minimum=1)
     tolerance = obj.get("tolerance")
     if tolerance is not None:
-        _require(isinstance(tolerance, (int, float))
-                 and not isinstance(tolerance, bool),
-                 "tolerance must be a number")
-        tolerance = float(tolerance)
+        tolerance = _number(tolerance, "tolerance")
     return {
         "name": name,
         "map_name": map_obj["name"],
@@ -232,61 +265,37 @@ def _derive_seed(master: int, index: int) -> int:
     return int(np.random.SeedSequence([master, index]).generate_state(1)[0])
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
+def _load_config(path: str) -> dict:
     try:
-        with open(args.config, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8") as handle:
             raw = handle.read()
-    except OSError as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config: {exc}") from exc
     try:
-        cfg = _parse_config(json.loads(raw))
+        obj = json.loads(raw)
     except json.JSONDecodeError as exc:
-        print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    return _parse_config(obj)
 
-    seed = args.seed if args.seed is not None else cfg["seed"]
-    breadth = args.breadth if args.breadth is not None else cfg["breadth"]
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    cfg = _load_config(args.config)
+    seed = (cfg["seed"] if args.seed is None
+            else _integer(args.seed, "--seed", minimum=0))
+    breadth = (cfg["breadth"] if args.breadth is None
+               else _integer(args.breadth, "--breadth", minimum=1))
     strict = args.strict or cfg["strict"]
     out_dir = args.out if args.out is not None else cfg["out"]
 
-    try:
-        T = build_map(cfg["map_name"], cfg["map_params"], breadth=breadth)
-        if cfg["domain"] is not None:
-            from dataclasses import replace
-
-            T = replace(T, domain=_domain_from_obj(cfg["domain"]))
-    except UnknownNameError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNKNOWN_NAME
-    except (InvalidParameterError, InvalidCompositionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARAMETER
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    T = build_map(cfg["map_name"], cfg["map_params"], breadth=breadth)
+    if cfg["domain"] is not None:
+        T = replace(T, domain=_domain_from_obj(cfg["domain"]))
 
     records = []
-    try:
-        for index, req in enumerate(cfg["checks"]):
-            if req.tolerance is None and cfg["tolerance"] is not None:
-                from dataclasses import replace as _replace
-
-                req = _replace(req, tolerance=cfg["tolerance"])
-            records.append(run_check(T, req, _derive_seed(seed, index)))
-    except (InvalidParameterError, InvalidBudgetError, InvalidStrategyError,
-            DomainViolationError, NotInSpaceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARAMETER
-    except InvalidCheckError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except InsufficientSamplesError as exc:
-        print(f"error: check produced no evidence: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
+    for index, req in enumerate(cfg["checks"]):
+        if req.tolerance is None and cfg["tolerance"] is not None:
+            req = replace(req, tolerance=cfg["tolerance"])
+        records.append(run_check(T, req, _derive_seed(seed, index)))
 
     report = VerificationReport(
         name=cfg["name"],
@@ -325,11 +334,7 @@ def _cmd_list(_args: argparse.Namespace) -> int:
 
 
 def _cmd_describe(args: argparse.Namespace) -> int:
-    try:
-        T = build_map(args.name)
-    except UnknownNameError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNKNOWN_NAME
+    T = build_map(args.name)
     entry = CATALOG.get(args.name) or RETRACTION_CATALOG[args.name]
     claims = T.claims
     print(f"name: {T.name}")
@@ -409,13 +414,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except HolderLabError as exc:  # last-resort mapping, keeps exits total
+    except HolderLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc, UnknownNameError):
-            return EXIT_UNKNOWN_NAME
-        if isinstance(exc, (InvalidParameterError, InvalidCompositionError)):
-            return EXIT_PARAMETER
-        return EXIT_CONFIG
+        return next(EXIT_CODES[cls] for cls in type(exc).__mro__
+                    if cls in EXIT_CODES)
 
 
 if __name__ == "__main__":

@@ -42,6 +42,9 @@ _KINDS = (
     "sigma_band",
     "c_interval",
 )
+# Kinds star-shaped about 0: lam * x stays inside for every 0 < lam < 1.
+_STAR_SHAPED = ("ball", "positive_ball", "coefficient_box", "c_interval",
+                "sub_simplex")
 
 SeedLike = Union[int, np.random.Generator]
 
@@ -84,6 +87,10 @@ class DomainSpec:
             raise InvalidParameterError("tol", "requires tol >= 0")
         if self.breadth < 1:
             raise InvalidBudgetError(f"breadth {self.breadth} is below 1")
+
+    @property
+    def star_shaped(self) -> bool:
+        return self.kind in _STAR_SHAPED
 
     # -- membership ---------------------------------------------------------
 

@@ -3,7 +3,8 @@
 Claimed constants (measured empirically by the verifier, proved elsewhere):
 radial 2 (1 in Hilbert space), abs 1, positive_part 1, clamp 1 in the sup
 norm, the excess-removal map Q is 3, and the two-branch retraction of the l1
-ball onto its sphere is 8.
+ball onto its sphere is 8.  The catalog's RETRACTION_CATALOG is the table of
+the addressable retractions and the constants the verifier checks.
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ __all__ = [
     "iota_mu_q",
     "excess_map",
     "l1_sphere_retract",
-    "RetractionTag",
-    "RETRACTION_TAGS",
 ]
 
 L1 = NormKind.lp(1.0)
@@ -149,31 +148,3 @@ def l1_sphere_retract(x: SeqVec, r: float) -> SeqVec:
     if nx >= r:
         return x  # boundary rule: Q = 0 and the sphere is fixed
     return _sphere_high(x, r)
-
-
-@dataclass(frozen=True)
-class RetractionTag:
-    """Name, claimed Lipschitz constant and the sets a retraction connects."""
-
-    name: str
-    claimed_lipschitz: float
-    source_set: str
-    target_set: str
-
-    def __post_init__(self) -> None:
-        if not self.claimed_lipschitz >= 1.0:
-            raise ValueError("a retraction is at best 1-Lipschitz")
-
-
-RETRACTION_TAGS = {
-    "radial": RetractionTag("radial", 2.0, "normed space", "ball(r)"),
-    "abs": RetractionTag("abs", 1.0, "l1", "nonnegative cone"),
-    "positive_part": RetractionTag("positive_part", 1.0, "l2",
-                                   "nonnegative cone"),
-    "clamp": RetractionTag("clamp", 1.0, "nonnegative cone (sup norm)",
-                           "coefficient_box(r)"),
-    "excess_q": RetractionTag("excess_q", 3.0, "l1 shell r/2 <= ||x||_1 < r",
-                              "excess part (not a retraction)"),
-    "l1_sphere": RetractionTag("l1_sphere", 8.0, "l1 ball(r)",
-                               "l1 sphere(r)"),
-}

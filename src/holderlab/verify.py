@@ -8,17 +8,22 @@ once some witness beats it, a zero bound can only be confirmed exactly
 (otherwise the estimate is recorded report-only), and an absent bound is
 always report-only.
 
+CHECKS is the one table of check kinds.  Each entry names the request
+fields it reads (FIELDS declares their types and defaults) and the function
+that turns a map, a request and a seed into a CheckRecord, so a new check
+kind is one such function and one CHECKS entry.
+
 Every check is deterministic given its seed; identical requests produce
 identical results bit for bit.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass, field, make_dataclass
+from typing import Callable
 
 from .catalog import MapInstance
 from .domains import as_rng
@@ -36,21 +41,20 @@ __all__ = [
     "PAIR_CUTOFF",
     "RATIO_SLACK",
     "ORACLE_TOL",
-    "HolderEstimate",
+    "PairRatios",
     "OrbitResult",
     "DisplacementEstimate",
+    "Field",
+    "FIELDS",
+    "COMMON_FIELDS",
+    "Check",
+    "CHECKS",
     "CheckRequest",
     "CheckRecord",
-    "estimate_holder_ratio",
-    "check_invariance",
+    "pair_ratios",
     "orbit",
     "estimate_displacement",
-    "check_uniform_profile",
-    "check_asymptotic_profile",
-    "check_approx_fixed_set",
-    "check_oracle",
     "run_check",
-    "CHECK_KINDS",
 ]
 
 PAIR_CUTOFF = 1e-13  # pairs closer than this are degenerate for ratios
@@ -58,14 +62,11 @@ RATIO_SLACK = 1e-9   # multiplicative slack on claimed constants
 ORACLE_TOL = 1e-12
 DISPLACEMENT_TOL = 1e-12
 
-_STAR_SHAPED = ("ball", "positive_ball", "coefficient_box", "c_interval",
-                "sub_simplex")
-
 
 @dataclass(frozen=True)
-class HolderEstimate:
-    sup_ratio: float
-    witness: tuple[SeqVec, SeqVec]
+class PairRatios:
+    sups: dict[int, float]  # iterate n -> sup ratio over the sampled pairs
+    witness: tuple[SeqVec, SeqVec]  # the pair with the largest ratio
     pairs_used: int
 
 
@@ -83,52 +84,35 @@ class DisplacementEstimate:
     evaluations: int
 
 
-def estimate_holder_ratio(T: MapInstance, pairs: int, seed: int,
-                          iterate: int = 1,
-                          exponent: float | None = None) -> HolderEstimate:
-    """sup over sampled pairs of ||T^n x - T^n y|| / ||x - y||^exponent.
+@dataclass
+class CheckRecord:
+    kind: str
+    claimed: object
+    measured: float | None
+    verdict: str  # "pass" | "fail" | "report_only"
+    witness: str | None
+    direction: str
+    runtime_ms: float = 0.0
+    details: dict = field(default_factory=dict)
+
+    @property
+    def passed(self) -> bool:
+        return self.verdict == "pass"
+
+
+def pair_ratios(T: MapInstance, ns: tuple[int, ...], pairs: int, seed: int,
+                exponent: float | None = None) -> PairRatios:
+    """sup over sampled pairs of ||T^n x - T^n y|| / ||x - y||^exponent for
+    every n in ns, walking each pair's orbit once: the sampled Lipschitz
+    estimate of Wood & Zhang (1996), taken per iterate.
 
     The exponent defaults to the claimed one; pairs closer than PAIR_CUTOFF
     are skipped (the ratio is numerically meaningless there)."""
     if pairs < 1:
         raise InvalidBudgetError(f"pairs {pairs} is below 1")
-    if iterate < 1:
-        raise InvalidBudgetError(f"iterate {iterate} is below 1")
-    a = T.claims.alpha if exponent is None else exponent
-    rng = as_rng(seed)
-    best = -1.0
-    witness: tuple[SeqVec, SeqVec] | None = None
-    used = 0
-    for _ in range(pairs):
-        x = T.domain.sample(rng)
-        y = T.domain.sample(rng)
-        d = distance(x, y, T.norm)
-        if d < PAIR_CUTOFF:
-            continue
-        used += 1
-        tx, ty = x, y
-        for _ in range(iterate):
-            tx = T.apply(tx)
-            ty = T.apply(ty)
-        ratio = distance(tx, ty, T.norm) / d ** a
-        if ratio > best:
-            best, witness = ratio, (x, y)
-    if witness is None:
-        raise InsufficientSamplesError(
-            f"all {pairs} sampled pairs were degenerate"
-        )
-    return HolderEstimate(best, witness, used)
-
-
-def _profile_sups(T: MapInstance, ns: tuple[int, ...], pairs: int,
-                  seed: int) -> tuple[dict[int, float],
-                                      tuple[SeqVec, SeqVec] | None, int]:
-    """Iterate-n ratio suprema for every n in ns, walking each pair once."""
-    if pairs < 1:
-        raise InvalidBudgetError(f"pairs {pairs} is below 1")
     if not ns or min(ns) < 1:
-        raise InvalidBudgetError("iterate list must contain integers >= 1")
-    a = T.claims.alpha
+        raise InvalidBudgetError("iterates must be integers >= 1")
+    a = T.claims.alpha if exponent is None else exponent
     rng = as_rng(seed)
     ns_set = frozenset(ns)
     n_max = max(ns)
@@ -154,30 +138,11 @@ def _profile_sups(T: MapInstance, ns: tuple[int, ...], pairs: int,
                     sups[n] = ratio
                     if ratio > best:
                         best, witness = ratio, (x, y)
-    if used == 0:
+    if witness is None:
         raise InsufficientSamplesError(
             f"all {pairs} sampled pairs were degenerate"
         )
-    return sups, witness, used
-
-
-def check_invariance(T: MapInstance, samples: int, seed: int):
-    """T(K) inside K, on the canonical points and `samples` random draws.
-    Returns (violations, first_witness, checked)."""
-    if samples < 0:
-        raise InvalidBudgetError(f"samples {samples} is below 0")
-    rng = as_rng(seed)
-    checked = 0
-    for x in T.domain.canonical_points():
-        checked += 1
-        if not T.domain.contains(T.apply(x)):
-            return 1, x, checked
-    for _ in range(samples):
-        x = T.domain.sample(rng)
-        checked += 1
-        if not T.domain.contains(T.apply(x)):
-            return 1, x, checked
-    return 0, None, checked
+    return PairRatios(sups, witness, used)
 
 
 def orbit(T: MapInstance, x0: SeqVec, depth: int) -> OrbitResult:
@@ -256,11 +221,13 @@ def estimate_displacement(T: MapInstance, strategy: str, budget: int,
                 cur = nxt
                 nxt = T.apply(cur)
     elif strategy == "lambda_scaling":
-        if T.domain.kind not in _STAR_SHAPED:
+        if not T.domain.star_shaped:
             raise InvalidStrategyError(
                 f"lambda_scaling needs a domain star-shaped about 0, "
                 f"not {T.domain.kind}"
             )
+        if not target > 0.0:
+            raise InvalidParameterError("target", "requires target > 0")
         for lam in lambdas:
             if not 0.0 < lam < 1.0:
                 raise InvalidParameterError("lambdas", "requires 0 < lam < 1")
@@ -293,157 +260,11 @@ def estimate_displacement(T: MapInstance, strategy: str, budget: int,
     return DisplacementEstimate(best, best_witness, evaluations)
 
 
-def check_uniform_profile(T: MapInstance, n_list: tuple[int, ...], pairs: int,
-                          seed: int) -> CheckRecord:
-    """sup_x,y ||T^n x - T^n y|| / ||x - y||^alpha for each n, against the
-    single claimed constant.  Only maps claiming uniformity accept this."""
-    if not T.claims.uniform:
-        raise InvalidCheckError(
-            f"{T.name} makes no uniform claim; use holder_ratio or "
-            f"asymptotic_profile"
-        )
-    ns = tuple(n_list)
-    sups, witness, used = _profile_sups(T, ns, pairs, seed)
-    worst = max(sups.values())
-    verdict = _hard_verdict(worst, T.claims.holder_constant, T.claims.hard)
-    return CheckRecord(
-        "uniform_profile", T.claims.holder_constant, worst, verdict,
-        _pair_witness(witness),
-        direction=("per-iterate sup ratios are lower bounds for the "
-                   "uniform constant"),
-        details={"per_n": {str(n): sups[n] for n in ns},
-                 "pairs_used": used},
-    )
-
-
-def check_asymptotic_profile(T: MapInstance, n_max: int, pairs: int,
-                             seed: int) -> CheckRecord:
-    """Per-iterate sup ratios against the claimed n-dependent profile;
-    measured as the worst margin measured/profile(n) over n <= n_max."""
-    if T.claims.asymptotic_profile is None:
-        raise InvalidCheckError(f"{T.name} has no asymptotic profile")
-    if n_max < 1:
-        raise InvalidBudgetError(f"n_max {n_max} is below 1")
-    ns = tuple(range(1, n_max + 1))
-    sups, witness, used = _profile_sups(T, ns, pairs, seed)
-    margins = {n: sups[n] / T.claims.asymptotic_profile(n) for n in ns}
-    worst = max(margins.values())
-    verdict = "pass" if worst <= 1.0 + RATIO_SLACK else "fail"
-    if not T.claims.hard:
-        verdict = "report_only"
-    return CheckRecord(
-        "asymptotic_profile", "profile(n)", worst, verdict,
-        _pair_witness(witness),
-        direction=("measured/profile margin per iterate; at most 1 when "
-                   "the profile holds"),
-        details={"per_n": {str(n): sups[n] for n in ns},
-                 "profile": {str(n): T.claims.asymptotic_profile(n)
-                             for n in ns},
-                 "pairs_used": used},
-    )
-
-
-def check_approx_fixed_set(T: MapInstance, delta: float, samples: int,
-                           seed: int):
-    """Among sampled x with ||x - Tx|| <= delta, verify ||Tx - T^2x|| <= delta
-    (the one-step stability that makes delta-approximate fixed point sets
-    forward invariant for delta >= 1).  Returns (max_second, qualifying)."""
-    if not delta >= 1.0:
-        raise InvalidParameterError("delta", "requires delta >= 1")
-    if samples < 1:
-        raise InvalidBudgetError(f"samples {samples} is below 1")
-    rng = as_rng(seed)
-    qualifying = 0
-    max_second = 0.0
-    for _ in range(samples):
-        x = T.domain.sample(rng)
-        tx = T.apply(x)
-        if distance(x, tx, T.norm) <= delta:
-            qualifying += 1
-            second = distance(tx, T.apply(tx), T.norm)
-            if second > max_second:
-                max_second = second
-    return max_second, qualifying
-
-
-def check_oracle(T: MapInstance, x0: SeqVec, n_max: int):
-    """Max deviation between iterated applications and the closed form."""
-    if T.iterate_oracle is None:
-        raise InvalidCheckError(f"{T.name} has no iterate oracle")
-    if n_max < 0:
-        raise InvalidBudgetError(f"n_max {n_max} is below 0")
-    worst = 0.0
-    cur = x0
-    for n in range(1, n_max + 1):
-        cur = T.apply(cur)
-        dev = distance(cur, T.iterate_oracle(x0, n), T.norm)
-        if dev > worst:
-            worst = dev
-    return worst
-
-
 # ---------------------------------------------------------------------------
-# Request plumbing
+# Check kinds, each run(T, req, seed) -> CheckRecord
 
 
-CHECK_KINDS = (
-    "holder_ratio",
-    "invariance",
-    "orbit",
-    "displacement",
-    "uniform_profile",
-    "asymptotic_profile",
-    "approx_fixed_set",
-    "oracle_compare",
-)
-
-
-@dataclass(frozen=True)
-class CheckRequest:
-    kind: str
-    pairs: int = 1000
-    samples: int = 1000
-    iterate: int = 1
-    exponent: float | None = None
-    n_list: tuple[int, ...] = (1, 2, 5, 10, 20)
-    n_max: int = 10
-    depth: int = 50
-    budget: int = 1000
-    strategy: str = "sample_min"
-    delta: float = 1.0
-    x0: SeqVec | None = None
-    seed: int | None = None
-    tolerance: float | None = None
-    lambdas: tuple[float, ...] = (0.5, 0.9, 0.99, 0.999)
-    target: float = 1e-3
-
-    def __post_init__(self) -> None:
-        if self.kind not in CHECK_KINDS:
-            raise InvalidCheckError(
-                f"unknown check kind {self.kind!r}; expected one of "
-                f"{', '.join(CHECK_KINDS)}"
-            )
-
-
-@dataclass
-class CheckRecord:
-    kind: str
-    claimed: object
-    measured: float | None
-    verdict: str  # "pass" | "fail" | "report_only"
-    witness: str | None
-    direction: str
-    runtime_ms: float = 0.0
-    details: dict = field(default_factory=dict)
-
-    @property
-    def passed(self) -> bool:
-        return self.verdict == "pass"
-
-
-def _pair_witness(pair: tuple[SeqVec, SeqVec] | None) -> str | None:
-    if pair is None:
-        return None
+def _pair_witness(pair: tuple[SeqVec, SeqVec]) -> str:
     return f"x = {format_vec(pair[0])}, y = {format_vec(pair[1])}"
 
 
@@ -453,104 +274,282 @@ def _hard_verdict(measured: float, claimed: float | None, hard: bool) -> str:
     return "pass" if measured <= claimed * (1.0 + RATIO_SLACK) else "fail"
 
 
-def run_check(T: MapInstance, req: CheckRequest, default_seed: int = 0) -> CheckRecord:
-    """Dispatch one CheckRequest against a map and time it."""
-    seed = req.seed if req.seed is not None else default_seed
-    start = time.perf_counter()
-    rec = _run_check_inner(T, req, seed)
-    rec.runtime_ms = round((time.perf_counter() - start) * 1000.0, 3)
-    return rec
+def _tolerance(req: CheckRequest, default: float) -> float:
+    return req.tolerance if req.tolerance is not None else default
 
 
-def _run_check_inner(T: MapInstance, req: CheckRequest, seed: int) -> CheckRecord:
+def _start(T: MapInstance, req: CheckRequest) -> SeqVec:
+    return req.x0 if req.x0 is not None else T.domain.canonical_points()[0]
+
+
+def _holder_ratio(T: MapInstance, req: CheckRequest, seed: int) -> CheckRecord:
+    """Iterate ratios at the claimed exponent bind the claimed constant;
+    at exponent 1 they bind the classical one."""
     claims = T.claims
-    kind = req.kind
-    if kind == "holder_ratio":
-        est = estimate_holder_ratio(T, req.pairs, seed, req.iterate, req.exponent)
-        a = claims.alpha if req.exponent is None else req.exponent
-        if a == claims.alpha:
-            claimed = claims.holder_constant
-            covered = claims.uniform or req.iterate == 1
-        elif a == 1.0 and claims.classical_lipschitz is not None:
-            claimed = claims.classical_lipschitz
-            covered = claims.uniform or req.iterate == 1
-        else:
-            claimed, covered = None, False
-        verdict = _hard_verdict(est.sup_ratio, claimed if covered else None,
-                                claims.hard)
-        return CheckRecord(
-            kind, claimed, est.sup_ratio, verdict, _pair_witness(est.witness),
-            direction=("measured sup ratio is a lower bound for the true "
-                       "constant; the claim is an upper bound"),
-            details={"exponent": a, "iterate": req.iterate,
-                     "pairs_used": est.pairs_used},
-        )
-    if kind == "invariance":
-        violations, witness, checked = check_invariance(T, req.samples, seed)
-        return CheckRecord(
-            kind, "T(K) inside K", float(violations),
-            "pass" if violations == 0 else "fail",
-            None if witness is None else format_vec(witness),
-            direction="violations are conclusive; passes are sampled evidence",
-            details={"checked": checked},
-        )
-    if kind == "orbit":
-        x0 = req.x0 if req.x0 is not None else T.domain.canonical_points()[0]
-        res = orbit(T, x0, req.depth)
-        return CheckRecord(
-            kind, None, res.max_norm, "report_only", format_vec(x0),
-            direction="boundedness summary; max norm along the orbit",
-            details={
-                "depth": req.depth,
-                "displacements": list(res.displacements[:20]),
-                "final_displacement": (res.displacements[-1]
-                                       if res.displacements else None),
-            },
-        )
-    if kind == "displacement":
-        est = estimate_displacement(T, req.strategy, req.budget, seed,
-                                    req.lambdas, req.target)
-        bound = claims.displacement_bound
-        tol = req.tolerance if req.tolerance is not None else DISPLACEMENT_TOL
-        if bound is None:
-            verdict = "report_only"
-        elif bound == 0.0:
-            # An upper estimate cannot refute d = 0; confirm it only when a
-            # witness reaches it to tolerance.
-            verdict = "pass" if est.value <= tol else "report_only"
-        else:
-            verdict = "pass" if est.value <= bound + tol else "fail"
-        return CheckRecord(
-            kind, bound, est.value, verdict, format_vec(est.witness),
-            direction=("measured value is an upper bound for the minimal "
-                       "displacement"),
-            details={"strategy": req.strategy, "budget": req.budget,
-                     "evaluations": est.evaluations},
-        )
-    if kind == "uniform_profile":
-        return check_uniform_profile(T, req.n_list, req.pairs, seed)
-    if kind == "asymptotic_profile":
-        return check_asymptotic_profile(T, req.n_max, req.pairs, seed)
-    if kind == "approx_fixed_set":
-        max_second, qualifying = check_approx_fixed_set(T, req.delta,
-                                                        req.samples, seed)
-        tol = req.tolerance if req.tolerance is not None else DISPLACEMENT_TOL
-        return CheckRecord(
-            kind, req.delta, max_second,
-            "pass" if max_second <= req.delta + tol else "fail",
-            None,
-            direction=("max ||Tx - T^2x|| over sampled delta-approximate "
-                       "fixed points"),
-            details={"qualifying": qualifying, "samples": req.samples},
-        )
-    # oracle_compare
-    x0 = req.x0 if req.x0 is not None else T.domain.canonical_points()[0]
-    worst = check_oracle(T, x0, req.n_max)
-    tol = req.tolerance if req.tolerance is not None else ORACLE_TOL
+    if req.exponent is not None and not 0.0 < req.exponent <= 1.0:
+        raise InvalidParameterError("exponent", "requires 0 < exponent <= 1")
+    a = claims.alpha if req.exponent is None else req.exponent
+    est = pair_ratios(T, (req.iterate,), req.pairs, seed, a)
+    sup = est.sups[req.iterate]
+    if a == claims.alpha:
+        claimed = claims.holder_constant
+    elif a == 1.0:
+        claimed = claims.classical_lipschitz
+    else:
+        claimed = None
+    covered = claims.uniform or req.iterate == 1
     return CheckRecord(
-        "oracle_compare", tol, worst,
-        "pass" if worst <= tol else "fail",
+        "holder_ratio", claimed, sup,
+        _hard_verdict(sup, claimed if covered else None, claims.hard),
+        _pair_witness(est.witness),
+        direction=("measured sup ratio is a lower bound for the true "
+                   "constant; the claim is an upper bound"),
+        details={"exponent": a, "iterate": req.iterate,
+                 "pairs_used": est.pairs_used},
+    )
+
+
+def _invariance(T: MapInstance, req: CheckRequest, seed: int) -> CheckRecord:
+    """T(K) inside K, on the canonical points and `samples` random draws,
+    up to the first violation."""
+    if req.samples < 0:
+        raise InvalidBudgetError(f"samples {req.samples} is below 0")
+    rng = as_rng(seed)
+    draws = (T.domain.sample(rng) for _ in range(req.samples))
+    witness = None
+    checked = 0
+    for x in itertools.chain(T.domain.canonical_points(), draws):
+        checked += 1
+        if not T.domain.contains(T.apply(x)):
+            witness = x
+            break
+    return CheckRecord(
+        "invariance", "T(K) inside K", float(witness is not None),
+        "pass" if witness is None else "fail",
+        None if witness is None else format_vec(witness),
+        direction="violations are conclusive; passes are sampled evidence",
+        details={"checked": checked},
+    )
+
+
+def _orbit(T: MapInstance, req: CheckRequest, seed: int) -> CheckRecord:
+    x0 = _start(T, req)
+    res = orbit(T, x0, req.depth)
+    return CheckRecord(
+        "orbit", None, res.max_norm, "report_only", format_vec(x0),
+        direction="boundedness summary; max norm along the orbit",
+        details={
+            "depth": req.depth,
+            "displacements": list(res.displacements[:20]),
+            "final_displacement": (res.displacements[-1]
+                                   if res.displacements else None),
+        },
+    )
+
+
+def _displacement(T: MapInstance, req: CheckRequest, seed: int) -> CheckRecord:
+    est = estimate_displacement(T, req.strategy, req.budget, seed,
+                                req.lambdas, req.target)
+    bound = T.claims.displacement_bound
+    tol = _tolerance(req, DISPLACEMENT_TOL)
+    if bound is None:
+        verdict = "report_only"
+    elif bound == 0.0:
+        # An upper estimate cannot refute d = 0; confirm it only when a
+        # witness reaches it to tolerance.
+        verdict = "pass" if est.value <= tol else "report_only"
+    else:
+        verdict = "pass" if est.value <= bound + tol else "fail"
+    return CheckRecord(
+        "displacement", bound, est.value, verdict, format_vec(est.witness),
+        direction=("measured value is an upper bound for the minimal "
+                   "displacement"),
+        details={"strategy": req.strategy, "budget": req.budget,
+                 "evaluations": est.evaluations},
+    )
+
+
+def _uniform_profile(T: MapInstance, req: CheckRequest,
+                     seed: int) -> CheckRecord:
+    """sup_x,y ||T^n x - T^n y|| / ||x - y||^alpha for each n, against the
+    single claimed constant.  Only maps claiming uniformity accept this."""
+    if not T.claims.uniform:
+        raise InvalidCheckError(
+            f"{T.name} makes no uniform claim; use holder_ratio or "
+            f"asymptotic_profile"
+        )
+    est = pair_ratios(T, req.n_list, req.pairs, seed)
+    worst = max(est.sups.values())
+    return CheckRecord(
+        "uniform_profile", T.claims.holder_constant, worst,
+        _hard_verdict(worst, T.claims.holder_constant, T.claims.hard),
+        _pair_witness(est.witness),
+        direction=("per-iterate sup ratios are lower bounds for the "
+                   "uniform constant"),
+        details={"per_n": {str(n): est.sups[n] for n in req.n_list},
+                 "pairs_used": est.pairs_used},
+    )
+
+
+def _asymptotic_profile(T: MapInstance, req: CheckRequest,
+                        seed: int) -> CheckRecord:
+    """Per-iterate sup ratios against the claimed n-dependent profile;
+    measured as the worst margin measured/profile(n) over n <= n_max."""
+    profile = T.claims.asymptotic_profile
+    if profile is None:
+        raise InvalidCheckError(f"{T.name} has no asymptotic profile")
+    if req.n_max < 1:
+        raise InvalidBudgetError(f"n_max {req.n_max} is below 1")
+    ns = tuple(range(1, req.n_max + 1))
+    est = pair_ratios(T, ns, req.pairs, seed)
+    worst = max(est.sups[n] / profile(n) for n in ns)
+    verdict = "pass" if worst <= 1.0 + RATIO_SLACK else "fail"
+    return CheckRecord(
+        "asymptotic_profile", "profile(n)", worst,
+        verdict if T.claims.hard else "report_only",
+        _pair_witness(est.witness),
+        direction=("measured/profile margin per iterate; at most 1 when "
+                   "the profile holds"),
+        details={"per_n": {str(n): est.sups[n] for n in ns},
+                 "profile": {str(n): profile(n) for n in ns},
+                 "pairs_used": est.pairs_used},
+    )
+
+
+def _approx_fixed_set(T: MapInstance, req: CheckRequest,
+                      seed: int) -> CheckRecord:
+    """Among sampled x with ||x - Tx|| <= delta, verify ||Tx - T^2x|| <= delta
+    (the one-step stability that makes delta-approximate fixed point sets
+    forward invariant for delta >= 1)."""
+    if not req.delta >= 1.0:
+        raise InvalidParameterError("delta", "requires delta >= 1")
+    if req.samples < 1:
+        raise InvalidBudgetError(f"samples {req.samples} is below 1")
+    rng = as_rng(seed)
+    qualifying = 0
+    max_second = 0.0
+    for _ in range(req.samples):
+        x = T.domain.sample(rng)
+        tx = T.apply(x)
+        if distance(x, tx, T.norm) <= req.delta:
+            qualifying += 1
+            second = distance(tx, T.apply(tx), T.norm)
+            if second > max_second:
+                max_second = second
+    return CheckRecord(
+        "approx_fixed_set", req.delta, max_second,
+        "pass" if max_second <= req.delta + _tolerance(req, DISPLACEMENT_TOL)
+        else "fail",
+        None,
+        direction=("max ||Tx - T^2x|| over sampled delta-approximate "
+                   "fixed points"),
+        details={"qualifying": qualifying, "samples": req.samples},
+    )
+
+
+def _oracle_compare(T: MapInstance, req: CheckRequest,
+                    seed: int) -> CheckRecord:
+    """Max deviation between iterated applications and the closed form."""
+    if T.iterate_oracle is None:
+        raise InvalidCheckError(f"{T.name} has no iterate oracle")
+    if req.n_max < 0:
+        raise InvalidBudgetError(f"n_max {req.n_max} is below 0")
+    x0 = _start(T, req)
+    worst = 0.0
+    cur = x0
+    for n in range(1, req.n_max + 1):
+        cur = T.apply(cur)
+        dev = distance(cur, T.iterate_oracle(x0, n), T.norm)
+        if dev > worst:
+            worst = dev
+    tol = _tolerance(req, ORACLE_TOL)
+    return CheckRecord(
+        "oracle_compare", tol, worst, "pass" if worst <= tol else "fail",
         format_vec(x0),
         direction="max deviation between iteration and the closed form",
         details={"n_max": req.n_max},
     )
+
+
+# ---------------------------------------------------------------------------
+# The registry
+
+
+@dataclass(frozen=True)
+class Field:
+    """A request field: its JSON type ("int", "seed" (an int >= 0),
+    "number", "int list", "number list", "string" or "vector") and default."""
+
+    name: str
+    type: str
+    default: object = None
+
+
+FIELDS: dict[str, Field] = {
+    f.name: f
+    for f in [
+        Field("pairs", "int", 1000),
+        Field("samples", "int", 1000),
+        Field("iterate", "int", 1),
+        Field("exponent", "number"),
+        Field("n_list", "int list", (1, 2, 5, 10, 20)),
+        Field("n_max", "int", 10),
+        Field("depth", "int", 50),
+        Field("budget", "int", 1000),
+        Field("strategy", "string", "sample_min"),
+        Field("delta", "number", 1.0),
+        Field("x0", "vector"),
+        Field("seed", "seed"),
+        Field("tolerance", "number"),
+        Field("lambdas", "number list", (0.5, 0.9, 0.99, 0.999)),
+        Field("target", "number", 1e-3),
+    ]
+}
+COMMON_FIELDS = ("seed", "tolerance")  # every check kind accepts these
+
+
+@dataclass(frozen=True)
+class Check:
+    fields: tuple[str, ...]  # FIELDS it reads besides COMMON_FIELDS
+    run: Callable[[MapInstance, CheckRequest, int], CheckRecord]
+
+
+CHECKS: dict[str, Check] = {
+    "holder_ratio": Check(("pairs", "iterate", "exponent"), _holder_ratio),
+    "invariance": Check(("samples",), _invariance),
+    "orbit": Check(("x0", "depth"), _orbit),
+    "displacement": Check(("strategy", "budget", "lambdas", "target"),
+                          _displacement),
+    "uniform_profile": Check(("n_list", "pairs"), _uniform_profile),
+    "asymptotic_profile": Check(("n_max", "pairs"), _asymptotic_profile),
+    "approx_fixed_set": Check(("delta", "samples"), _approx_fixed_set),
+    "oracle_compare": Check(("x0", "n_max"), _oracle_compare),
+}
+
+
+def _known_kind(req: CheckRequest) -> None:
+    if req.kind not in CHECKS:
+        raise InvalidCheckError(
+            f"unknown check kind {req.kind!r}; expected one of "
+            f"{', '.join(CHECKS)}"
+        )
+
+
+# One frozen dataclass: the kind, then every FIELDS entry with its default.
+CheckRequest = make_dataclass(
+    "CheckRequest",
+    [("kind", str)] + [(f.name, object, field(default=f.default))
+                       for f in FIELDS.values()],
+    frozen=True,
+    namespace={"__module__": __name__, "__post_init__": _known_kind},
+)
+
+
+def run_check(T: MapInstance, req: CheckRequest,
+              default_seed: int = 0) -> CheckRecord:
+    """Run one CheckRequest against a map and time it."""
+    seed = req.seed if req.seed is not None else default_seed
+    start = time.perf_counter()
+    rec = CHECKS[req.kind].run(T, req, seed)
+    rec.runtime_ms = round((time.perf_counter() - start) * 1000.0, 3)
+    return rec

@@ -43,12 +43,11 @@ from holderlab.seqvec import (
     scale,
 )
 from holderlab.verify import (
-    check_asymptotic_profile,
-    check_invariance,
-    check_uniform_profile,
+    CheckRequest,
     estimate_displacement,
-    estimate_holder_ratio,
     orbit,
+    pair_ratios,
+    run_check,
 )
 
 L1 = NormKind.lp(1.0)
@@ -161,11 +160,11 @@ def test_criterion_06_holder_soundness():
                       "(8 instances + norming classical)"):
         for seed_offset, factory in enumerate(HARD_INSTANCES):
             T = factory()
-            est = estimate_holder_ratio(T, PAIRS, seed=600 + seed_offset)
-            assert est.sup_ratio <= T.claims.holder_constant * SLACK, T.name
-        classical = estimate_holder_ratio(norming_map(alpha=0.5), PAIRS,
-                                          seed=699, exponent=1.0)
-        assert classical.sup_ratio <= math.sqrt(2.0) / 2.0
+            est = pair_ratios(T, (1,), PAIRS, seed=600 + seed_offset)
+            assert est.sups[1] <= T.claims.holder_constant * SLACK, T.name
+        classical = pair_ratios(norming_map(alpha=0.5), (1,), PAIRS,
+                                seed=699, exponent=1.0)
+        assert classical.sups[1] <= math.sqrt(2.0) / 2.0
 
 
 def test_criterion_07_uniform_profiles():
@@ -173,15 +172,16 @@ def test_criterion_07_uniform_profiles():
                       "n in {1,2,5,10,20}"):
         ns = (1, 2, 5, 10, 20)
         shift = shift_simplex_map()
-        rec = check_uniform_profile(shift, ns, pairs=2000, seed=107)
+        rec = run_check(shift, CheckRequest("uniform_profile", n_list=ns,
+                                            pairs=2000, seed=107))
         assert rec.verdict == "pass"
         per_n = rec.details["per_n"]
         # the shift is an l1 isometry, so the measured ratio at each n is
         # the same d^(1-alpha) supremum, capped by lambda
         assert len(set(per_n.values())) == 1
         assert max(per_n.values()) <= 0.5 * SLACK
-        rec = check_uniform_profile(affine_cube_map(), ns, pairs=2000,
-                                    seed=107)
+        rec = run_check(affine_cube_map(), CheckRequest(
+            "uniform_profile", n_list=ns, pairs=2000, seed=107))
         assert rec.verdict == "pass"
 
 
@@ -189,7 +189,8 @@ def test_criterion_08_goebel_kirk_profile():
     with criterion(8, "goebel_kirk iterate ratios respect "
                       "(n+1)/n * 2^(1-alpha) up to n = 20"):
         T = goebel_kirk_map(alpha=0.5)
-        rec = check_asymptotic_profile(T, n_max=20, pairs=PAIRS, seed=108)
+        rec = run_check(T, CheckRequest("asymptotic_profile", n_max=20,
+                                        pairs=PAIRS, seed=108))
         assert rec.verdict == "pass"
         for n in (1, 5, 20):
             expected = (n + 1) / n * 2.0 ** 0.5
@@ -223,8 +224,8 @@ def test_criterion_10_retraction_constants():
                        "the iota/mu/Q example hold"):
         for seed_offset, (name, bound) in enumerate(RETRACTION_BOUNDS):
             T = retraction_map(name)
-            est = estimate_holder_ratio(T, PAIRS, seed=1000 + seed_offset)
-            assert est.sup_ratio <= bound * SLACK, name
+            est = pair_ratios(T, (1,), PAIRS, seed=1000 + seed_offset)
+            assert est.sups[1] <= bound * SLACK, name
 
         rng = as_rng(1010)
         worst = 0.0
@@ -257,9 +258,9 @@ def test_criterion_11_catalog_invariance():
 
         for seed_offset, name in enumerate(catalog_names()):
             T = CATALOG[name].factory()
-            violations, witness, _ = check_invariance(
-                T, samples=PAIRS, seed=1100 + seed_offset)
-            assert violations == 0, f"{name} escaped at {witness}"
+            rec = run_check(T, CheckRequest("invariance", samples=PAIRS,
+                                            seed=1100 + seed_offset))
+            assert rec.verdict == "pass", f"{name} escaped at {rec.witness}"
 
 
 def test_criterion_12_approximate_fixed_point_witnesses():

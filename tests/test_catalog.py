@@ -445,3 +445,6 @@ def test_retraction_map_wrappers():
             assert R.domain.contains(R.apply(x)), name
     with pytest.raises(InvalidParameterError):
         retraction_map("radial", r=0.0)
+    with pytest.raises(UnknownNameError) as err:
+        retraction_map("radail")
+    assert "radial" in err.value.suggestions

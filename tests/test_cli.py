@@ -1,11 +1,15 @@
 """Driver behaviour: config validation, exit codes, reports, list/describe."""
 
+import hashlib
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from holderlab.cli import main
 from holderlab.report import canonical_bytes
+from holderlab.verify import CHECKS, COMMON_FIELDS, FIELDS
 
 MAPS = ("affine_cube", "affine_mixing", "baseline_c", "c0_family",
         "deficiency", "goebel_kirk", "hyperconvex", "l1_ball_composite",
@@ -82,6 +86,7 @@ def test_breadth_override_accepted(tmp_path):
     path = write_config(tmp_path, cfg)
     assert main(["run", path]) == 0
     assert main(["run", path, "--breadth", "32"]) == 0
+    assert main(["run", path, "--breadth", "0"]) == 2
 
 
 def test_orbit_x0_literal(tmp_path, capsys):
@@ -154,9 +159,24 @@ def test_malformed_json(tmp_path, capsys):
     (lambda c: c.update(checks=[{"kind": "orbit", "x0": "{1:"}]),
      "bad x0 literal"),
     (lambda c: c.update(name="a/b"), "path separators"),
+    (lambda c: c.update(checks=[{"kind": "uniform_profile",
+                                 "n_list": ["a"]}]),
+     "n_list entry must be an integer"),
+    (lambda c: c.update(checks=[{"kind": "uniform_profile",
+                                 "n_list": [1.7]}]),
+     "n_list entry must be an integer"),
+    (lambda c: c.update(checks=[{"kind": "displacement", "lambdas": ["x"]}]),
+     "lambdas entry must be a finite number"),
+    (lambda c: c.update(checks=[{"kind": "invariance",
+                                 "tolerance": float("nan")}]),
+     "tolerance must be a finite number"),
+    (lambda c: c.update(seed=-1), "seed must be at least 0"),
+    (lambda c: c.update(breadth=-3), "breadth must be at least 1"),
 ], ids=["extra-field", "missing-seed", "schema-version", "float-seed",
         "empty-checks", "bad-kind", "foreign-check-key", "bad-x0",
-        "path-in-name"])
+        "path-in-name", "string-n_list", "fractional-n_list",
+        "string-lambdas", "nan-tolerance", "negative-seed",
+        "negative-breadth"])
 def test_config_schema_violations(tmp_path, capsys, mangle, fragment):
     cfg = base_config(tmp_path)
     mangle(cfg)
@@ -211,6 +231,41 @@ def test_unknown_map_name(tmp_path, capsys):
     assert "shift_simplex" in capsys.readouterr().err
 
 
+# Any JSON value, and values of each declared field type at tiny budgets.
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 6), st.floats(),
+    st.text(max_size=6),
+    st.lists(st.one_of(st.integers(-2, 6), st.floats(), st.text(max_size=2)),
+             max_size=3),
+)
+TYPED_VALUES = {
+    "int": st.integers(-1, 4),
+    "seed": st.integers(-1, 4),
+    "number": st.floats(),
+    "int list": st.lists(st.integers(-1, 4), max_size=3),
+    "number list": st.lists(st.floats(), max_size=3),
+    "string": st.sampled_from(["sample_min", "orbit_min", "lambda_scaling",
+                               "cesaro_affine"]),
+    "vector": st.sampled_from(["{}", "{1:0.5}", "{2:-0.25}", "{1:nan}",
+                               "{0:1}", "{1:1e308}", "{1:0.1; tail:0.1}"]),
+}
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_check_field_values_map_to_an_exit_code(tmp_path, data):
+    kind = data.draw(st.sampled_from(sorted(CHECKS)), label="kind")
+    check = {"kind": kind}
+    for name in CHECKS[kind].fields + COMMON_FIELDS:
+        typed = TYPED_VALUES[FIELDS[name].type]
+        check[name] = data.draw(st.one_of(typed, JSON_VALUES), label=name)
+    map_name = data.draw(st.sampled_from(["norming", "shift_simplex",
+                                          "goebel_kirk"]), label="map")
+    cfg = base_config(tmp_path, map={"name": map_name}, checks=[check])
+    assert main(["run", write_config(tmp_path, cfg)]) in (0, 2, 3, 4, 5)
+
+
 # ---------------------------------------------------------------------------
 # list / describe
 
@@ -242,3 +297,45 @@ def test_describe_covers_retractions(capsys):
 def test_describe_unknown_name(capsys):
     assert main(["describe", "nope"]) == 4
     assert "nope" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# report bytes pinned across refactors
+
+# SHA-256 of canonical_bytes for one small config per check kind plus one
+# retraction, at master seed 11.  A change that alters a sampling stream on
+# purpose re-records these digests and says so.
+GOLDEN_REPORTS = [
+    ("norming", {"kind": "holder_ratio", "pairs": 60, "iterate": 2,
+                 "exponent": 1.0},
+     "1b0cd7215fef9fe8a84a89f2c81367f808ef1657b7421e98b1ea0ae26fa8cee9"),
+    ("prus", {"kind": "invariance", "samples": 40},
+     "8af2b5b7fbf3c27b5199c5e5623886fc31bc5b15eaa30a83041720f46e605682"),
+    ("shift_simplex", {"kind": "orbit", "x0": "{1:0.0625, 2:0.0625}",
+                       "depth": 8},
+     "f543d2f0456b623557cf43455adb05f3661a49d9746b3ab86d0b68e059415f67"),
+    ("deficiency", {"kind": "displacement", "strategy": "sample_min",
+                    "budget": 40},
+     "a001aa93d1fbede4feeb5a999f98c14707bddb9d39e9f0b602dde93c0fae6465"),
+    ("affine_cube", {"kind": "uniform_profile", "n_list": [1, 3],
+                     "pairs": 40},
+     "11c63759751f9050ad146ef755e6e3de986b92a0ba52c78560460004ddeacf82"),
+    ("goebel_kirk", {"kind": "asymptotic_profile", "n_max": 3, "pairs": 40},
+     "b30504ba09e01243dbf1dd673a957c11f509fbdd2e1bdfb71fc21d2972faa706"),
+    ("norming", {"kind": "approx_fixed_set", "delta": 1.0, "samples": 40},
+     "911b54261cf86291a6b42180a15efc57c242b06620d988a834c7871a5f0465f3"),
+    ("hyperconvex", {"kind": "oracle_compare", "n_max": 6},
+     "e73eec3a18b0b4979e4874365de96e97add64f39494ab2abe196611d82b9cffa"),
+    ("l1_sphere", {"kind": "holder_ratio", "pairs": 60},
+     "2c52d2dd856055f7f5db90afe3887f539211bcaf452c3ccb454d78e3dbd28f79"),
+]
+
+
+@pytest.mark.parametrize("map_name, check, digest", GOLDEN_REPORTS,
+                         ids=[f"{c['kind']}-{m}" for m, c, _ in GOLDEN_REPORTS])
+def test_report_bytes_are_pinned(tmp_path, map_name, check, digest):
+    cfg = base_config(tmp_path, map={"name": map_name}, seed=11,
+                      checks=[check])
+    assert main(["run", write_config(tmp_path, cfg)]) == 0
+    report = canonical_bytes((tmp_path / "probe.report.json").read_text())
+    assert hashlib.sha256(report).hexdigest() == digest

@@ -1,13 +1,14 @@
 """Retraction formulas: worked examples, idempotence, branch agreement."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from holderlab.catalog import RETRACTION_CATALOG
 from holderlab.domains import ball, positive_ball
 from holderlab.errors import DomainViolationError
 from holderlab.retractions import (
-    RETRACTION_TAGS,
-    RetractionTag,
     abs_retract,
     clamp_retract,
     excess_map,
@@ -209,18 +210,19 @@ def test_excess_map_ratio_small_sample():
 
 
 # ---------------------------------------------------------------------------
-# tags
+# the retraction table
 
 
 def test_tags_cover_the_catalog_names():
-    assert set(RETRACTION_TAGS) == {
-        "radial", "abs", "positive_part", "clamp", "excess_q", "l1_sphere",
-    }
-    claimed = {name: tag.claimed_lipschitz for name, tag in RETRACTION_TAGS.items()}
+    claimed = {name: entry.lipschitz
+               for name, entry in RETRACTION_CATALOG.items()}
     assert claimed == {"radial": 2.0, "abs": 1.0, "positive_part": 1.0,
-                       "clamp": 1.0, "excess_q": 3.0, "l1_sphere": 8.0}
+                       "clamp": 1.0, "l1_sphere": 8.0}
+    for name, entry in RETRACTION_CATALOG.items():
+        assert entry.factory().claims.holder_constant == claimed[name]
 
 
 def test_tag_requires_sane_constant():
+    entry = RETRACTION_CATALOG["abs"]
     with pytest.raises(ValueError):
-        RetractionTag("shrink", 0.5, "X", "Y")
+        dataclasses.replace(entry, name="shrink", lipschitz=0.5)

@@ -21,15 +21,13 @@ from holderlab.errors import (
     InvalidParameterError,
     InvalidStrategyError,
 )
-from holderlab.seqvec import ZERO, basis_vector, distance, norm, scale
+from holderlab.seqvec import ZERO, basis_vector, distance, format_vec, norm, scale
 from holderlab.verify import (
-    CHECK_KINDS,
+    CHECKS,
     CheckRequest,
-    check_approx_fixed_set,
-    check_invariance,
     estimate_displacement,
-    estimate_holder_ratio,
     orbit,
+    pair_ratios,
     run_check,
 )
 
@@ -42,61 +40,61 @@ def _degenerate(T):
 
 
 # ---------------------------------------------------------------------------
-# estimate_holder_ratio
+# pair_ratios
 
 
 def test_holder_estimate_is_deterministic():
     T = norming_map()
-    a = estimate_holder_ratio(T, pairs=200, seed=11)
-    b = estimate_holder_ratio(T, pairs=200, seed=11)
+    a = pair_ratios(T, (1,), pairs=200, seed=11)
+    b = pair_ratios(T, (1,), pairs=200, seed=11)
     assert a == b
     assert a.pairs_used <= 200
 
 
 def test_holder_estimate_sees_an_isometry():
     T = renormed_l1_map()
-    est = estimate_holder_ratio(T, pairs=200, seed=3, exponent=1.0)
-    assert abs(est.sup_ratio - 1.0) <= 1e-12
+    est = pair_ratios(T, (1,), pairs=200, seed=3, exponent=1.0)
+    assert abs(est.sups[1] - 1.0) <= 1e-12
 
 
 def test_holder_estimate_rejects_empty_budgets():
     T = norming_map()
     with pytest.raises(InvalidBudgetError):
-        estimate_holder_ratio(T, pairs=0, seed=0)
+        pair_ratios(T, (1,), pairs=0, seed=0)
     with pytest.raises(InvalidBudgetError):
-        estimate_holder_ratio(T, pairs=10, seed=0, iterate=0)
+        pair_ratios(T, (0,), pairs=10, seed=0)
 
 
 def test_holder_estimate_needs_nondegenerate_pairs():
     with pytest.raises(InsufficientSamplesError):
-        estimate_holder_ratio(_degenerate(norming_map()), pairs=20, seed=0)
+        pair_ratios(_degenerate(norming_map()), (1,), pairs=20, seed=0)
 
 
 # ---------------------------------------------------------------------------
-# check_invariance / orbit
+# invariance / orbit
 
 
 def test_invariance_counts_canonical_points_and_samples():
     T = norming_map()
-    violations, witness, checked = check_invariance(T, samples=100, seed=7)
-    assert violations == 0
-    assert witness is None
-    assert checked == 100 + len(T.domain.canonical_points())
+    rec = run_check(T, CheckRequest("invariance", samples=100), 7)
+    assert rec.measured == 0.0
+    assert rec.witness is None
+    assert rec.details["checked"] == 100 + len(T.domain.canonical_points())
 
 
 def test_invariance_reports_the_first_violation():
     # Shrink the domain under the same formula: T(0) lands outside.
     T = norming_map()
     small = dataclasses.replace(T, domain=dataclasses.replace(T.domain, r=0.25))
-    violations, witness, checked = check_invariance(small, samples=10, seed=7)
-    assert violations == 1
-    assert witness == ZERO
-    assert checked == 1
+    rec = run_check(small, CheckRequest("invariance", samples=10), 7)
+    assert rec.measured == 1.0
+    assert rec.witness == format_vec(ZERO)
+    assert rec.details["checked"] == 1
 
 
 def test_invariance_rejects_negative_budget():
     with pytest.raises(InvalidBudgetError):
-        check_invariance(norming_map(), samples=-1, seed=0)
+        run_check(norming_map(), CheckRequest("invariance", samples=-1))
 
 
 def test_orbit_walks_and_records_displacements():
@@ -140,6 +138,10 @@ def test_lambda_scaling_validates_the_schedule():
         estimate_displacement(norming_map(), "lambda_scaling", budget=10,
                               seed=0, lambdas=(1.0,))
     assert err.value.parameter == "lambdas"
+    with pytest.raises(InvalidParameterError) as err:
+        estimate_displacement(norming_map(), "lambda_scaling", budget=10,
+                              seed=0, target=0.0)
+    assert err.value.parameter == "target"
 
 
 def test_cesaro_needs_an_affine_map():
@@ -210,6 +212,11 @@ def test_holder_ratio_without_a_matching_claim_is_report_only():
                                                     exponent=1.0, seed=2))
     assert rec.claimed is None
     assert rec.verdict == "report_only"
+    # Exponents outside (0, 1] are not Holder exponents of these maps.
+    for exponent in (0.0, -1.0, 30.0):
+        with pytest.raises(InvalidParameterError):
+            run_check(norming_map(), CheckRequest("holder_ratio", pairs=20,
+                                                  exponent=exponent))
 
 
 def test_holder_ratio_iterates_bind_only_uniform_claims():
@@ -316,10 +323,12 @@ def test_approx_fixed_set_record():
 
 def test_approx_fixed_set_validates_delta_and_samples():
     with pytest.raises(InvalidParameterError) as err:
-        check_approx_fixed_set(norming_map(), delta=0.5, samples=10, seed=0)
+        run_check(norming_map(), CheckRequest("approx_fixed_set", delta=0.5,
+                                              samples=10))
     assert err.value.parameter == "delta"
     with pytest.raises(InvalidBudgetError):
-        check_approx_fixed_set(norming_map(), delta=1.0, samples=0, seed=0)
+        run_check(norming_map(), CheckRequest("approx_fixed_set", delta=1.0,
+                                              samples=0))
 
 
 def test_oracle_compare_record():
@@ -354,7 +363,7 @@ def test_invariance_and_orbit_records():
 def test_unknown_check_kind_is_rejected():
     with pytest.raises(InvalidCheckError):
         CheckRequest("bogus")
-    assert len(CHECK_KINDS) == 8
+    assert len(CHECKS) == 8
 
 
 def _comparable(rec):
