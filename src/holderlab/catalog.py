@@ -977,64 +977,57 @@ class CatalogEntry:
     factory: Callable[..., MapInstance]
     params: tuple[ParamSpec, ...]
     summary: str
-    has_oracle: bool = False
-
-
-def _entry(name, factory, params, summary, has_oracle=False):
-    return CatalogEntry(name, factory, tuple(params), summary, has_oracle)
 
 
 CATALOG: dict[str, CatalogEntry] = {
     e.name: e
     for e in [
-        _entry("prus", prus_map,
-               [ParamSpec("alpha", 0.5, "0 < alpha < 1")],
-               "fixed-point-free Holder nonexpansive map on the sup ball of c"),
-        _entry("norming", norming_map,
-               [ParamSpec("alpha", 0.5, "0 < alpha < 1")],
-               "rank-one map on the l2 ball with fixed point e1 and closed-form "
-               "iterates at alpha = 1/2", has_oracle=True),
-        _entry("baseline_c", baseline_c_map, [],
-               "nonexpansive fixed-point-free base map lifted into small balls"),
-        _entry("shift_simplex", shift_simplex_map,
-               [ParamSpec("p", 1.0, "p >= 1"),
-                ParamSpec("alpha", 0.5, "0 < alpha < 1"),
-                ParamSpec("lambda", 0.5, "0 < lambda < 1")],
-               "forward shift on a mass slice, uniformly Holder contractive"),
-        _entry("affine_mixing", affine_mixing_map,
-               [ParamSpec("L", 2.0, "L > 1"),
-                ParamSpec("lambda", 0.75, "1/L < lambda <= 1"),
-                ParamSpec("alpha", 0.5, "0 < alpha < 1")],
-               "mass-preserving affine mixing with a report-only expansion floor"),
-        _entry("deficiency", deficiency_map,
-               [ParamSpec("p", 2.0, "p >= 1"),
-                ParamSpec("alpha", 0.5, "0 < alpha < 1")],
-               "Holder nonexpansive map with small but positive displacement bound"),
-        _entry("goebel_kirk", goebel_kirk_map,
-               [ParamSpec("alpha", 0.5, "0 < alpha < 1")],
-               "asymptotically Holder nonexpansive, profile (n+1)/n * 2^(1-a)"),
-        _entry("hyperconvex", hyperconvex_map,
-               [ParamSpec("N", 4, "N^alpha >= 2"),
-                ParamSpec("alpha", 0.5, "0 < alpha < 1")],
-               "uniformly Holder nonexpansive, fixed point free on [0, 1/N] coords",
-               has_oracle=True),
-        _entry("c0_family", c0_family_map,
-               [ParamSpec("delta", 0.5, "0 < delta < 1"),
-                ParamSpec("q", 0.25, "0 < q <= 1 - delta"),
-                ParamSpec("alpha", 0.9, "0 < alpha <= 1")],
-               "exponent-continuous family on a band, fixed point free below a = 1"),
-        _entry("affine_cube", affine_cube_map,
-               [ParamSpec("r", 0.125, "(2r)^(1-alpha) <= lambda"),
-                ParamSpec("alpha", 0.5, "0 < alpha < 1"),
-                ParamSpec("lambda", 0.5, "0 < lambda < 1")],
-               "affine box map with exact corner witnesses r*beta_{m+1}"),
-        _entry("renormed_l1", renormed_l1_map, [],
-               "affine fixed-point-free isometry in the max(pos, neg) renorming"),
-        _entry("l1_ball_composite", l1_ball_composite_map,
-               [ParamSpec("alpha", 0.5, "0 < alpha < 1"),
-                ParamSpec("lambda", 0.5, "0 < lambda < 1")],
-               "retract-to-sphere composite on the unit l1 ball (report-only claim)",
-               has_oracle=True),
+        CatalogEntry("prus", prus_map,
+                     (ParamSpec("alpha", 0.5, "0 < alpha < 1"),),
+                     "fixed-point-free Holder nonexpansive map on the sup ball of c"),
+        CatalogEntry("norming", norming_map,
+                     (ParamSpec("alpha", 0.5, "0 < alpha < 1"),),
+                     "rank-one map on the l2 ball with fixed point e1 and closed-form "
+                     "iterates at alpha = 1/2"),
+        CatalogEntry("baseline_c", baseline_c_map, (),
+                     "nonexpansive fixed-point-free base map lifted into small balls"),
+        CatalogEntry("shift_simplex", shift_simplex_map,
+                     (ParamSpec("p", 1.0, "p >= 1"),
+                      ParamSpec("alpha", 0.5, "0 < alpha < 1"),
+                      ParamSpec("lambda", 0.5, "0 < lambda < 1")),
+                     "forward shift on a mass slice, uniformly Holder contractive"),
+        CatalogEntry("affine_mixing", affine_mixing_map,
+                     (ParamSpec("L", 2.0, "L > 1"),
+                      ParamSpec("lambda", 0.75, "1/L < lambda <= 1"),
+                      ParamSpec("alpha", 0.5, "0 < alpha < 1")),
+                     "mass-preserving affine mixing with a report-only expansion floor"),
+        CatalogEntry("deficiency", deficiency_map,
+                     (ParamSpec("p", 2.0, "p >= 1"),
+                      ParamSpec("alpha", 0.5, "0 < alpha < 1")),
+                     "Holder nonexpansive map with small but positive displacement bound"),
+        CatalogEntry("goebel_kirk", goebel_kirk_map,
+                     (ParamSpec("alpha", 0.5, "0 < alpha < 1"),),
+                     "asymptotically Holder nonexpansive, profile (n+1)/n * 2^(1-a)"),
+        CatalogEntry("hyperconvex", hyperconvex_map,
+                     (ParamSpec("N", 4, "N^alpha >= 2"),
+                      ParamSpec("alpha", 0.5, "0 < alpha < 1")),
+                     "uniformly Holder nonexpansive, fixed point free on [0, 1/N] coords"),
+        CatalogEntry("c0_family", c0_family_map,
+                     (ParamSpec("delta", 0.5, "0 < delta < 1"),
+                      ParamSpec("q", 0.25, "0 < q <= 1 - delta"),
+                      ParamSpec("alpha", 0.9, "0 < alpha <= 1")),
+                     "exponent-continuous family on a band, fixed point free below a = 1"),
+        CatalogEntry("affine_cube", affine_cube_map,
+                     (ParamSpec("r", 0.125, "(2r)^(1-alpha) <= lambda"),
+                      ParamSpec("alpha", 0.5, "0 < alpha < 1"),
+                      ParamSpec("lambda", 0.5, "0 < lambda < 1")),
+                     "affine box map with exact corner witnesses r*beta_{m+1}"),
+        CatalogEntry("renormed_l1", renormed_l1_map, (),
+                     "affine fixed-point-free isometry in the max(pos, neg) renorming"),
+        CatalogEntry("l1_ball_composite", l1_ball_composite_map,
+                     (ParamSpec("alpha", 0.5, "0 < alpha < 1"),
+                      ParamSpec("lambda", 0.5, "0 < lambda < 1")),
+                     "retract-to-sphere composite on the unit l1 ball (report-only claim)"),
     ]
 }
 
@@ -1132,9 +1125,6 @@ def retraction_map(name: str, r: float = 1.0) -> MapInstance:
     return _lookup(RETRACTION_CATALOG, name).factory(r)
 
 
-_INT_PARAMS = {"N", "breadth"}
-
-
 def catalog_names() -> tuple[str, ...]:
     return tuple(sorted(CATALOG))
 
@@ -1149,15 +1139,19 @@ def build_map(name: str, params: Mapping[str, object] | None = None,
     parameter names are used ('lambda' maps onto the factory's lam
     argument)."""
     entry = _lookup({**CATALOG, **RETRACTION_CATALOG}, name)
+    specs = {p.name: p for p in entry.params}
     kwargs: dict[str, object] = {}
     for key, value in (params or {}).items():
-        if key not in {p.name for p in entry.params}:
+        if key not in specs:
             raise InvalidParameterError(
                 key, f"not a parameter of {name!r} "
-                     f"(expected {', '.join(p.name for p in entry.params) or 'none'})"
+                     f"(expected {', '.join(specs) or 'none'})"
             )
-        arg = "lam" if key == "lambda" else key
-        kwargs[arg] = int(value) if key in _INT_PARAMS else value
+        if isinstance(specs[key].default, int):
+            if not float(value).is_integer():
+                raise InvalidParameterError(key, "must be an integer")
+            value = int(value)
+        kwargs["lam" if key == "lambda" else key] = value
     if breadth is not None:
         if "breadth" in inspect.signature(entry.factory).parameters:
             kwargs["breadth"] = breadth

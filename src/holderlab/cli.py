@@ -24,15 +24,7 @@ from dataclasses import replace
 import numpy as np
 
 from .catalog import CATALOG, RETRACTION_CATALOG, build_map
-from .domains import (
-    ball,
-    c_interval,
-    coefficient_box,
-    positive_ball,
-    sigma_band,
-    simplex,
-    sub_simplex,
-)
+from .domains import DOMAIN_KINDS, MAX_BREADTH, DomainSpec
 from .errors import (
     ConfigError,
     DomainViolationError,
@@ -79,17 +71,7 @@ EXIT_CODES: dict[type[HolderLabError], int] = {
 _TOP_KEYS = {"schema_version", "name", "map", "domain", "seed", "checks",
              "strict", "out", "breadth", "tolerance"}
 _MAP_KEYS = {"name", "params"}
-_DOMAIN_KEYS = {"kind", "params", "tol", "breadth"}
-
-_DOMAIN_FACTORIES = {
-    "ball": ball,
-    "positive_ball": positive_ball,
-    "simplex": simplex,
-    "sub_simplex": sub_simplex,
-    "coefficient_box": coefficient_box,
-    "sigma_band": sigma_band,
-    "c_interval": c_interval,
-}
+_DOMAIN_KEYS = {"kind", "params", "tol"}
 
 
 def _require(cond: bool, message: str) -> None:
@@ -101,12 +83,17 @@ def _require(cond: bool, message: str) -> None:
 # ConfigError naming `where` + `name`.
 
 def _integer(value: object, name: str, where: str = "",
-             minimum: int | None = None) -> int:
+             minimum: int | None = None, maximum: int | None = None) -> int:
     _require(isinstance(value, int) and not isinstance(value, bool),
              f"{where}{name} must be an integer")
     _require(minimum is None or value >= minimum,
              f"{where}{name} must be at least {minimum}")
+    _require(maximum is None or value <= maximum,
+             f"{where}{name} must be at most {maximum}")
     return value
+
+
+_breadth = functools.partial(_integer, minimum=1, maximum=MAX_BREADTH)
 
 
 def _number(value: object, name: str, where: str = "") -> float:
@@ -167,29 +154,30 @@ def _norm_from_obj(obj: object) -> NormKind:
     return NormKind.sup() if variant == "sup" else NormKind.max_pos_neg_l1()
 
 
-def _domain_from_obj(obj: object):
+def _domain_from_obj(obj: object, breadth: int | None) -> DomainSpec:
     _require(isinstance(obj, dict), "domain must be an object")
     extra = set(obj) - _DOMAIN_KEYS
     _require(not extra, f"unknown domain fields: {sorted(extra)}")
     kind = obj.get("kind")
-    _require(kind in _DOMAIN_FACTORIES, f"unknown domain kind {kind!r}")
+    _require(isinstance(kind, str) and kind in DOMAIN_KINDS,
+             f"unknown domain kind {kind!r}; expected one of "
+             f"{', '.join(DOMAIN_KINDS)}")
     params = obj.get("params", {})
     _require(isinstance(params, dict), "domain params must be an object")
-    kwargs = dict(params)
-    if kind in ("ball", "positive_ball"):
-        _require("norm" in kwargs, f"{kind} domain params need a norm object")
-        # The factory calls its norm parameter `kind`; in configs that name
-        # is taken by the domain kind, so the params field is `norm`.
-        kwargs["kind"] = _norm_from_obj(kwargs.pop("norm"))
+    declared = DOMAIN_KINDS[kind].params
+    extra = set(params) - set(declared)
+    _require(not extra, f"unknown {kind} domain params: {sorted(extra)}")
+    for name in declared:
+        _require(name in params, f"{kind} domain params need "
+                 f"{'a norm object' if name == 'norm' else name}")
+    kwargs = {name: _norm_from_obj(value) if name == "norm"
+              else _number(value, name, "domain params.")
+              for name, value in params.items()}
     if "tol" in obj:
         kwargs["tol"] = _number(obj["tol"], "tol", "domain ")
-    if "breadth" in obj:
-        kwargs["breadth"] = _integer(obj["breadth"], "breadth", "domain ",
-                                     minimum=1)
-    try:
-        return _DOMAIN_FACTORIES[kind](**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"bad domain params for {kind!r}: {exc}") from exc
+    if breadth is not None:
+        kwargs["breadth"] = breadth
+    return DomainSpec(kind, **kwargs)
 
 
 def _check_from_obj(obj: object, index: int) -> CheckRequest:
@@ -243,7 +231,7 @@ def _parse_config(obj: object) -> dict:
     _require(isinstance(out, str) and out, "out must be a nonempty string")
     breadth = obj.get("breadth")
     if breadth is not None:
-        _integer(breadth, "breadth", minimum=1)
+        _breadth(breadth, "breadth")
     tolerance = obj.get("tolerance")
     if tolerance is not None:
         tolerance = _number(tolerance, "tolerance")
@@ -283,13 +271,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
     seed = (cfg["seed"] if args.seed is None
             else _integer(args.seed, "--seed", minimum=0))
     breadth = (cfg["breadth"] if args.breadth is None
-               else _integer(args.breadth, "--breadth", minimum=1))
+               else _breadth(args.breadth, "--breadth"))
     strict = args.strict or cfg["strict"]
     out_dir = args.out if args.out is not None else cfg["out"]
 
     T = build_map(cfg["map_name"], cfg["map_params"], breadth=breadth)
     if cfg["domain"] is not None:
-        T = replace(T, domain=_domain_from_obj(cfg["domain"]))
+        T = replace(T, domain=_domain_from_obj(cfg["domain"], breadth))
 
     records = []
     for index, req in enumerate(cfg["checks"]):
@@ -316,13 +304,14 @@ def _cmd_list(_args: argparse.Namespace) -> int:
     print("catalog maps:")
     for name in sorted(CATALOG):
         entry = CATALOG[name]
+        inst = entry.factory()
         schema = ", ".join(f"{p.name}={p.default!r}" for p in entry.params)
-        oracle = "  [closed-form iterates]" if entry.has_oracle else ""
+        oracle = ("  [closed-form iterates]"
+                  if inst.iterate_oracle is not None else "")
         print(f"  {name}  ({schema})" if schema else f"  {name}  (no parameters)",
               end="")
         print(oracle)
         print(f"      {entry.summary}")
-        inst = entry.factory()
         print(f"      {inst.formula}")
     print()
     print("retractions (addressable as map names in configs):")

@@ -9,6 +9,7 @@ of canonical points used as deterministic witnesses by the verifier.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Union
@@ -19,6 +20,8 @@ from .errors import InvalidBudgetError, InvalidParameterError, NotInSpaceError
 from .seqvec import SeqVec, NormKind, ZERO, basis_vector, norm, scale
 
 __all__ = [
+    "DOMAIN_KINDS",
+    "MAX_BREADTH",
     "DomainSpec",
     "ball",
     "positive_ball",
@@ -32,19 +35,41 @@ __all__ = [
 
 DEFAULT_TOL = 1e-12
 DEFAULT_BREADTH = 64
+# Largest breadth a config or flag may ask for; some maps store one
+# coordinate per unit of breadth before any check runs.
+MAX_BREADTH = 65_536
 
-_KINDS = (
-    "ball",
-    "positive_ball",
-    "simplex",
-    "sub_simplex",
-    "coefficient_box",
-    "sigma_band",
-    "c_interval",
-)
-# Kinds star-shaped about 0: lam * x stays inside for every 0 < lam < 1.
-_STAR_SHAPED = ("ball", "positive_ball", "coefficient_box", "c_interval",
-                "sub_simplex")
+
+# A kind's DomainSpec fields (also its config params), and whether lam * x
+# stays inside for every 0 < lam < 1.
+@dataclass(frozen=True)
+class DomainKind:
+    params: tuple[str, ...]
+    star_shaped: bool
+
+
+DOMAIN_KINDS: dict[str, DomainKind] = {
+    "ball": DomainKind(("r", "norm"), True),
+    "positive_ball": DomainKind(("r", "norm"), True),
+    "simplex": DomainKind(("p", "mass"), False),        # sum == mass
+    "sub_simplex": DomainKind(("mass_cap",), True),     # sum <= mass_cap
+    "coefficient_box": DomainKind(("r",), True),        # coords in [0, r]
+    "sigma_band": DomainKind(("delta", "q"), False),    # q^i <= t_i <= 1-delta
+    "c_interval": DomainKind(("cap",), True),           # coords, tail <= cap
+}
+
+# The rule on each parameter field, whichever kind reads it; every field but
+# norm must also be a finite number.
+_CONSTRAINTS = {
+    "r": ("r > 0", lambda d: d.r > 0.0),
+    "norm": ("a NormKind", lambda d: isinstance(d.norm, NormKind)),
+    "p": ("p >= 1", lambda d: d.p >= 1.0),
+    "mass": ("mass > 0", lambda d: d.mass > 0.0),
+    "mass_cap": ("mass_cap > 0", lambda d: d.mass_cap > 0.0),
+    "delta": ("0 < delta < 1", lambda d: 0.0 < d.delta < 1.0),
+    "q": ("0 < q <= 1 - delta", lambda d: 0.0 < d.q <= 1.0 - d.delta),
+    "cap": ("cap > 0", lambda d: d.cap > 0.0),
+}
 
 SeedLike = Union[int, np.random.Generator]
 
@@ -57,16 +82,8 @@ def as_rng(seed: SeedLike) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class DomainSpec:
-    """One bounded convex subset of the sequence model.
-
-    kind selects the shape; the parameter fields used depend on it:
-      ball / positive_ball:  r, norm
-      simplex:               p, mass      (lp vectors with sum == mass)
-      sub_simplex:           mass_cap     (nonnegative, sum <= mass_cap)
-      coefficient_box:       r            (c0 vectors with coords in [0, r])
-      sigma_band:            delta, q     (t1 = 1-delta, q^i <= t_i <= 1-delta)
-      c_interval:            cap          (coords and tail in [0, cap])
-    """
+    """One bounded convex subset of the sequence model; DOMAIN_KINDS
+    names the fields each kind reads."""
 
     kind: str
     r: float | None = None
@@ -81,16 +98,31 @@ class DomainSpec:
     breadth: int = DEFAULT_BREADTH
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise InvalidParameterError("kind", f"must be one of {', '.join(_KINDS)}")
-        if not self.tol >= 0.0:
-            raise InvalidParameterError("tol", "requires tol >= 0")
+        if not isinstance(self.kind, str) or self.kind not in DOMAIN_KINDS:
+            raise InvalidParameterError(
+                "kind", f"must be one of {', '.join(DOMAIN_KINDS)}")
+        own = DOMAIN_KINDS[self.kind].params
+        for name, (rule, holds) in _CONSTRAINTS.items():
+            value = getattr(self, name)
+            if name not in own:
+                if value is not None:
+                    raise InvalidParameterError(
+                        name, f"is not a parameter of a {self.kind} domain")
+                continue
+            if name != "norm":
+                if not _is_finite(value):
+                    raise InvalidParameterError(name, "requires a finite number")
+                object.__setattr__(self, name, float(value))
+            if not holds(self):
+                raise InvalidParameterError(name, f"requires {rule}")
+        if not (_is_finite(self.tol) and self.tol >= 0.0):
+            raise InvalidParameterError("tol", "requires a finite tol >= 0")
         if self.breadth < 1:
             raise InvalidBudgetError(f"breadth {self.breadth} is below 1")
 
     @property
     def star_shaped(self) -> bool:
-        return self.kind in _STAR_SHAPED
+        return DOMAIN_KINDS[self.kind].star_shaped
 
     # -- membership ---------------------------------------------------------
 
@@ -316,57 +348,36 @@ class DomainSpec:
         return f"coords and tail in [0, {self.cap}]"
 
 
-# -- factories ---------------------------------------------------------------
-
-def ball(r: float, kind: NormKind, tol: float = DEFAULT_TOL,
-         breadth: int = DEFAULT_BREADTH) -> DomainSpec:
-    if not r > 0.0:
-        raise InvalidParameterError("r", "requires r > 0")
-    return DomainSpec("ball", r=float(r), norm=kind, tol=tol, breadth=breadth)
+def _is_finite(value: object) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
-def positive_ball(r: float, kind: NormKind, tol: float = DEFAULT_TOL,
-                  breadth: int = DEFAULT_BREADTH) -> DomainSpec:
-    if not r > 0.0:
-        raise InvalidParameterError("r", "requires r > 0")
-    return DomainSpec("positive_ball", r=float(r), norm=kind, tol=tol, breadth=breadth)
+# -- constructors (options: tol, breadth) ------------------------------------
+
+def ball(r: float, norm: NormKind, **options) -> DomainSpec:
+    return DomainSpec("ball", r=r, norm=norm, **options)
 
 
-def simplex(p: float, mass: float, tol: float = DEFAULT_TOL,
-            breadth: int = DEFAULT_BREADTH) -> DomainSpec:
-    if not p >= 1.0:
-        raise InvalidParameterError("p", "requires p >= 1")
-    if not mass > 0.0:
-        raise InvalidParameterError("mass", "requires mass > 0")
-    return DomainSpec("simplex", p=float(p), mass=float(mass), tol=tol, breadth=breadth)
+def positive_ball(r: float, norm: NormKind, **options) -> DomainSpec:
+    return DomainSpec("positive_ball", r=r, norm=norm, **options)
 
 
-def sub_simplex(mass_cap: float, tol: float = DEFAULT_TOL,
-                breadth: int = DEFAULT_BREADTH) -> DomainSpec:
-    if not mass_cap > 0.0:
-        raise InvalidParameterError("mass_cap", "requires mass_cap > 0")
-    return DomainSpec("sub_simplex", mass_cap=float(mass_cap), tol=tol, breadth=breadth)
+def simplex(p: float, mass: float, **options) -> DomainSpec:
+    return DomainSpec("simplex", p=p, mass=mass, **options)
 
 
-def coefficient_box(r: float, tol: float = DEFAULT_TOL,
-                    breadth: int = DEFAULT_BREADTH) -> DomainSpec:
-    if not r > 0.0:
-        raise InvalidParameterError("r", "requires r > 0")
-    return DomainSpec("coefficient_box", r=float(r), tol=tol, breadth=breadth)
+def sub_simplex(mass_cap: float, **options) -> DomainSpec:
+    return DomainSpec("sub_simplex", mass_cap=mass_cap, **options)
 
 
-def sigma_band(delta: float, q: float, tol: float = DEFAULT_TOL,
-               breadth: int = DEFAULT_BREADTH) -> DomainSpec:
-    if not 0.0 < delta < 1.0:
-        raise InvalidParameterError("delta", "requires 0 < delta < 1")
-    if not 0.0 < q <= 1.0 - delta:
-        raise InvalidParameterError("q", "requires 0 < q <= 1 - delta")
-    return DomainSpec("sigma_band", delta=float(delta), q=float(q), tol=tol,
-                      breadth=breadth)
+def coefficient_box(r: float, **options) -> DomainSpec:
+    return DomainSpec("coefficient_box", r=r, **options)
 
 
-def c_interval(cap: float, tol: float = DEFAULT_TOL,
-               breadth: int = DEFAULT_BREADTH) -> DomainSpec:
-    if not cap > 0.0:
-        raise InvalidParameterError("cap", "requires cap > 0")
-    return DomainSpec("c_interval", cap=float(cap), tol=tol, breadth=breadth)
+def sigma_band(delta: float, q: float, **options) -> DomainSpec:
+    return DomainSpec("sigma_band", delta=delta, q=q, **options)
+
+
+def c_interval(cap: float, **options) -> DomainSpec:
+    return DomainSpec("c_interval", cap=cap, **options)

@@ -161,19 +161,21 @@ def norm(x: SeqVec, kind: NormKind) -> float:
             if a > m:
                 m = a
         return m
-    if kind.variant == "lp":
-        _require_zero_tail(x, kind)
-        p = kind.p
-        if p == 1.0:
-            return math.fsum(abs(v) for _, v in x.support)
-        if p == 2.0:
-            return math.sqrt(math.fsum(v * v for _, v in x.support))
-        return math.fsum(abs(v) ** p for _, v in x.support) ** (1.0 / p)
-    # max_pos_neg_l1
     _require_zero_tail(x, kind)
-    pos = math.fsum(v for _, v in x.support if v > 0.0)
-    neg = math.fsum(-v for _, v in x.support if v < 0.0)
-    return max(pos, neg)
+    try:
+        if kind.variant == "lp":
+            p = kind.p
+            if p == 1.0:
+                return math.fsum(abs(v) for _, v in x.support)
+            if p == 2.0:
+                return math.sqrt(math.fsum(v * v for _, v in x.support))
+            return math.fsum(abs(v) ** p for _, v in x.support) ** (1.0 / p)
+        # max_pos_neg_l1
+        pos = math.fsum(v for _, v in x.support if v > 0.0)
+        neg = math.fsum(-v for _, v in x.support if v < 0.0)
+        return max(pos, neg)
+    except OverflowError:  # a sum of nonnegative terms passed the float range
+        return math.inf
 
 
 def _diff_items(x: SeqVec, y: SeqVec) -> tuple[list[float], float]:
@@ -204,16 +206,19 @@ def distance(x: SeqVec, y: SeqVec, kind: NormKind) -> float:
         raise NotInSpaceError(
             f"{kind.label()} distance needs equal tails, got difference {dt!r}"
         )
-    if kind.variant == "lp":
-        p = kind.p
-        if p == 1.0:
-            return math.fsum(abs(v) for v in diffs)
-        if p == 2.0:
-            return math.sqrt(math.fsum(v * v for v in diffs))
-        return math.fsum(abs(v) ** p for v in diffs) ** (1.0 / p)
-    pos = math.fsum(v for v in diffs if v > 0.0)
-    neg = math.fsum(-v for v in diffs if v < 0.0)
-    return max(pos, neg)
+    try:
+        if kind.variant == "lp":
+            p = kind.p
+            if p == 1.0:
+                return math.fsum(abs(v) for v in diffs)
+            if p == 2.0:
+                return math.sqrt(math.fsum(v * v for v in diffs))
+            return math.fsum(abs(v) ** p for v in diffs) ** (1.0 / p)
+        pos = math.fsum(v for v in diffs if v > 0.0)
+        neg = math.fsum(-v for v in diffs if v < 0.0)
+        return max(pos, neg)
+    except OverflowError:  # as in norm: the true distance exceeds any float
+        return math.inf
 
 
 def axpy(a: float, x: SeqVec, b: float, y: SeqVec) -> SeqVec:

@@ -393,6 +393,8 @@ def test_build_map_handles_names_params_and_breadth():
     assert T.params["lambda"] == 0.9
     H = build_map("hyperconvex", {"N": 9.0, "alpha": 0.5})
     assert H.params["N"] == 9
+    with pytest.raises(InvalidParameterError, match="N"):
+        build_map("hyperconvex", {"N": 4.5})
     R = build_map("radial", {"r": 2.0})
     assert R.params["r"] == 2.0
     wide = build_map("c0_family", breadth=16)

@@ -2,12 +2,14 @@
 
 import hashlib
 import json
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from holderlab.cli import main
+from holderlab.domains import DOMAIN_KINDS
 from holderlab.report import canonical_bytes
 from holderlab.verify import CHECKS, COMMON_FIELDS, FIELDS
 
@@ -34,6 +36,11 @@ def write_config(tmp_path, cfg, filename="config.json"):
     path = tmp_path / filename
     path.write_text(json.dumps(cfg), encoding="utf-8")
     return str(path)
+
+
+def ball_override(**params):
+    return {"kind": "ball",
+            "params": {"r": 1.0, "norm": {"variant": "lp", "p": 2}, **params}}
 
 
 def read_report(out_dir, name="probe"):
@@ -87,6 +94,10 @@ def test_breadth_override_accepted(tmp_path):
     assert main(["run", path]) == 0
     assert main(["run", path, "--breadth", "32"]) == 0
     assert main(["run", path, "--breadth", "0"]) == 2
+    # No check here depends on breadth, so only the cap can refuse it.
+    cfg = base_config(tmp_path, checks=[{"kind": "orbit", "depth": 3}])
+    path = write_config(tmp_path, cfg)
+    assert main(["run", path, "--breadth", "1000000000"]) == 2
 
 
 def test_orbit_x0_literal(tmp_path, capsys):
@@ -120,6 +131,21 @@ def test_domain_override_can_break_invariance(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "[FAIL] invariance" in out
     assert read_report(tmp_path)["counts"]["fail"] == 1
+
+
+def test_top_level_breadth_applies_to_a_domain_override(tmp_path):
+    def witness_indices(**overrides):
+        cfg = base_config(tmp_path, map={"name": "prus"},
+                          checks=[{"kind": "holder_ratio", "pairs": 200}],
+                          domain={"kind": "ball", "params": {
+                              "r": 1.0, "norm": {"variant": "sup"}}},
+                          **overrides)
+        assert main(["run", write_config(tmp_path, cfg)]) == 0
+        witness = read_report(tmp_path)["checks"][0]["witness"]
+        return {int(i) for i in re.findall(r"(\d+):", witness)}
+
+    assert max(witness_indices()) > 4
+    assert max(witness_indices(breadth=4)) <= 4
 
 
 def test_strict_promotes_report_only_to_failure(tmp_path):
@@ -172,11 +198,20 @@ def test_malformed_json(tmp_path, capsys):
      "tolerance must be a finite number"),
     (lambda c: c.update(seed=-1), "seed must be at least 0"),
     (lambda c: c.update(breadth=-3), "breadth must be at least 1"),
+    (lambda c: c.update(domain=ball_override(r=float("inf"))),
+     "domain params.r must be a finite number"),
+    (lambda c: c.update(domain=ball_override(r=True)),
+     "domain params.r must be a finite number"),
+    (lambda c: c.update(domain=ball_override(mass=1.0)),
+     "unknown ball domain params: ['mass']"),
+    (lambda c: c.update(domain={**ball_override(), "breadth": 8}),
+     "unknown domain fields: ['breadth']"),
 ], ids=["extra-field", "missing-seed", "schema-version", "float-seed",
         "empty-checks", "bad-kind", "foreign-check-key", "bad-x0",
         "path-in-name", "string-n_list", "fractional-n_list",
         "string-lambdas", "nan-tolerance", "negative-seed",
-        "negative-breadth"])
+        "negative-breadth", "infinite-domain-r", "boolean-domain-r",
+        "foreign-domain-param", "domain-breadth"])
 def test_config_schema_violations(tmp_path, capsys, mangle, fragment):
     cfg = base_config(tmp_path)
     mangle(cfg)
@@ -263,6 +298,38 @@ def test_any_check_field_values_map_to_an_exit_code(tmp_path, data):
     map_name = data.draw(st.sampled_from(["norming", "shift_simplex",
                                           "goebel_kirk"]), label="map")
     cfg = base_config(tmp_path, map={"name": map_name}, checks=[check])
+    assert main(["run", write_config(tmp_path, cfg)]) in (0, 2, 3, 4, 5)
+
+
+NORM_OBJECTS = st.sampled_from([
+    {"variant": "sup"}, {"variant": "lp", "p": 1}, {"variant": "lp", "p": 2.5},
+    {"variant": "max_pos_neg_l1"}, {"variant": "lp"}, {"variant": "sup", "p": 2},
+])
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_domain_values_map_to_an_exit_code(tmp_path, data):
+    kind = data.draw(st.one_of(st.sampled_from(sorted(DOMAIN_KINDS)),
+                               JSON_VALUES), label="kind")
+    known = isinstance(kind, str) and kind in DOMAIN_KINDS
+    declared = DOMAIN_KINDS[kind].params if known else ("r",)
+    params = {}
+    for name in dict.fromkeys(declared + ("mass", "tol")):
+        typed = NORM_OBJECTS if name == "norm" else st.floats()
+        if data.draw(st.booleans(), label=f"has {name}"):
+            params[name] = data.draw(st.one_of(typed, JSON_VALUES), label=name)
+    domain = {"kind": kind, "params": params}
+    for key in ("tol", "breadth"):
+        if data.draw(st.booleans(), label=f"has domain {key}"):
+            domain[key] = data.draw(JSON_VALUES, label=f"domain {key}")
+    map_name = data.draw(st.sampled_from(["norming", "prus", "shift_simplex",
+                                          "goebel_kirk", "clamp"]),
+                         label="map")
+    cfg = base_config(tmp_path, map={"name": map_name}, domain=domain,
+                      breadth=8, checks=[{"kind": "invariance", "samples": 8},
+                                         {"kind": "holder_ratio", "pairs": 8}])
     assert main(["run", write_config(tmp_path, cfg)]) in (0, 2, 3, 4, 5)
 
 

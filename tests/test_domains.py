@@ -147,6 +147,11 @@ def test_sigma_chain_decays_geometrically():
     lambda: sigma_band(0.5, 0.0),
     lambda: c_interval(0.0),
     lambda: DomainSpec(kind="pentagon"),
+    lambda: DomainSpec("ball", r=1.0),
+    lambda: DomainSpec("ball", r=float("inf"), norm=L2),
+    lambda: ball(True, L2),
+    lambda: coefficient_box(1.0, tol=float("inf")),
+    lambda: DomainSpec("simplex", p=1.0, mass=1.0, r=1.0),
 ])
 def test_factories_reject_bad_parameters(build):
     with pytest.raises(InvalidParameterError):

@@ -142,6 +142,16 @@ def test_lp_and_mpn_need_zero_tail():
             norm(x, kind)
 
 
+def test_norm_and_distance_overflow_to_inf():
+    # Finite coordinates whose lp / mpn sums pass the float range.
+    big = SeqVec.from_dict({1: 1e308, 2: 1e308})
+    half = SeqVec.from_dict({1: 1e154, 2: 1e154})
+    for kind in (L1, L2, NormKind.lp(3.0), MPN):
+        assert norm(big, kind) == math.inf
+        assert distance(big, ZERO, kind) == math.inf
+    assert norm(half, L2) == math.inf
+
+
 def test_norm_kind_validation():
     with pytest.raises(ValueError):
         NormKind.lp(0.5)

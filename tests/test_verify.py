@@ -13,6 +13,7 @@ from holderlab.catalog import (
     renormed_l1_map,
     shift_simplex_map,
 )
+from holderlab.domains import simplex
 from holderlab.errors import (
     DomainViolationError,
     InsufficientSamplesError,
@@ -33,10 +34,8 @@ from holderlab.verify import (
 
 
 def _degenerate(T):
-    """The same map over a radius-zero ball: every sample collapses to 0."""
-    return dataclasses.replace(
-        T, domain=dataclasses.replace(T.domain, r=0.0)
-    )
+    """The same map over the one-point domain {e1}: every pair coincides."""
+    return dataclasses.replace(T, domain=simplex(1.0, 1.0, breadth=1))
 
 
 # ---------------------------------------------------------------------------
