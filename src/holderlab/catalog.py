@@ -504,6 +504,8 @@ def hyperconvex_map(N: int = 4, alpha: float = 0.5) -> MapInstance:
                 if i == 2:
                     t2 = v
                 break
+        if t1 < 0.0:  # t1 ** alpha would be complex
+            raise DomainViolationError("hyperconvex needs t1 >= 0")
         head = [(1, cap), (2, t2 * t1 ** alpha)]
         head += [(i + 2, v) for i, v in x.support]
         return SeqVec.from_sorted(head, x.tail)
@@ -1009,7 +1011,7 @@ CATALOG: dict[str, CatalogEntry] = {
                      (ParamSpec("alpha", 0.5, "0 < alpha < 1"),),
                      "asymptotically Holder nonexpansive, profile (n+1)/n * 2^(1-a)"),
         CatalogEntry("hyperconvex", hyperconvex_map,
-                     (ParamSpec("N", 4, "N^alpha >= 2"),
+                     (ParamSpec("N", 4, "N >= 1, N^alpha >= 2"),
                       ParamSpec("alpha", 0.5, "0 < alpha < 1")),
                      "uniformly Holder nonexpansive, fixed point free on [0, 1/N] coords"),
         CatalogEntry("c0_family", c0_family_map,
@@ -1018,7 +1020,7 @@ CATALOG: dict[str, CatalogEntry] = {
                       ParamSpec("alpha", 0.9, "0 < alpha <= 1")),
                      "exponent-continuous family on a band, fixed point free below a = 1"),
         CatalogEntry("affine_cube", affine_cube_map,
-                     (ParamSpec("r", 0.125, "(2r)^(1-alpha) <= lambda"),
+                     (ParamSpec("r", 0.125, "r > 0, (2r)^(1-alpha) <= lambda"),
                       ParamSpec("alpha", 0.5, "0 < alpha < 1"),
                       ParamSpec("lambda", 0.5, "0 < lambda < 1")),
                      "affine box map with exact corner witnesses r*beta_{m+1}"),

@@ -40,7 +40,7 @@ from .errors import (
     UnknownNameError,
 )
 from .report import VerificationReport, write_report
-from .seqvec import NormKind, parse_vec
+from .seqvec import NORM_VARIANTS, NormKind, parse_vec
 from .verify import CHECKS, COMMON_FIELDS, FIELDS, CheckRequest, run_check
 
 __all__ = ["main", "EXIT_CODES"]
@@ -145,13 +145,13 @@ def _norm_from_obj(obj: object) -> NormKind:
     extra = set(obj) - {"variant", "p"}
     _require(not extra, f"unknown norm fields: {sorted(extra)}")
     variant = obj.get("variant")
-    _require(variant in ("sup", "lp", "max_pos_neg_l1"),
+    _require(isinstance(variant, str) and variant in NORM_VARIANTS,
              f"unknown norm variant {variant!r}")
-    if variant == "lp":
-        _require("p" in obj, "lp norm needs a p field")
-        return NormKind.lp(_number(obj["p"], "p", "lp norm "))
-    _require("p" not in obj, f"{variant} norm takes no p field")
-    return NormKind.sup() if variant == "sup" else NormKind.max_pos_neg_l1()
+    takes_p = NORM_VARIANTS[variant].takes_p
+    _require(("p" in obj) == takes_p,
+             f"{variant} norm {'needs a' if takes_p else 'takes no'} p field")
+    return NormKind(variant, _number(obj["p"], "p", f"{variant} norm ")
+                    if takes_p else None)
 
 
 def _domain_from_obj(obj: object, breadth: int | None) -> DomainSpec:
@@ -277,7 +277,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     T = build_map(cfg["map_name"], cfg["map_params"], breadth=breadth)
     if cfg["domain"] is not None:
-        T = replace(T, domain=_domain_from_obj(cfg["domain"], breadth))
+        domain = _domain_from_obj(cfg["domain"], breadth)
+        _require(T.norm.allows_tail or not domain.carries_tail,
+                 f"a {domain.kind} domain with nonzero tails does not fit "
+                 f"{T.name}, whose {T.norm.label()} norm needs tail 0")
+        T = replace(T, domain=domain)
 
     records = []
     for index, req in enumerate(cfg["checks"]):

@@ -16,7 +16,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import InvalidBudgetError, InvalidParameterError, NotInSpaceError
+from .errors import InvalidBudgetError, InvalidParameterError
 from .seqvec import SeqVec, NormKind, ZERO, basis_vector, norm, scale
 
 __all__ = [
@@ -40,22 +40,24 @@ DEFAULT_BREADTH = 64
 MAX_BREADTH = 65_536
 
 
-# A kind's DomainSpec fields (also its config params), and whether lam * x
-# stays inside for every 0 < lam < 1.
+# A kind's DomainSpec fields (also its config params), whether lam * x
+# stays inside for every 0 < lam < 1, and whether members may have a nonzero
+# tail (with a norm field: when that norm allows tails).
 @dataclass(frozen=True)
 class DomainKind:
     params: tuple[str, ...]
     star_shaped: bool
+    tails: bool = False
 
 
 DOMAIN_KINDS: dict[str, DomainKind] = {
-    "ball": DomainKind(("r", "norm"), True),
-    "positive_ball": DomainKind(("r", "norm"), True),
+    "ball": DomainKind(("r", "norm"), True, True),
+    "positive_ball": DomainKind(("r", "norm"), True, True),
     "simplex": DomainKind(("p", "mass"), False),        # sum == mass
     "sub_simplex": DomainKind(("mass_cap",), True),     # sum <= mass_cap
     "coefficient_box": DomainKind(("r",), True),        # coords in [0, r]
     "sigma_band": DomainKind(("delta", "q"), False),    # q^i <= t_i <= 1-delta
-    "c_interval": DomainKind(("cap",), True),           # coords, tail <= cap
+    "c_interval": DomainKind(("cap",), True, True),     # coords, tail <= cap
 }
 
 # The rule on each parameter field, whichever kind reads it; every field but
@@ -124,6 +126,12 @@ class DomainSpec:
     def star_shaped(self) -> bool:
         return DOMAIN_KINDS[self.kind].star_shaped
 
+    @cached_property
+    def carries_tail(self) -> bool:
+        """Whether some member has a nonzero tail."""
+        return DOMAIN_KINDS[self.kind].tails and (
+            self.norm is None or self.norm.allows_tail)
+
     # -- membership ---------------------------------------------------------
 
     def sigma(self, i: int) -> float:
@@ -145,44 +153,33 @@ class DomainSpec:
     def contains(self, x: SeqVec) -> bool:
         tol = self.tol
         k = self.kind
+        if x.tail != 0.0 and not self.carries_tail:
+            return False
         if k in ("ball", "positive_ball"):
-            try:
-                if norm(x, self.norm) > self.r + tol:
-                    return False
-            except NotInSpaceError:
+            if not norm(x, self.norm) <= self.r + tol:  # NaN fails
                 return False
             if k == "positive_ball":
                 if x.tail < -tol:
                     return False
                 return all(v >= -tol for _, v in x.support)
             return True
-        if k == "simplex":
-            if x.tail != 0.0:
-                return False
+        if k in ("simplex", "sub_simplex"):
             if any(v < -tol for _, v in x.support):
                 return False
-            return abs(math.fsum(v for _, v in x.support) - self.mass) <= tol
-        if k == "sub_simplex":
-            if x.tail != 0.0:
-                return False
-            if any(v < -tol for _, v in x.support):
-                return False
-            return math.fsum(v for _, v in x.support) <= self.mass_cap + tol
+            total = math.fsum(v for _, v in x.support)
+            if k == "simplex":
+                return abs(total - self.mass) <= tol
+            return total <= self.mass_cap + tol
         if k == "coefficient_box":
-            if x.tail != 0.0:
-                return False
             return all(-tol <= v <= self.r + tol for _, v in x.support)
         if k == "sigma_band":
-            if x.tail != 0.0:
-                return False
             top = 1.0 - self.delta
             d = x._dict
-            if abs(d.get(1, 0.0) - top) > tol:
+            if not abs(d.get(1, 0.0) - top) <= tol:
                 return False
             floors = self._sigma_floor_list
             for i in range(2, self.breadth + 1):
-                t = d.get(i, 0.0)
-                if t < floors[i - 2] - tol or t > top + tol:
+                if not floors[i - 2] - tol <= d.get(i, 0.0) <= top + tol:
                     return False
             return True
         # c_interval
@@ -225,27 +222,6 @@ class DomainSpec:
             idx += 1
             idx = idx.tolist()
 
-        if k in ("ball", "positive_ball"):
-            lo = 0.0 if k == "positive_ball" else -1.0
-            raw = rng.uniform(lo, 1.0, size=size)
-            if self.norm.variant == "sup":
-                tail = 0.0
-                coin = rng.random(2)
-                if coin[0] < 0.5:
-                    tail = self.r * (lo + (1.0 - lo) * float(coin[1]))
-                return SeqVec.from_sorted(
-                    zip(idx, (self.r * raw).tolist()), tail
-                )
-            # lp / max_pos_neg_l1 members need tail 0; rescale to a random radius
-            x = SeqVec.from_sorted(zip(idx, raw.tolist()), 0.0)
-            n = norm(x, self.norm)
-            if n == 0.0:
-                return SeqVec.from_sorted(
-                    [(1, self.r * float(rng.random()))], 0.0
-                )
-            rho = self.r * float(rng.random()) ** (1.0 / size)
-            return scale(rho / n, x)
-
         if k in ("simplex", "sub_simplex"):
             g = rng.exponential(1.0, size=size)  # Dirichlet(1,...,1) weights
             mass = (self.mass if k == "simplex"
@@ -256,31 +232,38 @@ class DomainSpec:
                 vals = vals * (mass / total)
             return SeqVec.from_sorted(zip(idx, vals.tolist()), 0.0)
 
-        hi = self.r if k == "coefficient_box" else self.cap
-        vals = rng.uniform(0.0, hi, size=size)
+        lo = -1.0 if k == "ball" else 0.0
+        raw = rng.uniform(lo, 1.0, size=size)
+        if k in ("ball", "positive_ball") and not self.carries_tail:
+            # tail 0 members; rescale to a random radius
+            x = SeqVec.from_sorted(zip(idx, raw.tolist()), 0.0)
+            n = norm(x, self.norm)
+            if n == 0.0:
+                return SeqVec.from_sorted(
+                    [(1, self.r * float(rng.random()))], 0.0
+                )
+            rho = self.r * float(rng.random()) ** (1.0 / size)
+            return scale(rho / n, x)
+        # coordinates in [lo * hi, hi]; half the draws get a tail there too
+        hi = self.cap if k == "c_interval" else self.r
         tail = 0.0
-        if k == "c_interval":
+        if self.carries_tail:
             coin = rng.random(2)
             if coin[0] < 0.5:
-                tail = hi * float(coin[1])
-        return SeqVec.from_sorted(zip(idx, vals.tolist()), tail)
+                tail = hi * (lo + (1.0 - lo) * float(coin[1]))
+        return SeqVec.from_sorted(zip(idx, (hi * raw).tolist()), tail)
 
     # -- canonical points ----------------------------------------------------
 
     def canonical_points(self) -> tuple[SeqVec, ...]:
         k = self.kind
-        if k == "ball":
-            pts = [ZERO, basis_vector(1, self.r), basis_vector(1, -self.r),
-                   basis_vector(2, self.r), basis_vector(1, self.r / 2)]
-            if self.norm.variant == "sup":
-                pts.append(SeqVec((), self.r))
-                pts.append(SeqVec((), -self.r))
-            return tuple(pts)
-        if k == "positive_ball":
-            pts = [ZERO, basis_vector(1, self.r), basis_vector(2, self.r),
-                   basis_vector(1, self.r / 2)]
-            if self.norm.variant == "sup":
-                pts.append(SeqVec((), self.r))
+        if k in ("ball", "positive_ball"):
+            r = self.r
+            signs = (1.0, -1.0) if k == "ball" else (1.0,)
+            pts = [ZERO, *(basis_vector(1, s * r) for s in signs),
+                   basis_vector(2, r), basis_vector(1, r / 2)]
+            if self.carries_tail:
+                pts += [SeqVec((), s * r) for s in signs]
             return tuple(pts)
         if k == "simplex":
             m = self.mass

@@ -7,11 +7,10 @@ strips exactly those fields so byte comparison works.
 
 from __future__ import annotations
 
-import copy
 import json
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 
 from .verify import CheckRecord
@@ -64,19 +63,7 @@ class VerificationReport:
             "seed": self.seed,
             "strict": self.strict,
             "counts": self.counts(),
-            "checks": [
-                {
-                    "kind": rec.kind,
-                    "claimed": rec.claimed,
-                    "measured": rec.measured,
-                    "verdict": rec.verdict,
-                    "witness": rec.witness,
-                    "direction": rec.direction,
-                    "runtime_ms": rec.runtime_ms,
-                    "details": rec.details,
-                }
-                for rec in self.checks
-            ],
+            "checks": [asdict(rec) for rec in self.checks],
         }
 
     def to_json(self) -> str:
@@ -120,7 +107,6 @@ def canonical_bytes(report_json: str | bytes) -> bytes:
 
     Two runs of the same configuration agree on this value exactly."""
     obj = json.loads(report_json)
-    obj = copy.deepcopy(obj)
     obj.pop("generated_at", None)
     for rec in obj.get("checks", ()):
         rec.pop("runtime_ms", None)

@@ -14,15 +14,17 @@ vectors is coordinatewise equality.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .errors import InvalidIndexError, InvalidParameterError, NotInSpaceError
 
 __all__ = [
     "SeqVec",
     "NormKind",
+    "NORM_VARIANTS",
     "ZERO",
     "coordinate",
     "norm",
@@ -98,20 +100,63 @@ class SeqVec:
 ZERO = SeqVec()
 
 
+def _sup(values: list[float], tail: float, p: float | None) -> float:
+    m = abs(tail)
+    for v in values:
+        a = abs(v)
+        if not a <= m:
+            if a != a:
+                return math.nan
+            m = a
+    return m
+
+
+def _lp(values: list[float], tail: float, p: float) -> float:
+    if p == 1.0:
+        return math.fsum(map(abs, values))
+    if p == 2.0:
+        return math.sqrt(math.fsum(map(operator.mul, values, values)))
+    return math.fsum([abs(v) ** p for v in values]) ** (1.0 / p)
+
+
+def _max_pos_neg_l1(values: list[float], tail: float, p: float | None) -> float:
+    pos = math.fsum([v for v in values if not v <= 0.0])  # NaN joins pos
+    neg = math.fsum([-v for v in values if v < 0.0])
+    return max(pos, neg)
+
+
+# How NormKind, the config reader and the norm kernel read each variant.
+@dataclass(frozen=True)
+class NormVariant:
+    takes_p: bool     # needs an exponent p >= 1; no other variant takes one
+    allows_tail: bool  # a nonzero tail has a finite norm
+    label: str        # a variant that takes p appends it
+    # (support values, tail, p) -> norm; sees tail 0 unless allows_tail
+    evaluate: Callable[[list[float], float, float | None], float]
+
+
+NORM_VARIANTS: dict[str, NormVariant] = {
+    "sup": NormVariant(False, True, "sup", _sup),
+    "lp": NormVariant(True, False, "l", _lp),
+    "max_pos_neg_l1": NormVariant(False, False, "max(pos,neg) l1",
+                                  _max_pos_neg_l1),
+}
+
+
 @dataclass(frozen=True)
 class NormKind:
-    """Which norm to evaluate: sup, lp (p >= 1, tail must be 0), or the
-    max(positive part, negative part) renorming of l1."""
+    """Which norm to evaluate: a NORM_VARIANTS key, and p if it takes one."""
 
-    variant: str  # "sup" | "lp" | "max_pos_neg_l1"
+    variant: str
     p: float | None = None
 
     def __post_init__(self) -> None:
-        if self.variant not in ("sup", "lp", "max_pos_neg_l1"):
-            raise InvalidParameterError("variant", "must be sup, lp or max_pos_neg_l1")
-        if self.variant == "lp":
+        if not isinstance(self.variant, str) or self.variant not in NORM_VARIANTS:
+            raise InvalidParameterError(
+                "variant", f"must be one of {', '.join(NORM_VARIANTS)}")
+        if NORM_VARIANTS[self.variant].takes_p:
             if self.p is None or not self.p >= 1.0:
-                raise InvalidParameterError("p", "lp norms require p >= 1")
+                raise InvalidParameterError("p", f"{self.variant} norms require p >= 1")
         elif self.p is not None:
             raise InvalidParameterError("p", f"{self.variant} norm takes no exponent")
 
@@ -127,11 +172,15 @@ class NormKind:
     def max_pos_neg_l1() -> "NormKind":
         return NormKind("max_pos_neg_l1")
 
+    @property
+    def allows_tail(self) -> bool:
+        return NORM_VARIANTS[self.variant].allows_tail
+
     def label(self) -> str:
-        if self.variant == "lp":
-            p = self.p
-            return f"l{int(p)}" if p == int(p) else f"l{p}"
-        return {"sup": "sup", "max_pos_neg_l1": "max(pos,neg) l1"}[self.variant]
+        spec, p = NORM_VARIANTS[self.variant], self.p
+        if not spec.takes_p:
+            return spec.label
+        return f"{spec.label}{int(p) if p == int(p) else p}"
 
 
 def coordinate(x: SeqVec, i: int) -> float:
@@ -146,79 +195,49 @@ def tail_limit(x: SeqVec) -> float:
     return x.tail
 
 
-def _require_zero_tail(x: SeqVec, kind: NormKind) -> None:
-    if x.tail != 0.0:
-        raise NotInSpaceError(
-            f"{kind.label()} norm needs tail 0, got tail {x.tail!r}"
-        )
-
-
-def norm(x: SeqVec, kind: NormKind) -> float:
-    if kind.variant == "sup":
-        m = abs(x.tail)
-        for _, v in x.support:
-            a = abs(v)
-            if a > m:
-                m = a
-        return m
-    _require_zero_tail(x, kind)
+def _measure(values: list[float], tail: float, kind: NormKind,
+             what: str) -> float:
+    """The kind-norm of the sequence with these support values and tail, or
+    NaN if one is NaN; `what` words the error for a tail it does not allow."""
+    if tail != tail:
+        return math.nan
+    spec = NORM_VARIANTS[kind.variant]
+    if tail != 0.0 and not spec.allows_tail:
+        raise NotInSpaceError(f"{kind.label()} {what} {tail!r}")
     try:
-        if kind.variant == "lp":
-            p = kind.p
-            if p == 1.0:
-                return math.fsum(abs(v) for _, v in x.support)
-            if p == 2.0:
-                return math.sqrt(math.fsum(v * v for _, v in x.support))
-            return math.fsum(abs(v) ** p for _, v in x.support) ** (1.0 / p)
-        # max_pos_neg_l1
-        pos = math.fsum(v for _, v in x.support if v > 0.0)
-        neg = math.fsum(-v for _, v in x.support if v < 0.0)
-        return max(pos, neg)
+        result = spec.evaluate(values, tail, kind.p)
     except OverflowError:  # a sum of nonnegative terms passed the float range
+        result = math.inf
+    if result != math.inf:
+        return result
+    if any(map(math.isnan, values)):
+        return math.nan  # the sum overflowed before it reached the NaN
+    if math.isinf(tail) or not all(map(math.isfinite, values)):
+        return math.inf
+    # Finite values: every norm scales exactly by a power of two, so
+    # evaluate below the largest one and scale back.
+    e = math.frexp(max(map(abs, values)))[1]
+    small = spec.evaluate([math.ldexp(v, -e) for v in values],
+                          math.ldexp(tail, -e), kind.p)
+    try:
+        return math.ldexp(small, e)
+    except OverflowError:  # the norm itself passes the float range
         return math.inf
 
 
-def _diff_items(x: SeqVec, y: SeqVec) -> tuple[list[float], float]:
-    """Coordinatewise differences of x and y on the union support, plus the
-    tail difference.  Avoids building an intermediate SeqVec on hot paths."""
-    dx, dy = x._dict, y._dict
-    xt, yt = x.tail, y.tail
-    out = []
-    for i, v in x.support:
-        out.append(v - dy.get(i, yt))
-    for i, w in y.support:
-        if i not in dx:
-            out.append(xt - w)
-    return out, xt - yt
+def norm(x: SeqVec, kind: NormKind) -> float:
+    return _measure([v for _, v in x.support], x.tail, kind,
+                    "norm needs tail 0, got tail")
 
 
 def distance(x: SeqVec, y: SeqVec, kind: NormKind) -> float:
     """norm(x - y, kind) without materializing the difference vector."""
-    diffs, dt = _diff_items(x, y)
-    if kind.variant == "sup":
-        m = abs(dt)
-        for v in diffs:
-            a = abs(v)
-            if a > m:
-                m = a
-        return m
-    if dt != 0.0:
-        raise NotInSpaceError(
-            f"{kind.label()} distance needs equal tails, got difference {dt!r}"
-        )
-    try:
-        if kind.variant == "lp":
-            p = kind.p
-            if p == 1.0:
-                return math.fsum(abs(v) for v in diffs)
-            if p == 2.0:
-                return math.sqrt(math.fsum(v * v for v in diffs))
-            return math.fsum(abs(v) ** p for v in diffs) ** (1.0 / p)
-        pos = math.fsum(v for v in diffs if v > 0.0)
-        neg = math.fsum(-v for v in diffs if v < 0.0)
-        return max(pos, neg)
-    except OverflowError:  # as in norm: the true distance exceeds any float
-        return math.inf
+    dx, dy = x._dict, y._dict
+    xt, yt = x.tail, y.tail
+    diffs = [v - dy.get(i, yt) for i, v in x.support]
+    diffs += [xt - w for i, w in y.support if i not in dx]
+    return _measure(diffs, xt - yt, kind,
+                    "distance needs equal tails, got difference")
 
 
 def axpy(a: float, x: SeqVec, b: float, y: SeqVec) -> SeqVec:

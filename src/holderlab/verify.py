@@ -134,7 +134,9 @@ def pair_ratios(T: MapInstance, ns: tuple[int, ...], pairs: int, seed: int,
             cy = T.apply(cy)
             if n in ns_set:
                 ratio = distance(cx, cy, T.norm) / da
-                if ratio > sups[n]:
+                if not ratio <= sups[n]:
+                    if ratio != ratio:  # a NaN distance counts as unbounded
+                        ratio = math.inf
                     sups[n] = ratio
                     if ratio > best:
                         best, witness = ratio, (x, y)

@@ -33,6 +33,7 @@ from holderlab.catalog import (
 )
 from holderlab.domains import ball
 from holderlab.errors import (
+    DomainViolationError,
     InvalidCompositionError,
     InvalidParameterError,
     UnknownNameError,
@@ -201,6 +202,14 @@ def test_hyperconvex_values_and_oracle():
         x = T.domain.sample(rng)
         for n in (1, 2, 5, 10):
             assert distance(T.iterate(x, n), T.iterate_oracle(x, n), SUP) <= 1e-12
+
+
+def test_hyperconvex_rejects_a_negative_first_coordinate():
+    # t1^alpha of a negative t1 is complex, which no norm measures.
+    T = hyperconvex_map(4, 0.5)
+    for x in (SeqVec.from_dict({1: -0.25, 2: 0.125}), SeqVec((), -0.25)):
+        with pytest.raises(DomainViolationError):
+            T.apply(x)
 
 
 def test_c0_family_witness_and_alpha_one_fixed_point():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from holderlab.catalog import catalog_names, retraction_names
 from holderlab.cli import main
 from holderlab.domains import DOMAIN_KINDS
 from holderlab.report import canonical_bytes
@@ -133,6 +134,14 @@ def test_domain_override_can_break_invariance(tmp_path, capsys):
     assert read_report(tmp_path)["counts"]["fail"] == 1
 
 
+def test_a_large_l2_ball_override_stays_invariant(tmp_path, capsys):
+    # Coordinates near 1e200 square past the float range; the norm must not.
+    cfg = base_config(tmp_path, map={"name": "positive_part"},
+                      domain=ball_override(r=1e200))
+    assert main(["run", write_config(tmp_path, cfg)]) == 0
+    assert "[PASS] invariance" in capsys.readouterr().out
+
+
 def test_top_level_breadth_applies_to_a_domain_override(tmp_path):
     def witness_indices(**overrides):
         cfg = base_config(tmp_path, map={"name": "prus"},
@@ -206,12 +215,18 @@ def test_malformed_json(tmp_path, capsys):
      "unknown ball domain params: ['mass']"),
     (lambda c: c.update(domain={**ball_override(), "breadth": 8}),
      "unknown domain fields: ['breadth']"),
+    (lambda c: c.update(domain=ball_override(norm={"variant": "sup"})),
+     "does not fit norming, whose l2 norm needs tail 0"),
+    (lambda c: c.update(domain={"kind": "c_interval",
+                                "params": {"cap": 1.0}}),
+     "does not fit norming, whose l2 norm needs tail 0"),
 ], ids=["extra-field", "missing-seed", "schema-version", "float-seed",
         "empty-checks", "bad-kind", "foreign-check-key", "bad-x0",
         "path-in-name", "string-n_list", "fractional-n_list",
         "string-lambdas", "nan-tolerance", "negative-seed",
         "negative-breadth", "infinite-domain-r", "boolean-domain-r",
-        "foreign-domain-param", "domain-breadth"])
+        "foreign-domain-param", "domain-breadth", "sup-ball-on-l2-map",
+        "c_interval-on-l2-map"])
 def test_config_schema_violations(tmp_path, capsys, mangle, fragment):
     cfg = base_config(tmp_path)
     mangle(cfg)
@@ -359,6 +374,18 @@ def test_describe_covers_retractions(capsys):
     out = capsys.readouterr().out
     assert "name: l1_sphere" in out
     assert "holder constant = 8.0" in out
+
+
+def test_describe_shows_every_enforced_rule(capsys):
+    for name in catalog_names() + retraction_names():
+        assert main(["describe", name]) == 0, name
+    capsys.readouterr()
+    for name, rules in (("hyperconvex", ("N >= 1", "N^alpha >= 2")),
+                        ("affine_cube", ("r > 0", "(2r)^(1-alpha) <= lambda"))):
+        main(["describe", name])
+        out = capsys.readouterr().out
+        for rule in rules:
+            assert rule in out, (name, rule)
 
 
 def test_describe_unknown_name(capsys):

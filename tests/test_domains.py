@@ -1,5 +1,7 @@
 """Domain membership, sampling, and convexity checks."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -235,3 +237,12 @@ def test_describe_mentions_the_shape():
     assert "radius" in ball(1.0, L2).describe()
     assert "simplex" in simplex(1.0, 0.125).describe()
     assert "band" in sigma_band(0.125, 0.5).describe()
+
+
+def test_contains_rejects_nan():
+    for K in all_domains():
+        for x in K.canonical_points():
+            for i in (1, 2):
+                bad = SeqVec.from_dict({**dict(x.support), i: math.nan}, x.tail)
+                assert not K.contains(bad), (K.describe(), str(bad))
+        assert not K.contains(SeqVec((), math.nan)), K.describe()

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from holderlab.errors import InvalidIndexError, NotInSpaceError
 from holderlab.seqvec import (
+    NORM_VARIANTS,
     ZERO,
     NormKind,
     SeqVec,
@@ -143,13 +144,47 @@ def test_lp_and_mpn_need_zero_tail():
 
 
 def test_norm_and_distance_overflow_to_inf():
-    # Finite coordinates whose lp / mpn sums pass the float range.
+    # Finite coordinates whose lp / mpn sums pass the float range: l1 and
+    # mpn norms beyond the largest float are inf, lp norms for p > 1 that
+    # fit in a float come out finite.
     big = SeqVec.from_dict({1: 1e308, 2: 1e308})
     half = SeqVec.from_dict({1: 1e154, 2: 1e154})
-    for kind in (L1, L2, NormKind.lp(3.0), MPN):
+    for kind in (L1, MPN):
         assert norm(big, kind) == math.inf
         assert distance(big, ZERO, kind) == math.inf
-    assert norm(half, L2) == math.inf
+    for kind, true in ((L2, math.sqrt(2.0) * 1e308),
+                       (NormKind.lp(3.0), 2.0 ** (1.0 / 3.0) * 1e308)):
+        assert math.isclose(norm(big, kind), true, rel_tol=1e-15)
+        assert math.isclose(distance(big, ZERO, kind), true, rel_tol=1e-15)
+    assert math.isclose(norm(half, L2), math.sqrt(2.0) * 1e154, rel_tol=1e-15)
+    # past the float range even after scaling
+    assert norm(SeqVec.from_dict({1: 1.7e308, 2: 1.7e308}), L2) == math.inf
+
+
+@pytest.mark.parametrize("kind", [SUP, L1, L2, NormKind.lp(3.0), MPN],
+                         ids=lambda k: k.label())
+def test_nan_values_and_tails_give_nan(kind):
+    nan = math.nan
+    for x in (SeqVec.from_dict({1: 0.5, 2: nan, 3: -0.25}),
+              SeqVec.from_dict({1: nan, 2: 2.0}),
+              SeqVec.from_dict({1: -nan}),
+              SeqVec.from_dict({1: 1e308, 2: 1e308, 3: nan}),
+              SeqVec((), nan)):
+        assert math.isnan(norm(x, kind)), x
+        assert math.isnan(distance(x, ZERO, kind)), x
+        assert math.isnan(distance(ZERO, x, kind)), x
+
+
+def test_norm_variants_table_drives_norm_kind():
+    assert {k: (v.takes_p, v.allows_tail)
+            for k, v in NORM_VARIANTS.items()} == {
+        "sup": (False, True), "lp": (True, False),
+        "max_pos_neg_l1": (False, False)}
+    assert [k.label() for k in (SUP, L1, NormKind.lp(2.5), MPN)] == [
+        "sup", "l1", "l2.5", "max(pos,neg) l1"]
+    assert [k.allows_tail for k in (SUP, L2, MPN)] == [True, False, False]
+    with pytest.raises(ValueError):
+        NormKind(["sup"])
 
 
 def test_norm_kind_validation():

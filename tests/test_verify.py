@@ -1,10 +1,12 @@
 """Checker semantics: estimators, strategies, verdict rules, determinism."""
 
 import dataclasses
+import math
 
 import pytest
 
 from holderlab.catalog import (
+    c0_family_map,
     deficiency_map,
     goebel_kirk_map,
     l1_ball_composite_map,
@@ -22,7 +24,15 @@ from holderlab.errors import (
     InvalidParameterError,
     InvalidStrategyError,
 )
-from holderlab.seqvec import ZERO, basis_vector, distance, format_vec, norm, scale
+from holderlab.seqvec import (
+    ZERO,
+    SeqVec,
+    basis_vector,
+    distance,
+    format_vec,
+    norm,
+    scale,
+)
 from holderlab.verify import (
     CHECKS,
     CheckRequest,
@@ -67,6 +77,22 @@ def test_holder_estimate_rejects_empty_budgets():
 def test_holder_estimate_needs_nondegenerate_pairs():
     with pytest.raises(InsufficientSamplesError):
         pair_ratios(_degenerate(norming_map()), (1,), pairs=20, seed=0)
+
+
+@pytest.mark.parametrize("factory", [prus_map, norming_map, c0_family_map,
+                                     renormed_l1_map, shift_simplex_map])
+def test_a_nan_image_fails_holder_ratio_and_invariance(factory):
+    # T(x) = {1: nan}: every distance between images is NaN, and no domain
+    # holds the image.
+    T = dataclasses.replace(factory(),
+                            apply=lambda x: SeqVec.from_dict({1: math.nan}))
+    rec = run_check(T, CheckRequest("holder_ratio", pairs=20), 1)
+    assert rec.verdict == "fail"
+    assert rec.measured == math.inf
+    assert rec.witness.startswith("x = ")
+    rec = run_check(T, CheckRequest("invariance", samples=20), 1)
+    assert rec.verdict == "fail"
+    assert rec.details["checked"] == 1
 
 
 # ---------------------------------------------------------------------------
