@@ -18,6 +18,8 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping
 
+import numpy as np
+
 from .domains import (
     DomainSpec,
     ball,
@@ -37,19 +39,24 @@ from .errors import (
 from .retractions import (
     abs_retract,
     clamp_retract,
+    clamp_rows,
     l1_sphere_retract,
     positive_part,
     radial_retract,
+    radial_rows,
 )
 from .seqvec import (
     SeqVec,
     NormKind,
+    Rows,
     ZERO,
     axpy,
     basis_vector,
     coordinate,
     distance,
+    fsum_rows,
     norm,
+    pow_each,
     scale,
     shift_right,
 )
@@ -154,6 +161,12 @@ class ClaimProfile:
 
 @dataclass(frozen=True)
 class MapInstance:
+    """A map with its domain, norm and claims.  `apply` may carry one
+    attribute `rows`, its batch form: a function from a block of rows to the
+    block of their images, equal to `apply` row by row and raising what
+    `apply` raises on the first row it fails on.  Replacing `apply` drops
+    it."""
+
     name: str
     params: Mapping[str, object]
     domain: DomainSpec
@@ -172,6 +185,21 @@ class MapInstance:
 
     def displacement(self, x: SeqVec) -> float:
         return distance(x, self.apply(x), self.norm)
+
+
+def _batched(apply: Callable[[SeqVec], SeqVec],
+             rows: Callable[[Rows], Rows]) -> Callable[[SeqVec], SeqVec]:
+    """`apply` with `rows` attached as its batch form."""
+    apply.rows = rows
+    return apply
+
+
+def _support_values(x: Rows) -> np.ndarray:
+    """Each row's values with 0 wherever a coordinate reads the tail: what a
+    scalar form that reads only x.support and drops the tail sees."""
+    if not x.tail.any():
+        return x.vals
+    return np.where(x.vals == x.tail[:, None], 0.0, x.vals)
 
 
 def _checkpoint_range(budget: int, cap: int) -> list[int]:
@@ -203,12 +231,19 @@ def prus_map(alpha: float = 0.5) -> MapInstance:
             out[i + 1] = abs(v) ** alpha
         return SeqVec.from_dict(out, new_tail)
 
+    def apply_rows(x: Rows) -> Rows:
+        tail = pow_each(np.abs(x.tail), alpha)
+        vals = np.empty((len(tail), x.width + 1))
+        vals[:, 0] = np.abs(1.0 - tail)
+        vals[:, 1:] = pow_each(np.abs(x.vals), alpha)
+        return Rows(vals, tail)
+
     return MapInstance(
         name="prus",
         params={"alpha": alpha},
         domain=ball(1.0, SUP),
         norm=SUP,
-        apply=apply,
+        apply=_batched(apply, apply_rows),
         claims=ClaimProfile(
             alpha=alpha,
             holder_constant=1.0,
@@ -233,6 +268,11 @@ def norming_map(alpha: float = 0.5) -> MapInstance:
         c = ((1.0 + phi * phi) / 2.0) ** alpha
         return SeqVec(((1, c),), 0.0)
 
+    def apply_rows(x: Rows) -> Rows:
+        phi = x.column(1)
+        c = pow_each((1.0 + phi * phi) / 2.0, alpha)
+        return Rows(c[:, None], np.zeros(len(c)))
+
     oracle = None
     if alpha == 0.5:
 
@@ -248,7 +288,7 @@ def norming_map(alpha: float = 0.5) -> MapInstance:
         params={"alpha": alpha},
         domain=ball(1.0, L2),
         norm=L2,
-        apply=apply,
+        apply=_batched(apply, apply_rows),
         claims=ClaimProfile(
             alpha=alpha,
             holder_constant=1.0,
@@ -273,12 +313,19 @@ def baseline_c_map() -> MapInstance:
             out[i + 2] = abs(v)
         return SeqVec.from_dict(out, abs(x.tail))
 
+    def apply_rows(x: Rows) -> Rows:
+        vals = np.empty((len(x.tail), x.width + 2))
+        vals[:, 0] = 1.0
+        vals[:, 1] = 0.0
+        vals[:, 2:] = np.abs(x.vals)
+        return Rows(vals, np.abs(x.tail))
+
     return MapInstance(
         name="baseline_c",
         params={},
         domain=ball(1.0, SUP),
         norm=SUP,
-        apply=apply,
+        apply=_batched(apply, apply_rows),
         claims=ClaimProfile(
             alpha=1.0,
             holder_constant=1.0,
@@ -306,6 +353,11 @@ def shift_simplex_map(p: float = 1.0, alpha: float = 0.5, lam: float = 0.5) -> M
     def apply(x: SeqVec) -> SeqVec:
         return SeqVec(tuple((i + 1, v) for i, v in x.support), 0.0)
 
+    def apply_rows(x: Rows) -> Rows:
+        vals = np.zeros((len(x.tail), x.width + 1))
+        vals[:, 1:] = _support_values(x)
+        return Rows(vals, np.zeros(len(x.tail)))
+
     def witnesses(budget: int) -> list[SeqVec]:
         out = []
         for n in _checkpoint_range(budget, 64):
@@ -319,7 +371,7 @@ def shift_simplex_map(p: float = 1.0, alpha: float = 0.5, lam: float = 0.5) -> M
         params={"p": p, "alpha": alpha, "lambda": lam, "mass": mass},
         domain=dom,
         norm=NormKind.lp(p),
-        apply=apply,
+        apply=_batched(apply, apply_rows),
         claims=ClaimProfile(
             alpha=alpha,
             holder_constant=lam,
@@ -368,13 +420,21 @@ def affine_mixing_map(
             out[i + 1] = out.get(i + 1, 0.0) + g * v
         return SeqVec.from_dict(out, 0.0)
 
+    def apply_rows(x: Rows) -> Rows:
+        v = _support_values(x)
+        g = np.array([gamma(i) for i in range(1, x.width + 1)])
+        vals = np.zeros((len(x.tail), x.width + 1))
+        vals[:, 1:] = g * v
+        vals[:, :-1] += (1.0 - g) * v
+        return Rows(vals, np.zeros(len(x.tail)))
+
     return MapInstance(
         name="affine_mixing",
         params={"L": L, "lambda": lam, "alpha": alpha, "mass": mass,
                 "gamma": "2^-n"},
         domain=simplex(1.0, mass),
         norm=L1,
-        apply=apply,
+        apply=_batched(apply, apply_rows),
         claims=ClaimProfile(
             alpha=alpha,
             holder_constant=lam,
@@ -457,6 +517,16 @@ def goebel_kirk_map(alpha: float = 0.5) -> MapInstance:
         y = SeqVec.from_dict(out, 0.0)
         return radial_retract(y, 1.0, L2)
 
+    def apply_rows(x: Rows) -> Rows:
+        if (x.tail != 0.0).any():
+            raise NotInSpaceError("goebel_kirk is defined on l2 (tail 0)")
+        v = np.where(x.vals <= 0.0, 0.0, x.vals)  # projection onto the cone
+        i = np.arange(2, x.width + 1)
+        vals = np.zeros((len(x.tail), x.width + 1))
+        vals[:, 1:2] = pow_each(v[:, :1], alpha)
+        vals[:, 2:] = (1.0 - 1.0 / (i * i)) * v[:, 1:]
+        return radial_rows(Rows(vals, x.tail), 1.0, L2)
+
     def profile(n: int) -> float:
         return (n + 1) / n * 2.0 ** (1.0 - alpha)
 
@@ -465,7 +535,7 @@ def goebel_kirk_map(alpha: float = 0.5) -> MapInstance:
         params={"alpha": alpha},
         domain=ball(1.0, L2),
         norm=L2,
-        apply=apply,
+        apply=_batched(apply, apply_rows),
         claims=ClaimProfile(
             alpha=alpha,
             holder_constant=2.0,
@@ -510,6 +580,16 @@ def hyperconvex_map(N: int = 4, alpha: float = 0.5) -> MapInstance:
         head += [(i + 2, v) for i, v in x.support]
         return SeqVec.from_sorted(head, x.tail)
 
+    def apply_rows(x: Rows) -> Rows:
+        t1, t2 = x.column(1), x.column(2)
+        if (t1 < 0.0).any():
+            raise DomainViolationError("hyperconvex needs t1 >= 0")
+        vals = np.empty((len(x.tail), x.width + 2))
+        vals[:, 0] = cap
+        vals[:, 1] = t2 * pow_each(t1, alpha)
+        vals[:, 2:] = x.vals
+        return Rows(vals, x.tail)
+
     def oracle(x: SeqVec, n: int) -> SeqVec:
         if n == 0:
             return x
@@ -527,7 +607,7 @@ def hyperconvex_map(N: int = 4, alpha: float = 0.5) -> MapInstance:
         params={"N": N, "alpha": alpha},
         domain=dom,
         norm=SUP,
-        apply=apply,
+        apply=_batched(apply, apply_rows),
         claims=ClaimProfile(
             alpha=alpha,
             holder_constant=1.0,
@@ -568,6 +648,18 @@ def c0_family_map(delta: float = 0.5, q: float = 0.25, alpha: float = 0.9,
             out[i + 1] = top * v ** alpha
         return SeqVec.from_dict(out, 0.0)
 
+    def apply_rows(x: Rows) -> Rows:
+        bad_tail = x.tail != 0.0
+        bad = bad_tail | (x.vals < 0.0).any(axis=1)
+        if bad.any():
+            if bad_tail[np.argmax(bad)]:
+                raise NotInSpaceError("c0_family is defined on c0 (tail 0)")
+            raise DomainViolationError("c0_family needs nonnegative coords")
+        vals = np.empty((len(x.tail), x.width + 1))
+        vals[:, 0] = top
+        vals[:, 1:] = top * pow_each(x.vals, alpha)
+        return Rows(vals, x.tail)
+
     if alpha == 1.0:
         fps = FixedPointSet.singleton(star, residual=top ** (breadth + 1))
         disp = 0.0
@@ -580,7 +672,7 @@ def c0_family_map(delta: float = 0.5, q: float = 0.25, alpha: float = 0.9,
         params={"delta": delta, "q": q, "alpha": alpha},
         domain=dom,
         norm=SUP,
-        apply=apply,
+        apply=_batched(apply, apply_rows),
         claims=ClaimProfile(
             alpha=alpha,
             holder_constant=1.0,
@@ -630,6 +722,15 @@ def affine_cube_map(r: float = 0.125, alpha: float = 0.5, lam: float = 0.5,
         out.update(d)  # coordinates beyond the stored breadth are kept
         return SeqVec.from_dict(out, 0.0)
 
+    beta_row = np.array(betas)
+
+    def apply_rows(x: Rows) -> Rows:
+        if (x.tail != 0.0).any():
+            raise NotInSpaceError("affine_cube is defined on c0 (tail 0)")
+        x = x.widen(breadth)
+        head = (1.0 - beta_row) * x.vals[:, :breadth] + r * beta_row
+        return Rows(np.concatenate([head, x.vals[:, breadth:]], axis=1), x.tail)
+
     def witnesses(budget: int) -> list[SeqVec]:
         top = min(budget, breadth - 1)
         return [
@@ -642,7 +743,7 @@ def affine_cube_map(r: float = 0.125, alpha: float = 0.5, lam: float = 0.5,
         params={"r": r, "alpha": alpha, "lambda": lam, "beta": "1/(n+1)"},
         domain=dom,
         norm=SUP,
-        apply=apply,
+        apply=_batched(apply, apply_rows),
         claims=ClaimProfile(
             alpha=alpha,
             holder_constant=lam,
@@ -674,12 +775,25 @@ def renormed_l1_map() -> MapInstance:
             out[i + 1] = v
         return SeqVec.from_dict(out, 0.0)
 
+    def apply_rows(x: Rows) -> Rows:
+        # apply sums before it tests the tail, so every row up to the first
+        # nonzero tail is summed before that row's error
+        bad = np.flatnonzero(x.tail != 0.0)
+        last = bad[0] + 1 if len(bad) else len(x.tail)
+        sums = fsum_rows(_support_values(x.take(slice(0, last))))
+        if len(bad):
+            raise NotInSpaceError("renormed_l1 is defined on l1 (tail 0)")
+        vals = np.empty((len(x.tail), x.width + 1))
+        vals[:, 0] = 1.0 - sums
+        vals[:, 1:] = x.vals
+        return Rows(vals, x.tail)
+
     return MapInstance(
         name="renormed_l1",
         params={},
         domain=sub_simplex(1.0),
         norm=MPN,
-        apply=apply,
+        apply=_batched(apply, apply_rows),
         claims=ClaimProfile(
             alpha=0.5,
             holder_constant=1.0,
@@ -1095,7 +1209,8 @@ RETRACTION_CATALOG: dict[str, Retraction] = {
         Retraction("radial", 2.0, "normed space", "ball(r)",
                    "R(x) = x if ||x|| <= r else r x / ||x||",
                    lambda r: (ball(2.0 * r, L2), L2,
-                              lambda x: radial_retract(x, r, L2))),
+                              _batched(lambda x: radial_retract(x, r, L2),
+                                       lambda x: radial_rows(x, r, L2)))),
         Retraction("abs", 1.0, "l1", "nonnegative cone", "R((t_j)) = (|t_j|)",
                    lambda r: (ball(r, L1), L1, abs_retract)),
         Retraction("positive_part", 1.0, "l2", "nonnegative cone",
@@ -1105,7 +1220,8 @@ RETRACTION_CATALOG: dict[str, Retraction] = {
                    "coefficient_box(r)",
                    "R((t_j)) = (min(t_j, r)) on the nonnegative cone",
                    lambda r: (coefficient_box(2.0 * r), SUP,
-                              lambda x: clamp_retract(x, r))),
+                              _batched(lambda x: clamp_retract(x, r),
+                                       lambda x: clamp_rows(x, r)))),
         Retraction("l1_sphere", 8.0, "l1 ball(r)", "l1 sphere(r)",
                    "R(x) = (r - 2||x||_1) e_1 + 2 S(x) below mass r/2, "
                    "else (x - Q(x)) + 2 S(Q(x)); identity on the sphere",

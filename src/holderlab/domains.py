@@ -17,7 +17,8 @@ from typing import Union
 import numpy as np
 
 from .errors import InvalidBudgetError, InvalidParameterError
-from .seqvec import SeqVec, NormKind, ZERO, basis_vector, norm, scale
+from .seqvec import (SeqVec, NormKind, Rows, ZERO, basis_vector, fsum_rows,
+                     norm, pow_each, rows_norm)
 
 __all__ = [
     "DOMAIN_KINDS",
@@ -190,14 +191,27 @@ class DomainSpec:
     # -- sampling ------------------------------------------------------------
 
     def sample(self, seed: SeedLike, breadth: int | None = None) -> SeqVec:
-        """One random member.  Deterministic given an integer seed; pass a
-        Generator to draw a stream.  The law charges every region of the
-        breadth-truncated face with positive probability."""
+        """One random member: the single row of :meth:`sample_rows`.
+        Deterministic given an integer seed; pass a Generator to draw a
+        stream."""
+        return self.sample_rows(seed, 1, breadth).vec(0)
+
+    def sample_rows(self, seed: SeedLike, count: int,
+                    breadth: int | None = None) -> Rows:
+        """`count` random members as a block of rows `breadth` wide.  The
+        law charges every region of the breadth-truncated face with positive
+        probability: a support size uniform on 1..b, a uniformly random
+        support of that size, and uniform values (Dirichlet(1,...,1) weights
+        on the simplices).
+
+        Each row is read off its own run of uniforms, so the rows drawn from
+        one Generator do not depend on how they are split into blocks."""
         rng = as_rng(seed)
         b = self.breadth if breadth is None else breadth
         if b < 1:
             raise InvalidBudgetError(f"breadth {b} is below 1")
         k = self.kind
+        zeros = np.zeros(count)
 
         if k == "sigma_band":
             top = 1.0 - self.delta
@@ -206,52 +220,59 @@ class DomainSpec:
             else:
                 floors = np.array([self.sigma(i) for i in range(2, b + 1)])
                 spans = top - floors
-            vals = (floors + spans * rng.random(b - 1)).tolist()
-            pairs = [(1, top)]
-            pairs += zip(range(2, b + 1), vals)
-            # floors are positive, so the support is already canonical
-            return SeqVec(tuple(pairs), 0.0)
+            vals = np.empty((count, b))
+            vals[:, 0] = top
+            vals[:, 1:] = floors + spans * rng.random((count, b - 1))
+            return Rows(vals, zeros)
 
-        # a uniformly random support of random size, via order statistics
-        size = int(rng.integers(1, b + 1))
-        if size == b:
-            idx = range(1, b + 1)
-        else:
-            u = rng.random(b)
-            idx = np.sort(np.argpartition(u, size)[:size])
-            idx += 1
-            idx = idx.tolist()
+        # per row: the support size, b support keys, b values, two extras
+        u = rng.random((count, 2 * b + 3))
+        size = np.minimum((u[:, 0] * b).astype(np.int64), b - 1) + 1
+        # the support: the coordinates holding the `size` smallest keys
+        leading = np.arange(b) < size[:, None]
+        ranks = u[:, 1:b + 1].argsort(axis=1).argsort(axis=1)
+        support = ranks < size[:, None]
+        w = u[:, b + 1:2 * b + 1]
+        extra, extra2 = u[:, 2 * b + 1], u[:, 2 * b + 2]
 
         if k in ("simplex", "sub_simplex"):
-            g = rng.exponential(1.0, size=size)  # Dirichlet(1,...,1) weights
-            mass = (self.mass if k == "simplex"
-                    else self.mass_cap * float(rng.random()))
-            vals = (mass / g.sum()) * g
-            total = math.fsum(vals.tolist())
-            if total > 0.0:
-                vals = vals * (mass / total)
-            return SeqVec.from_sorted(zip(idx, vals.tolist()), 0.0)
+            # Dirichlet(1,...,1) weights: the gaps between 0, size - 1 sorted
+            # uniforms and 1, put on the support in index order
+            edges = np.ones((count, b + 1))
+            edges[:, 0] = 0.0
+            edges[:, 1:b] = np.sort(np.where(leading[:, 1:], w[:, 1:], 1.0),
+                                    axis=1)
+            gaps = edges[:, 1:] - edges[:, :-1]
+            mass = (np.full(count, self.mass) if k == "simplex"
+                    else self.mass_cap * extra)
+            vals = np.zeros((count, b))
+            vals[support] = gaps[leading]
+            vals *= mass[:, None]
+            total = fsum_rows(vals)
+            exact = total > 0.0
+            vals[exact] *= (mass[exact] / total[exact])[:, None]
+            return Rows(vals, zeros)
 
         lo = -1.0 if k == "ball" else 0.0
-        raw = rng.uniform(lo, 1.0, size=size)
+        raw = lo + (1.0 - lo) * w
         if k in ("ball", "positive_ball") and not self.carries_tail:
             # tail 0 members; rescale to a random radius
-            x = SeqVec.from_sorted(zip(idx, raw.tolist()), 0.0)
-            n = norm(x, self.norm)
-            if n == 0.0:
-                return SeqVec.from_sorted(
-                    [(1, self.r * float(rng.random()))], 0.0
-                )
-            rho = self.r * float(rng.random()) ** (1.0 / size)
-            return scale(rho / n, x)
+            x = Rows(np.where(support, raw, 0.0), zeros)
+            n = rows_norm(x, self.norm)
+            rho = self.r * pow_each(extra, 1.0 / size)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                vals = x.vals * (rho / n)[:, None]
+            flat = n == 0.0
+            if flat.any():  # no direction to scale: a point on axis 1
+                vals[flat] = 0.0
+                vals[flat, 0] = self.r * extra[flat]
+            return Rows(vals, zeros)
         # coordinates in [lo * hi, hi]; half the draws get a tail there too
         hi = self.cap if k == "c_interval" else self.r
-        tail = 0.0
+        tail = zeros
         if self.carries_tail:
-            coin = rng.random(2)
-            if coin[0] < 0.5:
-                tail = hi * (lo + (1.0 - lo) * float(coin[1]))
-        return SeqVec.from_sorted(zip(idx, (hi * raw).tolist()), tail)
+            tail = np.where(extra < 0.5, hi * (lo + (1.0 - lo) * extra2), 0.0)
+        return Rows(np.where(support, hi * raw, tail[:, None]), tail)
 
     # -- canonical points ----------------------------------------------------
 

@@ -12,14 +12,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainViolationError
-from .seqvec import SeqVec, NormKind, norm, scale, shift_right
+from .seqvec import SeqVec, NormKind, Rows, norm, rows_norm, scale, shift_right
 
 __all__ = [
     "radial_retract",
+    "radial_rows",
     "abs_retract",
     "positive_part",
     "clamp_retract",
+    "clamp_rows",
     "ExcessSplit",
     "iota_mu_q",
     "excess_map",
@@ -27,6 +31,7 @@ __all__ = [
 ]
 
 L1 = NormKind.lp(1.0)
+CLAMP_NEG_TOL = 1e-12  # clamp_retract's slack below 0
 
 
 def radial_retract(x: SeqVec, r: float, kind: NormKind) -> SeqVec:
@@ -37,10 +42,24 @@ def radial_retract(x: SeqVec, r: float, kind: NormKind) -> SeqVec:
     return scale(r / n, x)
 
 
+def radial_rows(x: Rows, r: float, kind: NormKind) -> Rows:
+    """radial_retract of every row of a block."""
+    n = rows_norm(x, kind)
+    outside = ~(n <= r)
+    if not outside.any():
+        return x
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = np.where(outside, r / n, 1.0)
+    return Rows(x.vals * a[:, None], x.tail * a)
+
+
 def abs_retract(x: SeqVec) -> SeqVec:
     """Coordinatewise absolute value (retraction onto the nonnegative cone
     that preserves every norm used here)."""
     return SeqVec.from_dict({i: abs(v) for i, v in x.support}, abs(x.tail))
+
+
+abs_retract.rows = lambda x: Rows(np.abs(x.vals), np.abs(x.tail))
 
 
 def positive_part(x: SeqVec) -> SeqVec:
@@ -51,15 +70,25 @@ def positive_part(x: SeqVec) -> SeqVec:
     )
 
 
+positive_part.rows = lambda x: Rows(np.where(x.vals > 0.0, x.vals, 0.0),
+                                    np.where(x.tail > 0.0, x.tail, 0.0))
+
+
 def clamp_retract(x: SeqVec, r: float) -> SeqVec:
     """Coordinatewise min(t, r) on nonnegative vectors."""
-    neg_tol = 1e-12
-    if x.tail < -neg_tol or any(v < -neg_tol for _, v in x.support):
+    if x.tail < -CLAMP_NEG_TOL or any(v < -CLAMP_NEG_TOL for _, v in x.support):
         raise DomainViolationError("clamp_retract needs nonnegative coordinates")
     return SeqVec.from_dict(
         {i: v if v < r else r for i, v in x.support},
         x.tail if x.tail < r else r,
     )
+
+
+def clamp_rows(x: Rows, r: float) -> Rows:
+    """clamp_retract of every row of a block."""
+    if (x.tail < -CLAMP_NEG_TOL).any() or (x.vals < -CLAMP_NEG_TOL).any():
+        raise DomainViolationError("clamp_retract needs nonnegative coordinates")
+    return Rows(np.where(x.vals < r, x.vals, r), np.where(x.tail < r, x.tail, r))
 
 
 @dataclass(frozen=True)

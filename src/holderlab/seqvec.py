@@ -17,18 +17,25 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, NamedTuple
+
+import numpy as np
 
 from .errors import InvalidIndexError, InvalidParameterError, NotInSpaceError
 
 __all__ = [
     "SeqVec",
+    "Rows",
     "NormKind",
     "NORM_VARIANTS",
     "ZERO",
     "coordinate",
     "norm",
     "distance",
+    "rows_norm",
+    "rows_distance",
+    "pow_each",
+    "fsum_rows",
     "axpy",
     "scale",
     "shift_right",
@@ -100,6 +107,39 @@ class SeqVec:
 ZERO = SeqVec()
 
 
+class Rows(NamedTuple):
+    """A block of sequences as dense rows: column j of `vals` holds
+    coordinate j+1 of each row, and every coordinate beyond the width
+    equals that row's entry of `tail`."""
+
+    vals: np.ndarray  # (rows, width)
+    tail: np.ndarray  # (rows,)
+
+    @property
+    def width(self) -> int:
+        return self.vals.shape[1]
+
+    def column(self, i: int) -> np.ndarray:
+        """Coordinate i (1-based) of every row."""
+        return self.vals[:, i - 1] if i <= self.width else self.tail
+
+    def take(self, index) -> "Rows":
+        return Rows(self.vals[index], self.tail[index])
+
+    def widen(self, width: int) -> "Rows":
+        """The same sequences stored at least `width` columns wide."""
+        extra = width - self.width
+        if extra <= 0:
+            return self
+        fill = np.broadcast_to(self.tail[:, None], (len(self.tail), extra))
+        return Rows(np.concatenate([self.vals, fill], axis=1), self.tail)
+
+    def vec(self, i: int) -> SeqVec:
+        """Row i as a canonical SeqVec."""
+        return SeqVec.from_sorted(enumerate(self.vals[i].tolist(), 1),
+                                  float(self.tail[i]))
+
+
 def _sup(values: list[float], tail: float, p: float | None) -> float:
     m = abs(tail)
     for v in values:
@@ -125,7 +165,56 @@ def _max_pos_neg_l1(values: list[float], tail: float, p: float | None) -> float:
     return max(pos, neg)
 
 
-# How NormKind, the config reader and the norm kernel read each variant.
+def pow_each(base: np.ndarray, exponent) -> np.ndarray:
+    """base ** exponent element by element, rounded as Python's `**` rounds
+    it (inf past the float range).  np.float_power calls the C library's
+    pow once per element, as `**` does; np.power runs vectorised code that
+    rounds some results differently from one CPU to another, and no report
+    may depend on the CPU."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.float_power(base, exponent)
+
+
+def fsum_rows(vals: np.ndarray) -> np.ndarray:
+    """math.fsum of each row, fed only the nonzero entries (zeros change
+    neither the sum nor what fsum raises)."""
+    nonzero = vals != 0.0
+    flat = vals[nonzero].tolist()
+    ends = np.cumsum(nonzero.sum(axis=1)).tolist()
+    return np.array([math.fsum(flat[start:end])
+                     for start, end in zip([0] + ends, ends)], dtype=float)
+
+
+# The block evaluators: one entry per row, NaN propagating.  Sums run left
+# to right along each row, so columns of zeros in front never change one,
+# and every operation is one that IEEE arithmetic rounds the same way on
+# every CPU.
+
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    if a.shape[1] == 0:
+        return np.zeros(a.shape[0])
+    return np.cumsum(a, axis=1)[:, -1]
+
+
+def _sup_rows(vals: np.ndarray, tail: np.ndarray, p: float | None) -> np.ndarray:
+    return np.maximum(np.abs(tail), np.abs(vals).max(axis=1, initial=0.0))
+
+
+def _lp_rows(vals: np.ndarray, tail: np.ndarray, p: float) -> np.ndarray:
+    if p == 1.0:
+        return _row_sums(np.abs(vals))
+    if p == 2.0:
+        return np.sqrt(_row_sums(vals * vals))
+    return pow_each(_row_sums(pow_each(np.abs(vals), p)), 1.0 / p)
+
+
+def _max_pos_neg_l1_rows(vals: np.ndarray, tail: np.ndarray,
+                         p: float | None) -> np.ndarray:
+    return np.maximum(_row_sums(np.maximum(vals, 0.0)),
+                      _row_sums(np.maximum(-vals, 0.0)))
+
+
+# How NormKind, the config reader and the norm kernels read each variant.
 @dataclass(frozen=True)
 class NormVariant:
     takes_p: bool     # needs an exponent p >= 1; no other variant takes one
@@ -133,13 +222,15 @@ class NormVariant:
     label: str        # a variant that takes p appends it
     # (support values, tail, p) -> norm; sees tail 0 unless allows_tail
     evaluate: Callable[[list[float], float, float | None], float]
+    # the same on a block: (rows x width values, tails, p) -> norms
+    evaluate_rows: Callable[[np.ndarray, np.ndarray, float | None], np.ndarray]
 
 
 NORM_VARIANTS: dict[str, NormVariant] = {
-    "sup": NormVariant(False, True, "sup", _sup),
-    "lp": NormVariant(True, False, "l", _lp),
+    "sup": NormVariant(False, True, "sup", _sup, _sup_rows),
+    "lp": NormVariant(True, False, "l", _lp, _lp_rows),
     "max_pos_neg_l1": NormVariant(False, False, "max(pos,neg) l1",
-                                  _max_pos_neg_l1),
+                                  _max_pos_neg_l1, _max_pos_neg_l1_rows),
 }
 
 
@@ -238,6 +329,38 @@ def distance(x: SeqVec, y: SeqVec, kind: NormKind) -> float:
     diffs += [xt - w for i, w in y.support if i not in dx]
     return _measure(diffs, xt - yt, kind,
                     "distance needs equal tails, got difference")
+
+
+def _measure_rows(vals: np.ndarray, tail: np.ndarray, kind: NormKind,
+                  what: str) -> np.ndarray:
+    """_measure of every row of a block.  A row whose block result is not
+    finite, or whose tail the norm does not allow, goes through _measure
+    itself, so NaN, overflow and the tail error keep one definition."""
+    spec = NORM_VARIANTS[kind.variant]
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = spec.evaluate_rows(vals, tail, kind.p)
+    redo = ~np.isfinite(result)
+    if not spec.allows_tail:
+        redo |= tail != 0.0
+    for i in np.flatnonzero(redo):
+        result[i] = _measure(vals[i].tolist(), float(tail[i]), kind, what)
+    return result
+
+
+def rows_norm(x: Rows, kind: NormKind) -> np.ndarray:
+    """norm of every row of a block."""
+    return _measure_rows(x.vals, x.tail, kind, "norm needs tail 0, got tail")
+
+
+def rows_distance(x: Rows, y: Rows, kind: NormKind) -> np.ndarray:
+    """distance between the rows of two blocks of the same length, row by
+    row."""
+    width = max(x.width, y.width)
+    x, y = x.widen(width), y.widen(width)
+    with np.errstate(over="ignore", invalid="ignore"):
+        diffs, tails = x.vals - y.vals, x.tail - y.tail
+    return _measure_rows(diffs, tails, kind,
+                         "distance needs equal tails, got difference")
 
 
 def axpy(a: float, x: SeqVec, b: float, y: SeqVec) -> SeqVec:

@@ -23,10 +23,12 @@ import itertools
 import math
 import time
 from dataclasses import dataclass, field, make_dataclass
-from typing import Callable
+from typing import Callable, Iterator
+
+import numpy as np
 
 from .catalog import MapInstance
-from .domains import as_rng
+from .domains import DomainSpec, as_rng
 from .errors import (
     InvalidBudgetError,
     InvalidCheckError,
@@ -35,10 +37,12 @@ from .errors import (
     InsufficientSamplesError,
     DomainViolationError,
 )
-from .seqvec import SeqVec, distance, format_vec, norm, scale, axpy
+from .seqvec import (SeqVec, Rows, axpy, distance, format_vec, norm,
+                     pow_each, rows_distance, scale)
 
 __all__ = [
     "PAIR_CUTOFF",
+    "BLOCK_ELEMENTS",
     "RATIO_SLACK",
     "ORACLE_TOL",
     "PairRatios",
@@ -61,6 +65,11 @@ PAIR_CUTOFF = 1e-13  # pairs closer than this are degenerate for ratios
 RATIO_SLACK = 1e-9   # multiplicative slack on claimed constants
 ORACLE_TOL = 1e-12
 DISPLACEMENT_TOL = 1e-12
+# Array elements in one block of sampled rows, which bounds a check's memory
+# for any sample count and breadth.  A batch form widens a row by at most two
+# columns per step, so sizing blocks by max(breadth, 2 * steps) keeps every
+# iterate block under twice this.
+BLOCK_ELEMENTS = 2 ** 14
 
 
 @dataclass(frozen=True)
@@ -100,6 +109,69 @@ class CheckRecord:
         return self.verdict == "pass"
 
 
+def _block_sizes(count: int, width: int) -> Iterator[int]:
+    """Split `count` items of `width` array elements each into blocks."""
+    step = max(1, BLOCK_ELEMENTS // width)
+    for start in range(0, count, step):
+        yield min(step, count - start)
+
+
+def _sampled_points(K: DomainSpec, rng, count: int) -> Iterator[SeqVec]:
+    """`count` members of K drawn block by block, one at a time."""
+    for k in _block_sizes(count, K.breadth):
+        block = K.sample_rows(rng, k)
+        for i in range(k):
+            yield block.vec(i)
+
+
+def _by_rows(T: MapInstance, on_rows: Callable, on_points: Callable, *args):
+    """on_rows(T, *args) when T.apply has a batch form, else on_points.
+
+    A batch form can meet a failing row at another stage than the point by
+    point walk does, so a block that fails is walked again point by point:
+    the error raised is then the one of the first failure in draw order."""
+    if getattr(T.apply, "rows", None) is not None:
+        try:
+            return on_rows(T, *args)
+        except (ValueError, ArithmeticError):
+            pass
+    return on_points(T, *args)
+
+
+# The pair kernel: for x[j], y[j] the distance d[j], the indices `kept` of
+# the pairs with d >= PAIR_CUTOFF (or NaN), and for those the distances
+# ||T^n x - T^n y|| at each n in `ns` (ascending), one column per n.
+
+def _iterate_rows(T: MapInstance, x: Rows, y: Rows, ns: list[int]):
+    column = {n: c for c, n in enumerate(ns)}
+    d = rows_distance(x, y, T.norm)
+    kept = np.flatnonzero(~(d < PAIR_CUTOFF))
+    dists = np.empty((len(kept), len(ns)))
+    if len(kept):
+        cx, cy = x.take(kept), y.take(kept)
+        for n in range(1, ns[-1] + 1):
+            cx, cy = T.apply.rows(cx), T.apply.rows(cy)
+            if n in column:
+                dists[:, column[n]] = rows_distance(cx, cy, T.norm)
+    return d, kept, dists
+
+
+def _iterate_points(T: MapInstance, x: Rows, y: Rows, ns: list[int]):
+    d, kept, dists = [], [], []
+    for j in range(len(x.tail)):
+        cx, cy = x.vec(j), y.vec(j)
+        d.append(distance(cx, cy, T.norm))
+        if d[-1] < PAIR_CUTOFF:
+            continue
+        kept.append(j)
+        for n in range(1, ns[-1] + 1):
+            cx, cy = T.apply(cx), T.apply(cy)
+            if n in ns:
+                dists.append(distance(cx, cy, T.norm))
+    return (np.array(d), np.array(kept, dtype=np.int64),
+            np.array(dists).reshape(len(kept), len(ns)))
+
+
 def pair_ratios(T: MapInstance, ns: tuple[int, ...], pairs: int, seed: int,
                 exponent: float | None = None) -> PairRatios:
     """sup over sampled pairs of ||T^n x - T^n y|| / ||x - y||^exponent for
@@ -107,44 +179,45 @@ def pair_ratios(T: MapInstance, ns: tuple[int, ...], pairs: int, seed: int,
     estimate of Wood & Zhang (1996), taken per iterate.
 
     The exponent defaults to the claimed one; pairs closer than PAIR_CUTOFF
-    are skipped (the ratio is numerically meaningless there)."""
+    are skipped (the ratio is numerically meaningless there) and a NaN ratio
+    counts as +inf.  Pairs travel as blocks of rows through the batch form of
+    T.apply when it has one, and pair by pair otherwise; the witness is the
+    first pair in draw order that reaches the largest ratio."""
     if pairs < 1:
         raise InvalidBudgetError(f"pairs {pairs} is below 1")
     if not ns or min(ns) < 1:
         raise InvalidBudgetError("iterates must be integers >= 1")
     a = T.claims.alpha if exponent is None else exponent
     rng = as_rng(seed)
-    ns_set = frozenset(ns)
-    n_max = max(ns)
-    sups = {n: -1.0 for n in ns}
+    steps = sorted(set(ns))
+    sups = dict.fromkeys(ns, -1.0)
     best = -1.0
-    witness: tuple[SeqVec, SeqVec] | None = None
+    witness: tuple[Rows, Rows] | None = None  # made SeqVecs once, at the end
     used = 0
-    for _ in range(pairs):
-        x = T.domain.sample(rng)
-        y = T.domain.sample(rng)
-        d = distance(x, y, T.norm)
-        if d < PAIR_CUTOFF:
+    # two rows per pair
+    for k in _block_sizes(pairs, 2 * max(T.domain.breadth, 2 * steps[-1])):
+        rows = T.domain.sample_rows(rng, 2 * k)
+        x, y = rows.take(slice(0, None, 2)), rows.take(slice(1, None, 2))
+        d, kept, dists = _by_rows(T, _iterate_rows, _iterate_points,
+                                  x, y, steps)
+        if not len(kept):
             continue
-        used += 1
-        da = d ** a
-        cx, cy = x, y
-        for n in range(1, n_max + 1):
-            cx = T.apply(cx)
-            cy = T.apply(cy)
-            if n in ns_set:
-                ratio = distance(cx, cy, T.norm) / da
-                if not ratio <= sups[n]:
-                    if ratio != ratio:  # a NaN distance counts as unbounded
-                        ratio = math.inf
-                    sups[n] = ratio
-                    if ratio > best:
-                        best, witness = ratio, (x, y)
+        used += len(kept)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            ratios = dists / pow_each(d[kept], a)[:, None]
+        ratios[np.isnan(ratios)] = math.inf  # a NaN distance is unbounded
+        for n, top in zip(steps, ratios.max(axis=0).tolist()):
+            sups[n] = max(sups[n], top)
+        per_pair = ratios.max(axis=1)
+        j = int(np.argmax(per_pair))
+        if per_pair[j] > best:
+            best = float(per_pair[j])
+            witness = (x.take([kept[j]]), y.take([kept[j]]))
     if witness is None:
         raise InsufficientSamplesError(
             f"all {pairs} sampled pairs were degenerate"
         )
-    return PairRatios(sups, witness, used)
+    return PairRatios(sups, (witness[0].vec(0), witness[1].vec(0)), used)
 
 
 def orbit(T: MapInstance, x0: SeqVec, depth: int) -> OrbitResult:
@@ -207,8 +280,8 @@ def estimate_displacement(T: MapInstance, strategy: str, budget: int,
         if T.witness_family is not None:
             for x in T.witness_family(budget):
                 consider(x)
-        while evaluations < budget:
-            consider(T.domain.sample(rng))
+        for x in _sampled_points(T.domain, rng, budget - evaluations):
+            consider(x)
     elif strategy == "orbit_min":
         starts = T.domain.canonical_points()
         steps = max(1, budget // max(1, len(starts)))
@@ -316,8 +389,7 @@ def _invariance(T: MapInstance, req: CheckRequest, seed: int) -> CheckRecord:
     up to the first violation."""
     if req.samples < 0:
         raise InvalidBudgetError(f"samples {req.samples} is below 0")
-    rng = as_rng(seed)
-    draws = (T.domain.sample(rng) for _ in range(req.samples))
+    draws = _sampled_points(T.domain, as_rng(seed), req.samples)
     witness = None
     checked = 0
     for x in itertools.chain(T.domain.canonical_points(), draws):
@@ -418,11 +490,41 @@ def _asymptotic_profile(T: MapInstance, req: CheckRequest,
     )
 
 
+# The one-step kernel: for the samples x[j], the indices of those with
+# ||x - Tx|| <= delta (or NaN), and for those ||Tx - T^2x||, +inf where
+# either distance is NaN.
+
+def _second_steps_rows(T: MapInstance, x: Rows, delta: float):
+    tx = T.apply.rows(x)
+    first = rows_distance(x, tx, T.norm)
+    kept = np.flatnonzero(~(first > delta))
+    tx = tx.take(kept)
+    second = rows_distance(tx, T.apply.rows(tx), T.norm)
+    second[np.isnan(first[kept]) | np.isnan(second)] = math.inf
+    return kept, second
+
+
+def _second_steps_points(T: MapInstance, x: Rows, delta: float):
+    kept, second = [], []
+    for j in range(len(x.tail)):
+        cx = x.vec(j)
+        tx = T.apply(cx)
+        first = distance(cx, tx, T.norm)
+        if first > delta:
+            continue
+        kept.append(j)
+        d = distance(tx, T.apply(tx), T.norm)
+        second.append(math.inf if first != first or d != d else d)
+    return np.array(kept, dtype=np.int64), np.array(second)
+
+
 def _approx_fixed_set(T: MapInstance, req: CheckRequest,
                       seed: int) -> CheckRecord:
     """Among sampled x with ||x - Tx|| <= delta, verify ||Tx - T^2x|| <= delta
     (the one-step stability that makes delta-approximate fixed point sets
-    forward invariant for delta >= 1)."""
+    forward invariant for delta >= 1).  A NaN distance at either step counts
+    as +inf; the witness of a failure is the first sample in draw order
+    that reaches the largest second step."""
     if not req.delta >= 1.0:
         raise InvalidParameterError("delta", "requires delta >= 1")
     if req.samples < 1:
@@ -430,19 +532,20 @@ def _approx_fixed_set(T: MapInstance, req: CheckRequest,
     rng = as_rng(seed)
     qualifying = 0
     max_second = 0.0
-    for _ in range(req.samples):
-        x = T.domain.sample(rng)
-        tx = T.apply(x)
-        if distance(x, tx, T.norm) <= req.delta:
-            qualifying += 1
-            second = distance(tx, T.apply(tx), T.norm)
-            if second > max_second:
-                max_second = second
+    worst: Rows | None = None
+    for k in _block_sizes(req.samples, max(T.domain.breadth, 4)):
+        x = T.domain.sample_rows(rng, k)
+        kept, second = _by_rows(T, _second_steps_rows, _second_steps_points,
+                                x, req.delta)
+        qualifying += len(kept)
+        if len(kept) and second.max() > max_second:
+            j = int(np.argmax(second))
+            max_second, worst = float(second[j]), x.take([kept[j]])
+    passed = max_second <= req.delta + _tolerance(req, DISPLACEMENT_TOL)
     return CheckRecord(
         "approx_fixed_set", req.delta, max_second,
-        "pass" if max_second <= req.delta + _tolerance(req, DISPLACEMENT_TOL)
-        else "fail",
-        None,
+        "pass" if passed else "fail",
+        None if passed else format_vec(worst.vec(0)),
         direction=("max ||Tx - T^2x|| over sampled delta-approximate "
                    "fixed points"),
         details={"qualifying": qualifying, "samples": req.samples},
@@ -462,8 +565,8 @@ def _oracle_compare(T: MapInstance, req: CheckRequest,
     for n in range(1, req.n_max + 1):
         cur = T.apply(cur)
         dev = distance(cur, T.iterate_oracle(x0, n), T.norm)
-        if dev > worst:
-            worst = dev
+        if not dev <= worst:
+            worst = math.inf if dev != dev else dev  # NaN is unbounded
     tol = _tolerance(req, ORACLE_TOL)
     return CheckRecord(
         "oracle_compare", tol, worst, "pass" if worst <= tol else "fail",

@@ -402,7 +402,7 @@ def test_describe_unknown_name(capsys):
 GOLDEN_REPORTS = [
     ("norming", {"kind": "holder_ratio", "pairs": 60, "iterate": 2,
                  "exponent": 1.0},
-     "1b0cd7215fef9fe8a84a89f2c81367f808ef1657b7421e98b1ea0ae26fa8cee9"),
+     "fad78f939b3105f7d368373bee646dcfa23dd9961b4e1faa4d07ff138abf3f4f"),
     ("prus", {"kind": "invariance", "samples": 40},
      "8af2b5b7fbf3c27b5199c5e5623886fc31bc5b15eaa30a83041720f46e605682"),
     ("shift_simplex", {"kind": "orbit", "x0": "{1:0.0625, 2:0.0625}",
@@ -413,15 +413,15 @@ GOLDEN_REPORTS = [
      "a001aa93d1fbede4feeb5a999f98c14707bddb9d39e9f0b602dde93c0fae6465"),
     ("affine_cube", {"kind": "uniform_profile", "n_list": [1, 3],
                      "pairs": 40},
-     "11c63759751f9050ad146ef755e6e3de986b92a0ba52c78560460004ddeacf82"),
+     "26fc783bc5e160f8d0ec1dfef65dc5825705c80df31e12ce89d3bef16bdae25e"),
     ("goebel_kirk", {"kind": "asymptotic_profile", "n_max": 3, "pairs": 40},
-     "b30504ba09e01243dbf1dd673a957c11f509fbdd2e1bdfb71fc21d2972faa706"),
+     "6ab0a8b68f37a69de8c7ffd2f6fc2accd48d5d22a3b9a465c9d0b6b775e84ef0"),
     ("norming", {"kind": "approx_fixed_set", "delta": 1.0, "samples": 40},
-     "911b54261cf86291a6b42180a15efc57c242b06620d988a834c7871a5f0465f3"),
+     "829560f7de775bffd5782c388c27749214ef3524d417575d9f2f0b8a7193f1de"),
     ("hyperconvex", {"kind": "oracle_compare", "n_max": 6},
      "e73eec3a18b0b4979e4874365de96e97add64f39494ab2abe196611d82b9cffa"),
     ("l1_sphere", {"kind": "holder_ratio", "pairs": 60},
-     "2c52d2dd856055f7f5db90afe3887f539211bcaf452c3ccb454d78e3dbd28f79"),
+     "2c9c9bc4b1fb70858d0ccb33c384f27909695f9fadce403e892ce56bcb1ca801"),
 ]
 
 

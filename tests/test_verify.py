@@ -9,6 +9,7 @@ from holderlab.catalog import (
     c0_family_map,
     deficiency_map,
     goebel_kirk_map,
+    hyperconvex_map,
     l1_ball_composite_map,
     norming_map,
     prus_map,
@@ -93,6 +94,22 @@ def test_a_nan_image_fails_holder_ratio_and_invariance(factory):
     rec = run_check(T, CheckRequest("invariance", samples=20), 1)
     assert rec.verdict == "fail"
     assert rec.details["checked"] == 1
+    # the replaced apply has no batch form, so this walks point by point
+    rec = run_check(T, CheckRequest("approx_fixed_set", samples=20), 1)
+    assert rec.verdict == "fail"
+    assert rec.measured == math.inf
+    assert rec.details["qualifying"] == 20
+    assert rec.witness.startswith("{")
+
+
+@pytest.mark.parametrize("factory", [hyperconvex_map, norming_map])
+def test_a_nan_image_fails_oracle_compare(factory):
+    T = dataclasses.replace(factory(),
+                            apply=lambda x: SeqVec.from_dict({1: math.nan}))
+    rec = run_check(T, CheckRequest("oracle_compare", n_max=3), 1)
+    assert rec.verdict == "fail"
+    assert rec.measured == math.inf
+    assert rec.witness == format_vec(T.domain.canonical_points()[0])
 
 
 # ---------------------------------------------------------------------------
