@@ -420,9 +420,14 @@ def affine_mixing_map(
             out[i + 1] = out.get(i + 1, 0.0) + g * v
         return SeqVec.from_dict(out, 0.0)
 
+    gammas = np.empty(0)  # gamma(1), gamma(2), ..., grown on demand
+
     def apply_rows(x: Rows) -> Rows:
+        nonlocal gammas
+        if len(gammas) < x.width:
+            gammas = np.array([gamma(i) for i in range(1, 2 * x.width + 1)])
         v = _support_values(x)
-        g = np.array([gamma(i) for i in range(1, x.width + 1)])
+        g = gammas[:x.width]
         vals = np.zeros((len(x.tail), x.width + 1))
         vals[:, 1:] = g * v
         vals[:, :-1] += (1.0 - g) * v
@@ -464,10 +469,8 @@ def deficiency_map(p: float = 2.0, alpha: float = 0.5) -> MapInstance:
     dom = ball(lam, nk)
 
     def apply(x: SeqVec) -> SeqVec:
-        nx = norm(x, nk)
-        out = {2 * i: v for i, v in x.support}
-        out[1] = lam - nx
-        return SeqVec.from_dict(out, 0.0)
+        head = [(1, lam - norm(x, nk))]
+        return SeqVec.from_sorted(head + [(2 * i, v) for i, v in x.support])
 
     return MapInstance(
         name="deficiency",

@@ -192,10 +192,14 @@ def _check_from_obj(obj: object, index: int) -> CheckRequest:
     _require(not extra,
              f"checks[{index}] ({kind}): unknown fields {sorted(extra)}; "
              f"allowed: {sorted(allowed)}")
-    return CheckRequest(kind, **{
-        key: _PARSERS[FIELDS[key].type](value, key, where)
-        for key, value in obj.items() if key != "kind"
-    })
+    fields = {key: _PARSERS[FIELDS[key].type](value, key, where)
+              for key, value in obj.items() if key != "kind"}
+    for key, value in fields.items():
+        choices = FIELDS[key].choices
+        if choices is not None:
+            _require(value in choices, f"{where}unknown {key} {value!r}; "
+                     f"expected one of {', '.join(choices)}")
+    return CheckRequest(kind, **fields)
 
 
 def _parse_config(obj: object) -> dict:

@@ -34,6 +34,8 @@ __all__ = [
     "distance",
     "rows_norm",
     "rows_distance",
+    "row_norm",
+    "row_distance",
     "pow_each",
     "fsum_rows",
     "axpy",
@@ -115,6 +117,15 @@ class Rows(NamedTuple):
     vals: np.ndarray  # (rows, width)
     tail: np.ndarray  # (rows,)
 
+    @staticmethod
+    def of(x: SeqVec) -> "Rows":
+        """x as a one-row block, as wide as its last stored coordinate."""
+        vals = np.full((1, x.support[-1][0] if x.support else 0), x.tail)
+        if x.support:
+            index, values = zip(*x.support)
+            vals[0, np.array(index) - 1] = values
+        return Rows(vals, np.array([x.tail]))
+
     @property
     def width(self) -> int:
         return self.vals.shape[1]
@@ -133,6 +144,15 @@ class Rows(NamedTuple):
             return self
         fill = np.broadcast_to(self.tail[:, None], (len(self.tail), extra))
         return Rows(np.concatenate([self.vals, fill], axis=1), self.tail)
+
+    def trimmed(self) -> "Rows":
+        """The same sequences without the trailing columns in which every
+        row stores its own tail."""
+        width = self.width
+        while width and (self.vals[:, width - 1] == self.tail).all():
+            width -= 1
+        return self if width == self.width else Rows(self.vals[:, :width],
+                                                     self.tail)
 
     def vec(self, i: int) -> SeqVec:
         """Row i as a canonical SeqVec."""
@@ -361,6 +381,27 @@ def rows_distance(x: Rows, y: Rows, kind: NormKind) -> np.ndarray:
         diffs, tails = x.vals - y.vals, x.tail - y.tail
     return _measure_rows(diffs, tails, kind,
                          "distance needs equal tails, got difference")
+
+
+def row_norm(x: Rows, kind: NormKind) -> float:
+    """norm of a one-row block, bit for bit the norm of its SeqVec: the
+    scalar kernel fed the row's nonzero entries (zeros, and entries equal to
+    the tail, change no norm)."""
+    v = x.vals[0]
+    return _measure(v[v != 0.0].tolist(), float(x.tail[0]), kind,
+                    "norm needs tail 0, got tail")
+
+
+def row_distance(x: Rows, y: Rows, kind: NormKind) -> float:
+    """distance between two one-row blocks, bit for bit the distance between
+    their SeqVecs."""
+    width = max(x.width, y.width)
+    x, y = x.widen(width), y.widen(width)
+    with np.errstate(over="ignore", invalid="ignore"):
+        diffs = x.vals[0] - y.vals[0]
+    return _measure(diffs[diffs != 0.0].tolist(),
+                    float(x.tail[0]) - float(y.tail[0]), kind,
+                    "distance needs equal tails, got difference")
 
 
 def axpy(a: float, x: SeqVec, b: float, y: SeqVec) -> SeqVec:

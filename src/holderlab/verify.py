@@ -11,7 +11,9 @@ always report-only.
 CHECKS is the one table of check kinds.  Each entry names the request
 fields it reads (FIELDS declares their types and defaults) and the function
 that turns a map, a request and a seed into a CheckRecord, so a new check
-kind is one such function and one CHECKS entry.
+kind is one such function and one CHECKS entry.  STRATEGIES is the one
+table of displacement strategies.  Every orbit-style walk (the orbit check,
+oracle_compare and the orbit strategies) is one call of the orbit kernel.
 
 Every check is deterministic given its seed; identical requests produce
 identical results bit for bit.
@@ -19,11 +21,12 @@ identical results bit for bit.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
 from dataclasses import dataclass, field, make_dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -38,7 +41,7 @@ from .errors import (
     DomainViolationError,
 )
 from .seqvec import (SeqVec, Rows, axpy, distance, format_vec, norm,
-                     pow_each, rows_distance, scale)
+                     pow_each, row_distance, row_norm, rows_distance, scale)
 
 __all__ = [
     "PAIR_CUTOFF",
@@ -53,6 +56,7 @@ __all__ = [
     "COMMON_FIELDS",
     "Check",
     "CHECKS",
+    "STRATEGIES",
     "CheckRequest",
     "CheckRecord",
     "pair_ratios",
@@ -81,7 +85,7 @@ class PairRatios:
 
 @dataclass(frozen=True)
 class OrbitResult:
-    points: tuple[SeqVec, ...]
+    final: SeqVec  # the last iterate
     displacements: tuple[float, ...]
     max_norm: float
 
@@ -124,18 +128,19 @@ def _sampled_points(K: DomainSpec, rng, count: int) -> Iterator[SeqVec]:
             yield block.vec(i)
 
 
-def _by_rows(T: MapInstance, on_rows: Callable, on_points: Callable, *args):
-    """on_rows(T, *args) when T.apply has a batch form, else on_points.
+def _by_rows(T: MapInstance, on_rows: Callable, on_points: Callable, *args,
+             **kwargs):
+    """on_rows(T, ...) when T.apply has a batch form, else on_points.
 
     A batch form can meet a failing row at another stage than the point by
     point walk does, so a block that fails is walked again point by point:
     the error raised is then the one of the first failure in draw order."""
     if getattr(T.apply, "rows", None) is not None:
         try:
-            return on_rows(T, *args)
+            return on_rows(T, *args, **kwargs)
         except (ValueError, ArithmeticError):
             pass
-    return on_points(T, *args)
+    return on_points(T, *args, **kwargs)
 
 
 # The pair kernel: for x[j], y[j] the distance d[j], the indices `kept` of
@@ -220,26 +225,166 @@ def pair_ratios(T: MapInstance, ns: tuple[int, ...], pairs: int, seed: int,
     return PairRatios(sups, (witness[0].vec(0), witness[1].vec(0)), used)
 
 
+class _Least:
+    """The least of a stream of displacements, NaN counting as +inf, and
+    the first point that reached it (the first point considered when every
+    displacement is +inf)."""
+
+    def __init__(self) -> None:
+        self.value = math.inf
+        self.witness = None
+        self.evaluations = 0
+
+    def consider(self, d: float, x) -> None:
+        self.evaluations += 1
+        if self.witness is None or d < self.value:
+            self.value, self.witness = (math.inf if d != d else d), x
+
+    def merge(self, other: "_Least") -> None:
+        """Fold in a stream considered after this one."""
+        self.evaluations += other.evaluations
+        if other.witness is not None and (self.witness is None
+                                          or other.value < self.value):
+            self.value, self.witness = other.value, other.witness
+
+
+class _Ops(NamedTuple):
+    """How an orbit walk holds its points."""
+
+    point: Callable   # SeqVec -> a point
+    vec: Callable     # a point -> SeqVec
+    apply: Callable   # (T, a point) -> T of it
+    scale: Callable   # (a, x) -> a x
+    add: Callable     # (x, y) -> x + y
+    distance: Callable
+    norm: Callable
+
+
+def _row_sum(x: Rows, y: Rows) -> Rows:
+    width = max(x.width, y.width)
+    x, y = x.widen(width), y.widen(width)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return Rows(x.vals + y.vals, x.tail + y.tail).trimmed()
+
+
+# SeqVecs.  The seqvec functions are looked up when called, so a wrapper
+# set on this module's names (the benchmark's tracer) sees point walks.
+_POINTS = _Ops(lambda x: x, lambda x: x, lambda T, x: T.apply(x),
+               lambda a, x: scale(a, x), lambda x, y: axpy(1.0, x, 1.0, y),
+               lambda x, y, kind: distance(x, y, kind),
+               lambda x, kind: norm(x, kind))
+# One-row blocks through the batch form, trimmed after every step so that a
+# support that underflows at its far end keeps the row narrow.  The one-row
+# norm and distance are the scalar ones bit for bit, and scale and add round
+# as `scale` and `axpy` do.
+_ROWS = _Ops(Rows.of, lambda x: x.vec(0),
+             lambda T, x: T.apply.rows(x).trimmed(),
+             lambda a, x: Rows(a * x.vals, a * x.tail), _row_sum,
+             row_distance, row_norm)
+
+
+class _Walked(NamedTuple):
+    values: list[float]  # the measurement at each checkpoint, in order
+    least: _Least        # their least, with a SeqVec witness
+    max_norm: float | None
+    final: SeqVec        # the last iterate
+
+
+def _orbit_kernel(ops: _Ops, T: MapInstance, x0: SeqVec, steps: int,
+                  at: Callable[[int], bool], lam: float | None = None,
+                  mean: bool = False, oracle: Callable | None = None,
+                  stop: float | None = None, norms: bool = False) -> _Walked:
+    """Walk x_0 = x0, x_k+1 = T(lam x_k) (T x_k without lam) up to x_steps,
+    and at each k with at(k) measure one point p_k, which is x_k or, with
+    mean, the Cesaro mean of x_0..x_k: ||p_k - T p_k||, or with an oracle
+    ||p_k - oracle(x0, k)||.  The walk ends early after a measurement
+    <= stop; with norms it tracks the largest norm of an iterate."""
+    x = total = ops.point(x0)
+    max_norm = ops.norm(x, T.norm) if norms else None
+    least, values = _Least(), []
+    for k in range(steps + 1):
+        nxt = None
+        if at(k):
+            p = ops.scale(1.0 / (k + 1), total) if mean else x
+            if oracle is not None:
+                q = ops.point(oracle(x0, k))
+            else:
+                q = ops.apply(T, p)
+                if not mean and lam is None:
+                    nxt = q  # T x_k is the next iterate
+            d = ops.distance(p, q, T.norm)
+            values.append(d)
+            least.consider(d, p)
+            if stop is not None and d <= stop:
+                break
+        if k == steps:
+            break
+        if nxt is None:
+            nxt = ops.apply(T, x if lam is None else ops.scale(lam, x))
+        x = nxt
+        if mean:
+            total = ops.add(total, x)
+        if norms:
+            n = ops.norm(x, T.norm)
+            if n > max_norm:
+                max_norm = n
+    if least.witness is not None:
+        least.witness = ops.vec(least.witness)
+    return _Walked(values, least, max_norm, ops.vec(x))
+
+
+def _walk(T: MapInstance, x0: SeqVec, steps: int, at: Callable[[int], bool],
+          **how) -> _Walked:
+    """The orbit kernel, on one-row blocks when T.apply has a batch form and
+    x0's row fits in one block.  A sparse start with a far index (x0 =
+    {10^9: t}) would make a row of that width, so it walks by points."""
+    if x0.support and x0.support[-1][0] > BLOCK_ELEMENTS:
+        return _orbit_kernel(_POINTS, T, x0, steps, at, **how)
+    return _by_rows(T, functools.partial(_orbit_kernel, _ROWS),
+                    functools.partial(_orbit_kernel, _POINTS),
+                    x0, steps, at, **how)
+
+
 def orbit(T: MapInstance, x0: SeqVec, depth: int) -> OrbitResult:
+    """The orbit of x0 to depth: each step's displacement, the largest
+    norm of an iterate and the last iterate."""
     if depth < 0:
         raise InvalidBudgetError(f"depth {depth} is below 0")
     if not T.domain.contains(x0):
         raise DomainViolationError(
             f"orbit start {format_vec(x0)} is outside the domain"
         )
-    points = [x0]
-    displacements = []
-    max_norm = norm(x0, T.norm)
-    cur = x0
-    for _ in range(depth):
-        nxt = T.apply(cur)
-        displacements.append(distance(cur, nxt, T.norm))
-        points.append(nxt)
-        n = norm(nxt, T.norm)
-        if n > max_norm:
-            max_norm = n
-        cur = nxt
-    return OrbitResult(tuple(points), tuple(displacements), max_norm)
+    walk = _walk(T, x0, depth, lambda k: k < depth, norms=True)
+    return OrbitResult(walk.final, tuple(walk.values), walk.max_norm)
+
+
+# The displacement strategies, each (T, budget, seed, lambdas, target) ->
+# the least displacement it evaluated.  All witness streams extend under a
+# larger budget, so estimates never increase with it.
+
+def _sample_min(T: MapInstance, budget: int, seed: int, lambdas, target):
+    """The canonical points, the instance's witness family and random
+    samples."""
+    least = _Least()
+    for x in T.domain.canonical_points():
+        least.consider(T.displacement(x), x)
+    if T.witness_family is not None:
+        for x in T.witness_family(budget):
+            least.consider(T.displacement(x), x)
+    for x in _sampled_points(T.domain, as_rng(seed),
+                             budget - least.evaluations):
+        least.consider(T.displacement(x), x)
+    return least
+
+
+def _orbit_min(T: MapInstance, budget: int, seed: int, lambdas, target):
+    """Orbits from the canonical points, the budget shared between them."""
+    starts = T.domain.canonical_points()
+    steps = max(1, budget // max(1, len(starts)))
+    least = _Least()
+    for x0 in starts:
+        least.merge(_walk(T, x0, steps, lambda k: k < steps).least)
+    return least
 
 
 def _lambda_steps(lam: float, target: float, cap: int) -> int:
@@ -247,92 +392,67 @@ def _lambda_steps(lam: float, target: float, cap: int) -> int:
     return max(1, min(n, cap, 10_000))
 
 
+def _lambda_checkpoints(n: int) -> Callable[[int], bool]:
+    """Steps 1 to 64, then powers of two, multiples of 64 and step n."""
+    return lambda k: 0 < k and (k <= 64 or k & (k - 1) == 0 or k % 64 == 0
+                                or k == n)
+
+
+def _lambda_scaling(T: MapInstance, budget: int, seed: int, lambdas, target):
+    """Orbits of x -> T(lam x) for each lam, the displacement of T itself
+    evaluated at checkpoints along each until one reaches the target."""
+    if not T.domain.star_shaped:
+        raise InvalidStrategyError(
+            f"lambda_scaling needs a domain star-shaped about 0, "
+            f"not {T.domain.kind}"
+        )
+    if not target > 0.0:
+        raise InvalidParameterError("target", "requires target > 0")
+    if not all(0.0 < lam < 1.0 for lam in lambdas):
+        raise InvalidParameterError("lambdas", "requires 0 < lam < 1")
+    least = _Least()
+    for lam in lambdas:
+        n = _lambda_steps(lam, target, budget)
+        least.merge(_walk(T, T.domain.canonical_points()[0], n,
+                          _lambda_checkpoints(n), lam=lam, stop=target).least)
+    return least
+
+
+def _cesaro_affine(T: MapInstance, budget: int, seed: int, lambdas, target):
+    """The Cesaro means of one orbit (affine maps only)."""
+    if not T.claims.affine:
+        raise InvalidStrategyError(
+            "cesaro_affine needs an affine map (claims.affine)"
+        )
+    return _walk(T, T.domain.canonical_points()[0], budget - 1,
+                 lambda k: True, mean=True).least
+
+
+STRATEGIES: dict[str, Callable[..., _Least]] = {
+    "sample_min": _sample_min,
+    "orbit_min": _orbit_min,
+    "lambda_scaling": _lambda_scaling,
+    "cesaro_affine": _cesaro_affine,
+}
+
+
 def estimate_displacement(T: MapInstance, strategy: str, budget: int,
                           seed: int,
                           lambdas: tuple[float, ...] = (0.5, 0.9, 0.99, 0.999),
                           target: float = 1e-3) -> DisplacementEstimate:
-    """Upper estimate of the minimal displacement inf ||x - Tx||.
-
-    sample_min evaluates canonical points, the instance's witness family and
-    random samples; orbit_min walks orbits from the canonical points;
-    lambda_scaling walks orbits of x -> T(lam x) for the lam schedule,
-    evaluating the displacement of T itself along the way; cesaro_affine
-    averages the orbit (affine maps only).  All witness streams extend under
-    a larger budget, so estimates never increase with it."""
+    """Upper estimate of the minimal displacement inf ||x - Tx|| by one of
+    the STRATEGIES; a NaN displacement counts as +inf."""
     if budget < 1:
         raise InvalidBudgetError(f"budget {budget} is below 1")
-    best = math.inf
-    best_witness: SeqVec | None = None
-    evaluations = 0
-
-    def consider(x: SeqVec) -> float:
-        nonlocal best, best_witness, evaluations
-        d = T.displacement(x)
-        evaluations += 1
-        if d < best:
-            best, best_witness = d, x
-        return d
-
-    if strategy == "sample_min":
-        rng = as_rng(seed)
-        for x in T.domain.canonical_points():
-            consider(x)
-        if T.witness_family is not None:
-            for x in T.witness_family(budget):
-                consider(x)
-        for x in _sampled_points(T.domain, rng, budget - evaluations):
-            consider(x)
-    elif strategy == "orbit_min":
-        starts = T.domain.canonical_points()
-        steps = max(1, budget // max(1, len(starts)))
-        for x0 in starts:
-            cur = x0
-            nxt = T.apply(cur)
-            for _ in range(steps):
-                d = distance(cur, nxt, T.norm)
-                evaluations += 1
-                if d < best:
-                    best, best_witness = d, cur
-                cur = nxt
-                nxt = T.apply(cur)
-    elif strategy == "lambda_scaling":
-        if not T.domain.star_shaped:
-            raise InvalidStrategyError(
-                f"lambda_scaling needs a domain star-shaped about 0, "
-                f"not {T.domain.kind}"
-            )
-        if not target > 0.0:
-            raise InvalidParameterError("target", "requires target > 0")
-        for lam in lambdas:
-            if not 0.0 < lam < 1.0:
-                raise InvalidParameterError("lambdas", "requires 0 < lam < 1")
-            n = _lambda_steps(lam, target, budget)
-            z = T.domain.canonical_points()[0]
-            for k in range(1, n + 1):
-                z = T.apply(scale(lam, z))
-                if k <= 64 or k & (k - 1) == 0 or k % 64 == 0 or k == n:
-                    if consider(z) <= target:
-                        break
-    elif strategy == "cesaro_affine":
-        if not T.claims.affine:
-            raise InvalidStrategyError(
-                "cesaro_affine needs an affine map (claims.affine)"
-            )
-        x0 = T.domain.canonical_points()[0]
-        acc = x0
-        cur = x0
-        for n in range(1, budget + 1):
-            consider(scale(1.0 / n, acc))
-            cur = T.apply(cur)
-            acc = axpy(1.0, acc, 1.0, cur)
-    else:
+    if strategy not in STRATEGIES:
         raise InvalidStrategyError(
-            f"unknown strategy {strategy!r}; expected sample_min, orbit_min, "
-            f"lambda_scaling or cesaro_affine"
+            f"unknown strategy {strategy!r}; expected one of "
+            f"{', '.join(STRATEGIES)}"
         )
-    if best_witness is None:
+    least = STRATEGIES[strategy](T, budget, seed, lambdas, target)
+    if least.witness is None:
         raise InsufficientSamplesError("no displacement witness was evaluated")
-    return DisplacementEstimate(best, best_witness, evaluations)
+    return DisplacementEstimate(least.value, least.witness, least.evaluations)
 
 
 # ---------------------------------------------------------------------------
@@ -560,13 +680,9 @@ def _oracle_compare(T: MapInstance, req: CheckRequest,
     if req.n_max < 0:
         raise InvalidBudgetError(f"n_max {req.n_max} is below 0")
     x0 = _start(T, req)
-    worst = 0.0
-    cur = x0
-    for n in range(1, req.n_max + 1):
-        cur = T.apply(cur)
-        dev = distance(cur, T.iterate_oracle(x0, n), T.norm)
-        if not dev <= worst:
-            worst = math.inf if dev != dev else dev  # NaN is unbounded
+    walk = _walk(T, x0, req.n_max, lambda k: k > 0, oracle=T.iterate_oracle)
+    # NaN is unbounded
+    worst = max([0.0] + [math.inf if d != d else d for d in walk.values])
     tol = _tolerance(req, ORACLE_TOL)
     return CheckRecord(
         "oracle_compare", tol, worst, "pass" if worst <= tol else "fail",
@@ -583,11 +699,13 @@ def _oracle_compare(T: MapInstance, req: CheckRequest,
 @dataclass(frozen=True)
 class Field:
     """A request field: its JSON type ("int", "seed" (an int >= 0),
-    "number", "int list", "number list", "string" or "vector") and default."""
+    "number", "int list", "number list", "string" or "vector"), its default
+    and, for a string, the table whose keys it must name."""
 
     name: str
     type: str
     default: object = None
+    choices: Mapping[str, object] | None = None
 
 
 FIELDS: dict[str, Field] = {
@@ -601,7 +719,7 @@ FIELDS: dict[str, Field] = {
         Field("n_max", "int", 10),
         Field("depth", "int", 50),
         Field("budget", "int", 1000),
-        Field("strategy", "string", "sample_min"),
+        Field("strategy", "string", "sample_min", STRATEGIES),
         Field("delta", "number", 1.0),
         Field("x0", "vector"),
         Field("seed", "seed"),

@@ -268,9 +268,22 @@ def test_ball_domain_requires_a_norm(tmp_path, capsys):
     assert "need a norm object" in capsys.readouterr().err
 
 
-def test_bad_strategy_is_a_parameter_error(tmp_path):
+@pytest.mark.parametrize("strategy", ["bogus", "orbit_mn"])
+def test_bad_strategy_is_a_config_error(tmp_path, capsys, strategy):
+    # the reader checks the name against STRATEGIES, as it checks check
+    # kinds, so no check runs and no report is written
     cfg = base_config(tmp_path, checks=[
-        {"kind": "displacement", "strategy": "bogus"}])
+        {"kind": "holder_ratio", "pairs": 10},
+        {"kind": "displacement", "strategy": strategy}])
+    assert main(["run", write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert strategy in err and "orbit_min" in err
+    assert not list(tmp_path.glob("*.report.json"))
+
+
+def test_a_strategy_the_map_cannot_take_is_a_parameter_error(tmp_path):
+    cfg = base_config(tmp_path, map={"name": "shift_simplex"}, checks=[
+        {"kind": "displacement", "strategy": "lambda_scaling"}])
     assert main(["run", write_config(tmp_path, cfg)]) == 3
 
 

@@ -27,6 +27,8 @@ from holderlab.seqvec import (
     fsum_rows,
     norm,
     pow_each,
+    row_distance,
+    row_norm,
     rows_distance,
     rows_norm,
 )
@@ -158,6 +160,40 @@ def test_rows_norm_on_special_rows_is_the_scalar_norm(kind):
     else:
         for g, w in zip(got, outcomes):
             assert _same_number(float(g), w)
+
+
+def test_one_row_blocks_round_trip_and_trim():
+    rng = np.random.default_rng(5)
+    for p in _points(_random_rows(rng, 50, 9, True)):
+        row = Rows.of(p)
+        assert row.vec(0) == p
+        assert row.width == (p.support[-1][0] if p.support else 0)
+        assert row.trimmed() is row  # the last stored value is no tail
+        trimmed = row.widen(row.width + 4).trimmed()
+        assert np.array_equal(trimmed.vals, row.vals)
+        assert np.array_equal(trimmed.tail, row.tail)
+    nan = Rows(np.array([[1.0, math.nan, math.nan]]), np.array([math.nan]))
+    assert nan.trimmed() is nan  # NaN equals no tail
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.label())
+def test_row_norm_and_row_distance_are_the_scalar_ones(kind):
+    """The one-row measures feed the scalar kernel, so they agree with norm
+    and distance bit for bit, NaN, overflow and errors included."""
+    rng = np.random.default_rng(9)
+    x = _random_rows(rng, 200, 30, kind.allows_tail)
+    y = _random_rows(rng, 200, 18, kind.allows_tail)
+    specials = [Rows(np.array([values + [tail] * (3 - len(values))]),
+                     np.array([tail])) for values, tail in SPECIAL_ROWS]
+    rows = [x.take([i]) for i in range(200)] + specials
+    others = [y.take([i]) for i in range(200)] + specials[::-1]
+    for a, b in zip(rows, others):
+        for got, want in (
+                (_outcome(row_norm, a, kind), _outcome(norm, a.vec(0), kind)),
+                (_outcome(row_distance, a, b, kind),
+                 _outcome(distance, a.vec(0), b.vec(0), kind))):
+            assert (_same_number(got, want) if isinstance(want, float)
+                    else got == want)
 
 
 def test_rows_distance_of_a_column_shift_is_exact():

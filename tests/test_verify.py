@@ -6,7 +6,10 @@ import math
 import pytest
 
 from holderlab.catalog import (
+    affine_mixing_map,
+    build_map,
     c0_family_map,
+    catalog_names,
     deficiency_map,
     goebel_kirk_map,
     hyperconvex_map,
@@ -14,6 +17,7 @@ from holderlab.catalog import (
     norming_map,
     prus_map,
     renormed_l1_map,
+    retraction_names,
     shift_simplex_map,
 )
 from holderlab.domains import simplex
@@ -36,6 +40,7 @@ from holderlab.seqvec import (
 )
 from holderlab.verify import (
     CHECKS,
+    STRATEGIES,
     CheckRequest,
     estimate_displacement,
     orbit,
@@ -142,11 +147,92 @@ def test_invariance_rejects_negative_budget():
 def test_orbit_walks_and_records_displacements():
     T = norming_map()
     res = orbit(T, ZERO, depth=5)
-    assert len(res.points) == 6
+    points = [T.iterate(ZERO, i) for i in range(6)]
+    assert res.final == points[5]
     assert len(res.displacements) == 5
     for i, d in enumerate(res.displacements):
-        assert d == distance(res.points[i], res.points[i + 1], T.norm)
-    assert res.max_norm == max(norm(p, T.norm) for p in res.points)
+        assert d == distance(points[i], points[i + 1], T.norm)
+    assert res.max_norm == max(norm(p, T.norm) for p in points)
+
+
+def _batched_maps():
+    return [T for T in map(build_map, catalog_names() + retraction_names())
+            if hasattr(T.apply, "rows")]
+
+
+def _point_walk(T):
+    """T with apply stripped of its batch form: every walk goes by points."""
+    return dataclasses.replace(T, apply=lambda x: T.apply(x))
+
+
+def _row_walk(T):
+    """T whose scalar apply fails the test: every walk must go by rows."""
+    def apply(x):
+        raise AssertionError(f"{T.name}: a walk went point by point")
+
+    apply.rows = T.apply.rows
+    return dataclasses.replace(T, apply=apply)
+
+
+def _accepted_strategies(T):
+    out = ["orbit_min"]
+    if T.domain.star_shaped:
+        out.append("lambda_scaling")
+    if T.claims.affine:
+        out.append("cesaro_affine")
+    return out
+
+
+@pytest.mark.parametrize("T", _batched_maps(), ids=lambda T: T.name)
+def test_row_walks_equal_point_walks(T):
+    """The orbit kernel walks one-row blocks when T has a batch form; the
+    row walk and the point walk measure the same values bit for bit."""
+    R, P = _row_walk(T), _point_walk(T)
+    for strategy in _accepted_strategies(T):
+        budget = 300 if strategy == "lambda_scaling" else 120
+        rows = estimate_displacement(R, strategy, budget=budget, seed=3)
+        points = estimate_displacement(P, strategy, budget=budget, seed=3)
+        assert rows == points, (T.name, strategy)
+    for x0 in T.domain.canonical_points():
+        assert orbit(R, x0, 40) == orbit(P, x0, 40), (T.name, str(x0))
+    if T.iterate_oracle is not None:
+        req = CheckRequest("oracle_compare", n_max=25)
+        assert (_comparable(run_check(R, req, 1))
+                == _comparable(run_check(P, req, 1)))
+
+
+def test_a_start_with_a_far_index_walks_by_points():
+    # as a row, {10^15: t} would take 8 PB
+    T = prus_map()
+    x0 = SeqVec(((10 ** 15, 0.5),), 0.0)
+    assert orbit(T, x0, 3) == orbit(_point_walk(T), x0, 3)
+    rec = run_check(hyperconvex_map(),
+                    CheckRequest("oracle_compare", n_max=3,
+                                 x0=SeqVec(((10 ** 15, 0.25),), 0.0)), 1)
+    assert rec.verdict == "pass"
+
+
+def test_cesaro_rows_stay_narrow():
+    # affine_mixing's supports underflow at their far end, so trimmed rows
+    # stay about 45 columns wide; untrimmed they would widen by one column
+    # a step, to the budget.
+    T = affine_mixing_map()
+    widths = []
+
+    def apply(x):
+        return T.apply(x)
+
+    def rows(x):
+        widths.append(x.width)
+        return T.apply.rows(x)
+
+    apply.rows = rows
+    est = estimate_displacement(dataclasses.replace(T, apply=apply),
+                                "cesaro_affine", budget=1500, seed=0)
+    assert est == estimate_displacement(T, "cesaro_affine", budget=1500,
+                                        seed=0)
+    assert len(widths) == 2 * 1500 - 1
+    assert max(widths) <= 64
 
 
 def test_orbit_rejects_bad_start_and_depth():
@@ -214,6 +300,29 @@ def test_lambda_scaling_drives_the_estimate_to_target():
     est = estimate_displacement(T, "lambda_scaling", budget=200, seed=0)
     assert 0.0 < est.value <= 1e-3
     assert T.domain.contains(est.witness)
+
+
+@pytest.mark.parametrize("strategy", ["sample_min", "orbit_min"])
+def test_a_nan_displacement_counts_as_unbounded(strategy):
+    # T(x) = {1: nan}: every displacement is NaN, which bounds nothing, so
+    # the estimate is +inf and its witness the first point evaluated.
+    T = dataclasses.replace(norming_map(),
+                            apply=lambda x: SeqVec.from_dict({1: math.nan}))
+    est = estimate_displacement(T, strategy, budget=40, seed=2)
+    assert est.value == math.inf
+    assert est.witness == T.domain.canonical_points()[0]
+    assert est.evaluations == 40
+    rec = run_check(T, CheckRequest("displacement", strategy=strategy,
+                                    budget=40), 2)
+    assert rec.measured == math.inf and rec.verdict == "report_only"
+
+
+def test_strategies_is_the_one_table_of_strategies():
+    assert list(STRATEGIES) == ["sample_min", "orbit_min", "lambda_scaling",
+                                "cesaro_affine"]
+    with pytest.raises(InvalidStrategyError) as err:
+        estimate_displacement(norming_map(), "orbit_mn", budget=10, seed=0)
+    assert all(name in str(err.value) for name in STRATEGIES)
 
 
 def test_orbit_min_is_deterministic():
