@@ -41,6 +41,7 @@ from .retractions import (
     clamp_retract,
     clamp_rows,
     l1_sphere_retract,
+    l1_sphere_rows,
     positive_part,
     radial_retract,
     radial_rows,
@@ -280,7 +281,8 @@ def norming_map(alpha: float = 0.5) -> MapInstance:
             if n == 0:
                 return x
             phi = coordinate(x, 1)
-            s = math.fsum(2.0 ** -i for i in range(1, n + 1)) + phi * phi * 2.0 ** -n
+            # 1 - 2^-n is sum_{i<=n} 2^-i, correctly rounded
+            s = (1.0 - 2.0 ** -n) + phi * phi * 2.0 ** -n
             return SeqVec(((1, math.sqrt(s)),), 0.0)
 
     return MapInstance(
@@ -1229,7 +1231,8 @@ RETRACTION_CATALOG: dict[str, Retraction] = {
                    "R(x) = (r - 2||x||_1) e_1 + 2 S(x) below mass r/2, "
                    "else (x - Q(x)) + 2 S(Q(x)); identity on the sphere",
                    lambda r: (ball(r, L1), L1,
-                              lambda x: l1_sphere_retract(x, r))),
+                              _batched(lambda x: l1_sphere_retract(x, r),
+                                       lambda x: l1_sphere_rows(x, r)))),
     ]
 }
 

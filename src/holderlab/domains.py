@@ -17,8 +17,8 @@ from typing import Union
 import numpy as np
 
 from .errors import InvalidBudgetError, InvalidParameterError
-from .seqvec import (SeqVec, NormKind, Rows, ZERO, basis_vector, fsum_rows,
-                     norm, pow_each, rows_norm)
+from .seqvec import (NORM_VARIANTS, SeqVec, NormKind, Rows, ZERO, basis_vector,
+                     fsum_rows, norm, pow_each, rows_norm)
 
 __all__ = [
     "DOMAIN_KINDS",
@@ -36,6 +36,10 @@ __all__ = [
 
 DEFAULT_TOL = 1e-12
 DEFAULT_BREADTH = 64
+# Relative band about a ball's bound inside which contains_rows asks the
+# scalar contains.  A left-to-right sum of n nonnegative terms is within a
+# relative (n - 1) * 2^-53 of fsum's, under 1e-10 for rows up to 10^6 wide.
+BALL_RECHECK = 1e-9
 # Largest breadth a config or flag may ask for; some maps store one
 # coordinate per unit of breadth before any check runs.
 MAX_BREADTH = 65_536
@@ -187,6 +191,58 @@ class DomainSpec:
         if not (-tol <= x.tail <= self.cap + tol):
             return False
         return all(-tol <= v <= self.cap + tol for _, v in x.support)
+
+    def contains_rows(self, x: Rows) -> np.ndarray:
+        """contains of every row of a block, row by row the same answer.
+        Element and bound tests are exact, and simplex totals are fsum's.
+        A ball norm that sums does so left to right along the row, which
+        can differ from the scalar fsum in the last bits, so a row whose
+        such norm is NaN or within a relative BALL_RECHECK of r + tol is
+        decided by contains itself."""
+        tol = self.tol
+        k = self.kind
+        vals, tail = x.vals, x.tail
+        ok = np.full(len(tail), True) if self.carries_tail else tail == 0.0
+        if k in ("ball", "positive_ball"):
+            if k == "positive_ball":
+                ok &= (tail >= -tol) & (vals >= -tol).all(axis=1)
+            rows = np.flatnonzero(ok)
+            n = rows_norm(x.take(rows), self.norm)
+            bound = self.r + tol
+            ok[rows] = n <= bound
+            if not NORM_VARIANTS[self.norm.variant].rows_exact:
+                with np.errstate(invalid="ignore"):
+                    near = ~(np.abs(n - bound) > BALL_RECHECK * bound)
+                for i in rows[near].tolist():
+                    ok[i] = self.contains(x.vec(i))
+            return ok
+        if k in ("simplex", "sub_simplex"):
+            ok &= ~(vals < -tol).any(axis=1)
+            rows = np.flatnonzero(ok)
+            total = fsum_rows(vals[rows])
+            with np.errstate(invalid="ignore"):
+                ok[rows] = (np.abs(total - self.mass) <= tol if k == "simplex"
+                            else total <= self.mass_cap + tol)
+            return ok
+        if k == "coefficient_box":
+            return ok & ((vals >= -tol) & (vals <= self.r + tol)).all(axis=1)
+        if k == "sigma_band":
+            top = 1.0 - self.delta
+            # coordinates 1..n are stored (or, at width 0, coordinate 1
+            # reads 0); n + 1..breadth read 0; beyond the breadth nothing
+            # is checked
+            n = max(min(x.width, self.breadth), 1)
+            floors = self._sigma_floors
+            with np.errstate(invalid="ignore"):
+                ok &= np.abs(x.column(1) - top) <= tol
+            band = vals[:, 1:n]
+            ok &= ((floors[:n - 1] - tol <= band) & (band <= top + tol)).all(axis=1)
+            if not (floors[n - 1:] - tol <= 0.0).all():
+                ok[:] = False
+            return ok
+        # c_interval
+        ok &= (-tol <= tail) & (tail <= self.cap + tol)
+        return ok & ((vals >= -tol) & (vals <= self.cap + tol)).all(axis=1)
 
     # -- sampling ------------------------------------------------------------
 

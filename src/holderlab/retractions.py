@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainViolationError
-from .seqvec import SeqVec, NormKind, Rows, norm, rows_norm, scale, shift_right
+from .seqvec import (SeqVec, NormKind, Rows, fsum_rows, norm, rows_norm, scale,
+                     shift_right)
 
 __all__ = [
     "radial_retract",
@@ -28,6 +29,7 @@ __all__ = [
     "iota_mu_q",
     "excess_map",
     "l1_sphere_retract",
+    "l1_sphere_rows",
 ]
 
 L1 = NormKind.lp(1.0)
@@ -177,3 +179,43 @@ def l1_sphere_retract(x: SeqVec, r: float) -> SeqVec:
     if nx >= r:
         return x  # boundary rule: Q = 0 and the sphere is fixed
     return _sphere_high(x, r)
+
+
+def l1_sphere_rows(x: Rows, r: float) -> Rows:
+    """l1_sphere_retract of every row of a block, bit for bit: the mass is
+    fsum's, and the suffix sums run right to left one column at a time as
+    iota_mu_q's loop does (a zero column adds exactly 0).  A row the scalar
+    form rejects (a tail, a NaN, mass past r) makes the block raise what
+    the scalar form raises on the first such row."""
+    vals = x.vals
+    a = np.abs(vals)
+    nx = fsum_rows(a)
+    bad = (x.tail != 0.0) | ~(nx <= r * (1.0 + 1e-9))
+    if bad.any():
+        l1_sphere_retract(x.vec(int(np.argmax(bad))), r)
+    count, width = vals.shape
+    out = np.zeros((count, width + 1))
+    low = nx <= r / 2.0
+    # (r - 2||x||_1) e_1 + 2 S(x)
+    out[low, 0] = r - 2.0 * nx[low]
+    out[low, 1:] = 2.0 * vals[low]
+    sphere = nx >= r
+    out[sphere, :width] = vals[sphere]
+    high = np.flatnonzero(~low & ~sphere)
+    if len(high):
+        v, a = vals[high], a[high]
+        gap = r - nx[high]
+        # the l1 mass beyond each column, and iota: the first stored
+        # column with less than the gap beyond it
+        beyond = np.zeros_like(a)
+        beyond[:, :-1] = np.cumsum(a[:, :0:-1], axis=1)[:, ::-1]
+        at = np.argmax((v != 0.0) & (beyond < gap[:, None]), axis=1)
+        rows = np.arange(len(high))
+        mu = np.minimum((gap - beyond[rows, at]) / a[rows, at], 1.0)
+        # Q(x) = mu t_iota e_iota + sum_{k > iota} t_k e_k; then
+        # (x - Q(x)) + 2 S(Q(x))
+        q = np.where(np.arange(width) > at[:, None], v, 0.0)
+        q[rows, at] = mu * v[rows, at]
+        out[high, :width] = v - q
+        out[high, 1:] += 2.0 * q
+    return Rows(out, np.zeros(count))

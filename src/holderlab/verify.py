@@ -22,7 +22,6 @@ identical results bit for bit.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import time
 from dataclasses import dataclass, field, make_dataclass
@@ -504,19 +503,44 @@ def _holder_ratio(T: MapInstance, req: CheckRequest, seed: int) -> CheckRecord:
     )
 
 
+# The escape kernel: the index of the first row x[j] with T x[j] outside
+# T's domain, or None.
+
+def _escape_rows(T: MapInstance, x: Rows) -> int | None:
+    outside = np.flatnonzero(~T.domain.contains_rows(T.apply.rows(x)))
+    return int(outside[0]) if len(outside) else None
+
+
+def _escape_points(T: MapInstance, x: Rows) -> int | None:
+    for j in range(len(x.tail)):
+        if not T.domain.contains(T.apply(x.vec(j))):
+            return j
+    return None
+
+
 def _invariance(T: MapInstance, req: CheckRequest, seed: int) -> CheckRecord:
     """T(K) inside K, on the canonical points and `samples` random draws,
-    up to the first violation."""
+    up to the first violation; the draws go block by block."""
     if req.samples < 0:
         raise InvalidBudgetError(f"samples {req.samples} is below 0")
-    draws = _sampled_points(T.domain, as_rng(seed), req.samples)
+    K = T.domain
     witness = None
     checked = 0
-    for x in itertools.chain(T.domain.canonical_points(), draws):
+    for x in K.canonical_points():
         checked += 1
-        if not T.domain.contains(T.apply(x)):
+        if not K.contains(T.apply(x)):
             witness = x
             break
+    else:
+        rng = as_rng(seed)
+        for k in _block_sizes(req.samples, K.breadth):
+            x = K.sample_rows(rng, k)
+            j = _by_rows(T, _escape_rows, _escape_points, x)
+            if j is not None:
+                checked += j + 1
+                witness = x.vec(j)
+                break
+            checked += k
     return CheckRecord(
         "invariance", "T(K) inside K", float(witness is not None),
         "pass" if witness is None else "fail",

@@ -11,6 +11,7 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 
 from holderlab.catalog import (
@@ -36,9 +37,11 @@ from holderlab.report import canonical_bytes
 from holderlab.retractions import excess_map, iota_mu_q, l1_sphere_retract
 from holderlab.seqvec import (
     NormKind,
+    Rows,
     SeqVec,
     basis_vector,
     distance,
+    fsum_rows,
     norm,
     scale,
 )
@@ -68,14 +71,21 @@ def criterion(number, description):
     print(f"[PASS] criterion {number}: {description}")
 
 
-def _annulus(rng, r):
+def _annulus(rng, r, count):
+    """`count` points of the l1 annulus: nonzero draws of the unit l1 ball,
+    drawn as blocks, each scaled to a random l1 radius in (r/2, r)."""
     K = ball(1.0, L1)
-    while True:
-        x = K.sample(rng)
-        n = norm(x, L1)
-        if n > 0.0:
-            rho = r * (0.5001 + 0.4998 * float(rng.random()))
-            return scale(rho / n, x)
+    points = []
+    while len(points) < count:
+        k = count - len(points)
+        block = K.sample_rows(rng, k)
+        n = fsum_rows(np.abs(block.vals))  # norm(x, L1), bit for bit
+        rho = r * (0.5001 + 0.4998 * rng.random(k))
+        keep = n > 0.0
+        scaled = Rows(block.vals[keep] * (rho[keep] / n[keep])[:, None],
+                      block.tail[keep])
+        points += [scaled.vec(i) for i in range(len(scaled.tail))]
+    return points
 
 
 def test_criterion_01_norming_oracle():
@@ -205,14 +215,16 @@ def test_criterion_09_renormed_isometry():
         rng = as_rng(109)
         checked = 0
         while checked < PAIRS:
-            x = T.domain.sample(rng)
-            y = T.domain.sample(rng)
-            d = distance(x, y, MPN)
-            if d < 1e-13:
-                continue
-            checked += 1
-            ratio = distance(T.apply(x), T.apply(y), MPN) / d
-            assert abs(ratio - 1.0) <= 1e-12
+            # x, y, x, y, ...: the stream of drawing them one at a time
+            block = T.domain.sample_rows(rng, 2 * (PAIRS - checked))
+            for j in range(0, len(block.tail), 2):
+                x, y = block.vec(j), block.vec(j + 1)
+                d = distance(x, y, MPN)
+                if d < 1e-13:
+                    continue
+                checked += 1
+                ratio = distance(T.apply(x), T.apply(y), MPN) / d
+                assert abs(ratio - 1.0) <= 1e-12
 
 
 RETRACTION_BOUNDS = (("radial", 2.0), ("abs", 1.0), ("positive_part", 1.0),
@@ -229,8 +241,8 @@ def test_criterion_10_retraction_constants():
 
         rng = as_rng(1010)
         worst = 0.0
-        for _ in range(PAIRS):
-            x, y = _annulus(rng, 1.0), _annulus(rng, 1.0)
+        points = _annulus(rng, 1.0, 2 * PAIRS)
+        for x, y in zip(points[::2], points[1::2]):
             d = distance(x, y, L1)
             if d < 1e-13:
                 continue
@@ -240,8 +252,9 @@ def test_criterion_10_retraction_constants():
 
         K = ball(1.0, L1)
         rng = as_rng(1011)
-        for _ in range(2000):
-            out = l1_sphere_retract(K.sample(rng), 1.0)
+        block = K.sample_rows(rng, 2000)
+        for i in range(2000):
+            out = l1_sphere_retract(block.vec(i), 1.0)
             assert abs(norm(out, L1) - 1.0) <= 1e-12
             assert distance(l1_sphere_retract(out, 1.0), out, L1) <= 1e-12
 

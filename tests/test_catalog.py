@@ -123,6 +123,21 @@ def test_norming_oracle_matches_iteration():
             assert distance(T.iterate(x, n), T.iterate_oracle(x, n), L2) <= 1e-12
 
 
+def test_norming_oracle_sums_the_geometric_series_exactly():
+    """The oracle's 1 - 2^-n is fsum(2^-i for i <= n) bit for bit, also
+    past the smallest subnormal power, where both are 1."""
+    T = norming_map(0.5)
+    phi = -0.3
+    x = SeqVec(((1, phi),), 0.0)
+    for n in range(0, 1101):
+        partial = math.fsum(2.0 ** -i for i in range(1, n + 1))
+        assert 1.0 - 2.0 ** -n == partial, n
+        if n:
+            s = partial + phi * phi * 2.0 ** -n
+            assert T.iterate_oracle(x, n) == SeqVec(((1, math.sqrt(s)),), 0.0)
+    assert 1.0 - 2.0 ** -1100 == 1.0
+
+
 def test_baseline_c_values():
     F = baseline_c_map()
     assert F.apply(ZERO) == basis_vector(1)

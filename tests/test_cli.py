@@ -434,7 +434,7 @@ GOLDEN_REPORTS = [
     ("hyperconvex", {"kind": "oracle_compare", "n_max": 6},
      "e73eec3a18b0b4979e4874365de96e97add64f39494ab2abe196611d82b9cffa"),
     ("l1_sphere", {"kind": "holder_ratio", "pairs": 60},
-     "2c9c9bc4b1fb70858d0ccb33c384f27909695f9fadce403e892ce56bcb1ca801"),
+     "22b60034860bb701c45a331be2e3051f9a02aca1131335317884298d68bf5011"),
 ]
 
 

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from holderlab.catalog import build_map, catalog_names, retraction_names
 from holderlab.domains import (
+    DOMAIN_KINDS,
     DomainSpec,
     ball,
     c_interval,
@@ -16,13 +18,17 @@ from holderlab.domains import (
     sub_simplex,
 )
 from holderlab.errors import InvalidBudgetError, InvalidParameterError
+from holderlab.retractions import l1_sphere_rows, radial_rows
 from holderlab.seqvec import (
     ZERO,
     NormKind,
+    Rows,
     SeqVec,
     axpy,
     basis_vector,
     distance,
+    norm,
+    rows_norm,
 )
 
 SUP = NormKind.sup()
@@ -218,10 +224,10 @@ def test_convex_combinations_stay_inside():
     per = 10_000 // len(domains)
     for K in domains:
         rng = np.random.default_rng(77)
-        for _ in range(per):
-            x = K.sample(rng)
-            y = K.sample(rng)
-            t = float(rng.random())
+        block = K.sample_rows(rng, 2 * per)
+        ts = rng.random(per).tolist()
+        for i, t in enumerate(ts):
+            x, y = block.vec(2 * i), block.vec(2 * i + 1)
             assert K.contains(axpy(t, x, 1.0 - t, y))
 
 
@@ -248,3 +254,112 @@ def test_contains_rejects_nan():
                 bad = SeqVec.from_dict({**dict(x.support), i: math.nan}, x.tail)
                 assert not K.contains(bad), (K.describe(), str(bad))
         assert not K.contains(SeqVec((), math.nan)), K.describe()
+
+
+# ---------------------------------------------------------------------------
+# contains_rows, the block twin of contains
+
+
+def _row_domains():
+    """Every kind, every ball norm variant, and domains whose tails,
+    tolerances and band floors differ."""
+    return all_domains() + [
+        ball(0.8, NormKind.lp(3.0)),
+        positive_ball(0.9, SUP),
+        positive_ball(0.6, L2),
+        simplex(2.0, 0.5),
+        sub_simplex(1.0, tol=0.0),
+        sigma_band(0.125, 0.01, breadth=12),
+        c_interval(1.0, breadth=8),
+    ]
+
+
+def _same_answers(K, x):
+    """contains_rows(x) is [contains(row) for each row]; returns that."""
+    want = [K.contains(x.vec(i)) for i in range(len(x.tail))]
+    assert K.contains_rows(x).tolist() == want, K.describe()
+    return want
+
+
+def _wild(rng, count, width):
+    """Sup-ball rows with tails, negative coordinates, -0.0, NaN and +-inf
+    entries, and NaN and +-inf tails."""
+    x = ball(1.0, SUP).sample_rows(rng, count, breadth=width)
+    vals, tail = x.vals.copy(), x.tail.copy()
+    cells = rng.random(vals.shape)
+    vals[cells < 0.01] = np.nan
+    vals[(0.01 <= cells) & (cells < 0.02)] = np.inf
+    vals[(0.02 <= cells) & (cells < 0.03)] = -np.inf
+    vals[(0.03 <= cells) & (cells < 0.05)] = -0.0
+    tail[: count // 20] = np.nan
+    tail[count // 20: count // 10] = np.inf
+    return Rows(vals, tail)
+
+
+def test_row_domains_cover_every_kind():
+    assert {K.kind for K in _row_domains()} == set(DOMAIN_KINDS)
+
+
+@pytest.mark.parametrize("K", _row_domains(), ids=lambda K: K.describe())
+def test_contains_rows_answers_as_contains(K):
+    rng = np.random.default_rng(41)
+    members = K.sample_rows(rng, 400)
+    assert all(_same_answers(K, members))
+    # members without their tails, members scaled past the boundary, and
+    # rows that are neither
+    _same_answers(K, Rows(members.vals, np.zeros(400)))
+    for a in (1.0 + 1e-13, 1.0 + 1e-11, 1.5, -1.0):
+        _same_answers(K, Rows(members.vals * a, members.tail * a))
+    for width in (1, K.breadth, K.breadth + 3):
+        assert not all(_same_answers(K, _wild(rng, 300, width)))
+    # a nonzero tail on every row
+    _same_answers(K, Rows(members.vals, np.full(400, 0.125)))
+    _same_answers(K, Rows(np.zeros((3, 0)), np.array([0.0, 0.5, np.nan])))
+
+
+def test_contains_rows_answers_as_contains_on_batch_images():
+    rng = np.random.default_rng(42)
+    for name in catalog_names() + retraction_names():
+        T = build_map(name)
+        if not hasattr(T.apply, "rows"):
+            continue
+        x = T.domain.sample_rows(rng, 300)
+        _same_answers(T.domain, T.apply.rows(x))
+        _same_answers(T.domain, T.apply.rows(T.apply.rows(x)))
+
+
+@pytest.mark.parametrize("kind", [L1, L2, NormKind.lp(3.0), MPN, SUP],
+                         ids=lambda k: k.label())
+def test_contains_rows_decides_the_ball_boundary_as_contains(kind):
+    """Rows pushed onto the sphere of radius r + tol, where a left-to-right
+    norm and fsum's can fall on opposite sides of the bound."""
+    rng = np.random.default_rng(43)
+    for K in (ball(0.7, kind), positive_ball(0.7, kind)):
+        x = ball(5.0, kind).sample_rows(rng, 2000)
+        if K.kind == "positive_ball":
+            x = Rows(np.abs(x.vals), np.abs(x.tail))
+        edge = radial_rows(x, K.r + K.tol, kind)
+        want = _same_answers(K, edge)
+        assert 0 < sum(want) < len(want), K.describe()
+        if kind != SUP:
+            # the block norm and the scalar norm do disagree on some rows
+            n = rows_norm(edge, kind).tolist()
+            assert any(a != norm(edge.vec(i), kind) for i, a in enumerate(n))
+    if kind == L1:
+        K = ball(0.7, L1)
+        sphere = l1_sphere_rows(ball(0.7, L1).sample_rows(rng, 2000),
+                                K.r + K.tol)
+        _same_answers(K, sphere)
+        _same_answers(positive_ball(0.7, L1),
+                      Rows(np.abs(sphere.vals), sphere.tail))
+
+
+def test_contains_rows_reads_a_band_row_only_up_to_the_breadth():
+    rng = np.random.default_rng(44)
+    for K in (sigma_band(0.125, 0.5, breadth=8),
+              sigma_band(0.125, 0.01, breadth=12)):
+        x = K.sample_rows(rng, 200)
+        for width in range(0, K.breadth + 1):
+            _same_answers(K, Rows(x.vals[:, :width], x.tail))
+        noise = rng.normal(size=(200, 5)) * 10.0
+        assert all(_same_answers(K, Rows(np.hstack([x.vals, noise]), x.tail)))

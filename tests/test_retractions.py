@@ -14,12 +14,14 @@ from holderlab.retractions import (
     excess_map,
     iota_mu_q,
     l1_sphere_retract,
+    l1_sphere_rows,
     positive_part,
     radial_retract,
 )
 from holderlab.seqvec import (
     ZERO,
     NormKind,
+    Rows,
     SeqVec,
     basis_vector,
     distance,
@@ -158,6 +160,45 @@ def test_sphere_branches_agree_near_the_split():
                 <= 1e-8
             hits += 1
     assert hits > 300
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # compared, never swallowed
+        return (type(exc), str(exc))
+
+
+@pytest.mark.parametrize("r", [1.0, 0.3, 2.5])
+def test_sphere_rows_equal_the_scalar_retraction_bit_for_bit(r):
+    rng = np.random.default_rng(31)
+    x = ball(r, L1).sample_rows(rng, 3000)
+    # both branches, the tie at r/2, the sphere itself and the zero row
+    blocks = [x, Rows(x.vals * 0.4, x.tail), l1_sphere_rows(x, r),
+              Rows(np.array([[r / 4, r / 4, 0.0], [0.0, r / 2, 0.0],
+                             [r, 0.0, 0.0], [0.0, 0.0, 0.0],
+                             [-r / 2, 0.0, r / 2]]), np.zeros(5))]
+    for block in blocks:
+        got = l1_sphere_rows(block, r)
+        assert got.tail.tolist() == [0.0] * len(block.tail)
+        for i in range(len(block.tail)):
+            assert got.vec(i) == l1_sphere_retract(block.vec(i), r)
+
+
+def test_sphere_rows_raise_what_the_first_rejected_row_raises():
+    rng = np.random.default_rng(32)
+    x = ball(1.0, L1).sample_rows(rng, 20)
+    for row, tail, value in [(3, 0.5, 0.0), (5, 0.0, np.nan),
+                             (7, 0.0, 2.0), (9, 0.0, np.inf),
+                             (11, np.nan, 0.0)]:
+        vals, tails = x.vals.copy(), x.tail.copy()
+        vals[row, 2] += value
+        tails[row] = tail
+        vals[15, 0] = 5.0  # a later rejected row
+        bad = Rows(vals, tails)
+        want = _outcome(l1_sphere_retract, bad.vec(row), 1.0)
+        assert isinstance(want, tuple)
+        assert _outcome(l1_sphere_rows, bad, 1.0) == want
 
 
 def test_retractions_are_idempotent():

@@ -43,8 +43,9 @@ assert {k.variant for k in KINDS} == set(NORM_VARIANTS)
 
 BATCHED = {"prus", "norming", "baseline_c", "shift_simplex", "affine_mixing",
            "goebel_kirk", "hyperconvex", "c0_family", "affine_cube",
-           "renormed_l1", "radial", "abs", "positive_part", "clamp"}
-SCALAR_ONLY = {"deficiency", "l1_sphere", "l1_ball_composite"}
+           "renormed_l1", "radial", "abs", "positive_part", "clamp",
+           "l1_sphere"}
+SCALAR_ONLY = {"deficiency", "l1_ball_composite"}
 
 
 def _random_rows(rng, count, width, tails):
@@ -247,7 +248,7 @@ def test_batch_form_matches_apply(T):
     failures = sum(_check_block(T, wild.take([i])) for i in range(200))
     assert _check_block(T, wild) == failures
     if T.name in ("goebel_kirk", "hyperconvex", "c0_family", "affine_cube",
-                  "renormed_l1", "clamp", "radial"):
+                  "renormed_l1", "clamp", "radial", "l1_sphere"):
         assert failures > 0, T.name
 
 

@@ -25,6 +25,7 @@ from holderlab.seqvec import (
     shift_right,
     tail_limit,
 )
+from holderlab.seqvec import _measure
 
 SUP = NormKind.sup()
 L1 = NormKind.lp(1.0)
@@ -243,6 +244,65 @@ def test_distance_lp_rejects_tail_mismatch():
     # equal nonzero tails cancel, so the difference is back in the space
     y = SeqVec.from_dict({1: 0.25}, 0.5)
     assert distance(x, y, L1) == 0.25
+
+
+def _distance_by_dicts(x, y, kind):
+    """distance as written before the support merge: dict lookups, the
+    differences in another order."""
+    dx, dy = dict(x.support), dict(y.support)
+    diffs = [v - dy.get(i, y.tail) for i, v in x.support]
+    diffs += [x.tail - w for i, w in y.support if i not in dx]
+    return _measure(diffs, x.tail - y.tail, kind,
+                    "distance needs equal tails, got difference")
+
+
+def _outcome(fn, *args):
+    try:
+        result = fn(*args)
+    except Exception as exc:  # compared, never swallowed
+        return (type(exc), str(exc))
+    return "nan" if result != result else result
+
+
+def _random_vec(rng, index, tails):
+    special = [math.nan, math.inf, -math.inf, 1e308, -1e308, 0.0]
+    values = rng.normal(size=len(index)) * 10.0 ** rng.integers(-3, 4)
+    values = [special[rng.integers(len(special))] if rng.random() < 0.05
+              else v for v in values.tolist()]
+    tail = 0.0
+    if tails and rng.random() < 0.6:
+        tail = ([math.nan, math.inf, 0.5][rng.integers(3)]
+                if rng.random() < 0.1 else float(rng.normal()))
+    return SeqVec.from_dict(dict(zip(index, values)), tail)
+
+
+@pytest.mark.parametrize("kind", [SUP, L1, L2, NormKind.lp(3.0), MPN],
+                         ids=lambda k: k.label())
+def test_distance_merge_equals_the_dict_formulation(kind):
+    """The merge over sorted supports gives the old dict formulation's
+    result or exception bit for bit: overlapping, disjoint and nested
+    supports, tails, NaN, +-inf and values whose sums overflow."""
+    rng = np.random.default_rng(17)
+    shapes = ["overlap", "disjoint", "nested", "beyond", "empty"]
+    for trial in range(1500):
+        shape = shapes[trial % len(shapes)]
+        width = int(rng.integers(1, 60))
+        xi = sorted(set(rng.integers(1, width + 1, width).tolist()))
+        if shape == "overlap":
+            yi = sorted(set(rng.integers(1, width + 1, width).tolist()))
+        elif shape == "disjoint":
+            xi, yi = xi[::2], xi[1::2]
+        elif shape == "nested":
+            yi = xi[::3]
+        elif shape == "beyond":
+            yi = [i + width for i in xi]
+        else:
+            yi = []
+        tails = trial % 2 == 0
+        x, y = _random_vec(rng, xi, tails), _random_vec(rng, yi, tails)
+        for a, b in ((x, y), (y, x)):
+            assert (_outcome(distance, a, b, kind)
+                    == _outcome(_distance_by_dicts, a, b, kind)), (a, b)
 
 
 @given(vectors(), vectors())

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from holderlab.catalog import (
@@ -20,7 +21,7 @@ from holderlab.catalog import (
     retraction_names,
     shift_simplex_map,
 )
-from holderlab.domains import simplex
+from holderlab.domains import ball, simplex
 from holderlab.errors import (
     DomainViolationError,
     InsufficientSamplesError,
@@ -31,6 +32,7 @@ from holderlab.errors import (
 )
 from holderlab.seqvec import (
     ZERO,
+    NormKind,
     SeqVec,
     basis_vector,
     distance,
@@ -233,6 +235,66 @@ def test_cesaro_rows_stay_narrow():
                                         seed=0)
     assert len(widths) == 2 * 1500 - 1
     assert max(widths) <= 64
+
+
+def _invariance_by_rows_and_points(T, samples, seed):
+    """The invariance record of T with its draws walked through the batch
+    form, which must equal the record of the point by point walk."""
+    blocks = []
+
+    def apply(x):
+        return T.apply(x)
+
+    def rows(x):
+        blocks.append(len(x.tail))
+        return T.apply.rows(x)
+
+    apply.rows = rows
+    req = CheckRequest("invariance", samples=samples)
+    by_rows = run_check(dataclasses.replace(T, apply=apply), req, seed)
+    by_points = run_check(_point_walk(T), req, seed)
+    assert _comparable(by_rows) == _comparable(by_points), T.name
+    return by_rows, blocks
+
+
+@pytest.mark.parametrize("T", _batched_maps(), ids=lambda T: T.name)
+def test_block_invariance_equals_point_invariance(T):
+    rec, blocks = _invariance_by_rows_and_points(T, 700, 13)
+    assert rec.verdict == "pass"
+    assert sum(blocks) == 700 and len(blocks) > 1
+
+
+def test_block_invariance_reports_a_late_escape_as_the_points_do():
+    # goebel_kirk's images leave the unit l1 ball rarely: the first escape
+    # comes several blocks into the draws
+    T = goebel_kirk_map()
+    T = dataclasses.replace(T, domain=ball(1.0, NormKind.lp(1.0)))
+    rec, blocks = _invariance_by_rows_and_points(T, 3000, 5)
+    assert rec.verdict == "fail" and rec.measured == 1.0
+    # the first escaping draw, found without the check's blocks
+    draws = T.domain.sample_rows(np.random.default_rng(5), 3000)
+    first = next(i for i in range(3000)
+                 if not T.domain.contains(T.apply(draws.vec(i))))
+    n = len(T.domain.canonical_points())
+    assert rec.details["checked"] == n + first + 1
+    assert rec.witness == format_vec(draws.vec(first))
+    assert first > 2 * blocks[0] and len(blocks) > 2
+    assert sum(blocks) < 3000  # the draws stop at the block that escapes
+
+
+def test_block_invariance_walks_a_failing_block_by_points():
+    T = norming_map()
+
+    def apply(x):
+        return T.apply(x)
+
+    def rows(x):
+        raise ArithmeticError("the batch form gives up")
+
+    apply.rows = rows
+    req = CheckRequest("invariance", samples=600)
+    assert (_comparable(run_check(dataclasses.replace(T, apply=apply), req, 3))
+            == _comparable(run_check(_point_walk(T), req, 3)))
 
 
 def test_orbit_rejects_bad_start_and_depth():
