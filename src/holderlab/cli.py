@@ -40,7 +40,7 @@ from .errors import (
     UnknownNameError,
 )
 from .report import VerificationReport, write_report
-from .seqvec import NORM_VARIANTS, NormKind, parse_vec
+from .seqvec import NORM_VARIANTS, NormKind, format_vec, parse_vec
 from .verify import CHECKS, COMMON_FIELDS, FIELDS, CheckRequest, run_check
 
 __all__ = ["main", "EXIT_CODES"]
@@ -285,6 +285,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
         _require(T.norm.allows_tail or not domain.carries_tail,
                  f"a {domain.kind} domain with nonzero tails does not fit "
                  f"{T.name}, whose {T.norm.label()} norm needs tail 0")
+        # the map's own definition checks decide whether the override fits
+        for x in domain.canonical_points():
+            try:
+                T.apply(x)
+            except HolderLabError as exc:
+                raise ConfigError(
+                    f"a {domain.kind} domain does not fit {T.name}: its point "
+                    f"{format_vec(x)} is outside the map's definition "
+                    f"({exc})") from exc
         T = replace(T, domain=domain)
 
     records = []

@@ -17,8 +17,8 @@ from typing import Union
 import numpy as np
 
 from .errors import InvalidBudgetError, InvalidParameterError
-from .seqvec import (NORM_VARIANTS, SeqVec, NormKind, Rows, ZERO, basis_vector,
-                     fsum_rows, norm, pow_each, rows_norm)
+from .seqvec import (SeqVec, NormKind, Rows, ZERO, basis_vector, fsum_rows,
+                     norm, pow_each, rows_norm)
 
 __all__ = [
     "DOMAIN_KINDS",
@@ -36,10 +36,6 @@ __all__ = [
 
 DEFAULT_TOL = 1e-12
 DEFAULT_BREADTH = 64
-# Relative band about a ball's bound inside which contains_rows asks the
-# scalar contains.  A left-to-right sum of n nonnegative terms is within a
-# relative (n - 1) * 2^-53 of fsum's, under 1e-10 for rows up to 10^6 wide.
-BALL_RECHECK = 1e-9
 # Largest breadth a config or flag may ask for; some maps store one
 # coordinate per unit of breadth before any check runs.
 MAX_BREADTH = 65_536
@@ -194,11 +190,8 @@ class DomainSpec:
 
     def contains_rows(self, x: Rows) -> np.ndarray:
         """contains of every row of a block, row by row the same answer.
-        Element and bound tests are exact, and simplex totals are fsum's.
-        A ball norm that sums does so left to right along the row, which
-        can differ from the scalar fsum in the last bits, so a row whose
-        such norm is NaN or within a relative BALL_RECHECK of r + tol is
-        decided by contains itself."""
+        Element and bound tests are exact, simplex totals are fsum's, and
+        ball norms are rows_norm's, which equal the scalar norms."""
         tol = self.tol
         k = self.kind
         vals, tail = x.vals, x.tail
@@ -207,14 +200,7 @@ class DomainSpec:
             if k == "positive_ball":
                 ok &= (tail >= -tol) & (vals >= -tol).all(axis=1)
             rows = np.flatnonzero(ok)
-            n = rows_norm(x.take(rows), self.norm)
-            bound = self.r + tol
-            ok[rows] = n <= bound
-            if not NORM_VARIANTS[self.norm.variant].rows_exact:
-                with np.errstate(invalid="ignore"):
-                    near = ~(np.abs(n - bound) > BALL_RECHECK * bound)
-                for i in rows[near].tolist():
-                    ok[i] = self.contains(x.vec(i))
+            ok[rows] = rows_norm(x.take(rows), self.norm) <= self.r + tol
             return ok
         if k in ("simplex", "sub_simplex"):
             ok &= ~(vals < -tol).any(axis=1)

@@ -9,14 +9,12 @@ the addressable retractions and the constants the verifier checks.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainViolationError
-from .seqvec import (SeqVec, NormKind, Rows, fsum_rows, norm, rows_norm, scale,
-                     shift_right)
+from .seqvec import SeqVec, NormKind, Rows, norm, rows_norm, scale
 
 __all__ = [
     "radial_retract",
@@ -183,13 +181,13 @@ def l1_sphere_retract(x: SeqVec, r: float) -> SeqVec:
 
 def l1_sphere_rows(x: Rows, r: float) -> Rows:
     """l1_sphere_retract of every row of a block, bit for bit: the mass is
-    fsum's, and the suffix sums run right to left one column at a time as
-    iota_mu_q's loop does (a zero column adds exactly 0).  A row the scalar
-    form rejects (a tail, a NaN, mass past r) makes the block raise what
-    the scalar form raises on the first such row."""
+    the row's l1 norm, and the suffix sums run right to left one column at a
+    time as iota_mu_q's loop does (a zero column adds exactly 0).  A row the
+    scalar form rejects (a tail, a NaN, mass past r) makes the block raise
+    what the scalar form raises on the first such row."""
     vals = x.vals
     a = np.abs(vals)
-    nx = fsum_rows(a)
+    nx = rows_norm(Rows(vals, np.zeros(len(vals))), L1)
     bad = (x.tail != 0.0) | ~(nx <= r * (1.0 + 1e-9))
     if bad.any():
         l1_sphere_retract(x.vec(int(np.argmax(bad))), r)

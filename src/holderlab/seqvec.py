@@ -14,7 +14,6 @@ vectors is coordinatewise equality.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Mapping, NamedTuple
@@ -34,8 +33,6 @@ __all__ = [
     "distance",
     "rows_norm",
     "rows_distance",
-    "row_norm",
-    "row_distance",
     "pow_each",
     "fsum_rows",
     "axpy",
@@ -139,11 +136,12 @@ class Rows(NamedTuple):
 
     def widen(self, width: int) -> "Rows":
         """The same sequences stored at least `width` columns wide."""
-        extra = width - self.width
-        if extra <= 0:
+        if width <= self.width:
             return self
-        fill = np.broadcast_to(self.tail[:, None], (len(self.tail), extra))
-        return Rows(np.concatenate([self.vals, fill], axis=1), self.tail)
+        vals = np.empty((len(self.tail), width))
+        vals[:, :self.width] = self.vals
+        vals[:, self.width:] = self.tail[:, None]
+        return Rows(vals, self.tail)
 
     def trimmed(self) -> "Rows":
         """The same sequences without the trailing columns in which every
@@ -171,17 +169,33 @@ def _sup(values: list[float], tail: float, p: float | None) -> float:
     return m
 
 
+# Every norm that sums adds its terms one at a time, left to right in index
+# order, here and in the block evaluators below, so a norm is the same float
+# in scalar and in block code.  (Not math.fsum, and not builtin sum, which
+# compensates from Python 3.12 on.)
+
 def _lp(values: list[float], tail: float, p: float) -> float:
+    s = 0.0
     if p == 1.0:
-        return math.fsum(map(abs, values))
+        for v in values:
+            s += abs(v)
+        return s
     if p == 2.0:
-        return math.sqrt(math.fsum(map(operator.mul, values, values)))
-    return math.fsum([abs(v) ** p for v in values]) ** (1.0 / p)
+        for v in values:
+            s += v * v
+        return math.sqrt(s)
+    for v in values:
+        s += abs(v) ** p
+    return s ** (1.0 / p)
 
 
 def _max_pos_neg_l1(values: list[float], tail: float, p: float | None) -> float:
-    pos = math.fsum([v for v in values if not v <= 0.0])  # NaN joins pos
-    neg = math.fsum([-v for v in values if v < 0.0])
+    pos = neg = 0.0
+    for v in values:
+        if v < 0.0:
+            neg -= v
+        else:
+            pos += v  # NaN joins pos
     return max(pos, neg)
 
 
@@ -206,18 +220,19 @@ def fsum_rows(vals: np.ndarray) -> np.ndarray:
 
 
 # The block evaluators: one entry per row, NaN propagating.  Sums run left
-# to right along each row, so columns of zeros in front never change one,
-# and every operation is one that IEEE arithmetic rounds the same way on
-# every CPU.
+# to right along each row, as the scalar evaluators do, so columns of zeros
+# never change one, and every operation is one that IEEE arithmetic rounds
+# the same way on every CPU.
 
 def _row_sums(a: np.ndarray) -> np.ndarray:
     if a.shape[1] == 0:
         return np.zeros(a.shape[0])
-    return np.cumsum(a, axis=1)[:, -1]
+    return np.add.accumulate(a, axis=1)[:, -1]
 
 
 def _sup_rows(vals: np.ndarray, tail: np.ndarray, p: float | None) -> np.ndarray:
-    return np.maximum(np.abs(tail), np.abs(vals).max(axis=1, initial=0.0))
+    return np.maximum(np.abs(tail),
+                      np.maximum.reduce(np.abs(vals), axis=1, initial=0.0))
 
 
 def _lp_rows(vals: np.ndarray, tail: np.ndarray, p: float) -> np.ndarray:
@@ -242,15 +257,13 @@ class NormVariant:
     label: str        # a variant that takes p appends it
     # (support values, tail, p) -> norm; sees tail 0 unless allows_tail
     evaluate: Callable[[list[float], float, float | None], float]
-    # the same on a block: (rows x width values, tails, p) -> norms
+    # the same on a block, bit for bit: (rows x width values, tails, p) ->
+    # norms
     evaluate_rows: Callable[[np.ndarray, np.ndarray, float | None], np.ndarray]
-    # evaluate_rows equals evaluate bit for bit on finite rows; a variant
-    # that sums can differ from fsum in the last bits
-    rows_exact: bool = False
 
 
 NORM_VARIANTS: dict[str, NormVariant] = {
-    "sup": NormVariant(False, True, "sup", _sup, _sup_rows, rows_exact=True),
+    "sup": NormVariant(False, True, "sup", _sup, _sup_rows),
     "lp": NormVariant(True, False, "l", _lp, _lp_rows),
     "max_pos_neg_l1": NormVariant(False, False, "max(pos,neg) l1",
                                   _max_pos_neg_l1, _max_pos_neg_l1_rows),
@@ -320,7 +333,7 @@ def _measure(values: list[float], tail: float, kind: NormKind,
         raise NotInSpaceError(f"{kind.label()} {what} {tail!r}")
     try:
         result = spec.evaluate(values, tail, kind.p)
-    except OverflowError:  # a sum of nonnegative terms passed the float range
+    except OverflowError:  # a power abs(v) ** p passed the float range
         result = math.inf
     if result != math.inf:
         return result
@@ -346,8 +359,9 @@ def norm(x: SeqVec, kind: NormKind) -> float:
 
 def distance(x: SeqVec, y: SeqVec, kind: NormKind) -> float:
     """norm(x - y, kind) without materializing the difference vector: one
-    merge of the two sorted supports (the norm kernel does not depend on the
-    order of the differences)."""
+    merge of the two sorted supports.  The merge yields the differences in
+    index order, the order in which rows_distance sums a row, so the two
+    agree bit for bit."""
     xt, yt = x.tail, y.tail
     ys = y.support
     m = len(ys)
@@ -369,23 +383,25 @@ def distance(x: SeqVec, y: SeqVec, kind: NormKind) -> float:
 
 def _measure_rows(vals: np.ndarray, tail: np.ndarray, kind: NormKind,
                   what: str) -> np.ndarray:
-    """_measure of every row of a block.  A row whose block result is not
-    finite, or whose tail the norm does not allow, goes through _measure
-    itself, so NaN, overflow and the tail error keep one definition."""
+    """_measure of every row of a block, under np.errstate(over="ignore",
+    invalid="ignore").  A row whose block result is not finite, or whose
+    tail the norm does not allow, goes through _measure itself, so NaN,
+    overflow and the tail error keep one definition."""
     spec = NORM_VARIANTS[kind.variant]
-    with np.errstate(over="ignore", invalid="ignore"):
-        result = spec.evaluate_rows(vals, tail, kind.p)
+    result = spec.evaluate_rows(vals, tail, kind.p)
     redo = ~np.isfinite(result)
     if not spec.allows_tail:
         redo |= tail != 0.0
-    for i in np.flatnonzero(redo):
+    for i in redo.nonzero()[0].tolist():
         result[i] = _measure(vals[i].tolist(), float(tail[i]), kind, what)
     return result
 
 
 def rows_norm(x: Rows, kind: NormKind) -> np.ndarray:
     """norm of every row of a block."""
-    return _measure_rows(x.vals, x.tail, kind, "norm needs tail 0, got tail")
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _measure_rows(x.vals, x.tail, kind,
+                             "norm needs tail 0, got tail")
 
 
 def rows_distance(x: Rows, y: Rows, kind: NormKind) -> np.ndarray:
@@ -394,30 +410,8 @@ def rows_distance(x: Rows, y: Rows, kind: NormKind) -> np.ndarray:
     width = max(x.width, y.width)
     x, y = x.widen(width), y.widen(width)
     with np.errstate(over="ignore", invalid="ignore"):
-        diffs, tails = x.vals - y.vals, x.tail - y.tail
-    return _measure_rows(diffs, tails, kind,
-                         "distance needs equal tails, got difference")
-
-
-def row_norm(x: Rows, kind: NormKind) -> float:
-    """norm of a one-row block, bit for bit the norm of its SeqVec: the
-    scalar kernel fed the row's nonzero entries (zeros, and entries equal to
-    the tail, change no norm)."""
-    v = x.vals[0]
-    return _measure(v[v != 0.0].tolist(), float(x.tail[0]), kind,
-                    "norm needs tail 0, got tail")
-
-
-def row_distance(x: Rows, y: Rows, kind: NormKind) -> float:
-    """distance between two one-row blocks, bit for bit the distance between
-    their SeqVecs."""
-    width = max(x.width, y.width)
-    x, y = x.widen(width), y.widen(width)
-    with np.errstate(over="ignore", invalid="ignore"):
-        diffs = x.vals[0] - y.vals[0]
-    return _measure(diffs[diffs != 0.0].tolist(),
-                    float(x.tail[0]) - float(y.tail[0]), kind,
-                    "distance needs equal tails, got difference")
+        return _measure_rows(x.vals - y.vals, x.tail - y.tail, kind,
+                             "distance needs equal tails, got difference")
 
 
 def axpy(a: float, x: SeqVec, b: float, y: SeqVec) -> SeqVec:

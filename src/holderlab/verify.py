@@ -40,7 +40,7 @@ from .errors import (
     DomainViolationError,
 )
 from .seqvec import (SeqVec, Rows, axpy, distance, format_vec, norm,
-                     pow_each, row_distance, row_norm, rows_distance, scale)
+                     pow_each, rows_distance, rows_norm, scale)
 
 __all__ = [
     "PAIR_CUTOFF",
@@ -273,13 +273,14 @@ _POINTS = _Ops(lambda x: x, lambda x: x, lambda T, x: T.apply(x),
                lambda x, y, kind: distance(x, y, kind),
                lambda x, kind: norm(x, kind))
 # One-row blocks through the batch form, trimmed after every step so that a
-# support that underflows at its far end keeps the row narrow.  The one-row
-# norm and distance are the scalar ones bit for bit, and scale and add round
-# as `scale` and `axpy` do.
+# support that underflows at its far end keeps the row narrow.  Block norms
+# are the scalar ones bit for bit, and scale and add round as `scale` and
+# `axpy` do.
 _ROWS = _Ops(Rows.of, lambda x: x.vec(0),
              lambda T, x: T.apply.rows(x).trimmed(),
              lambda a, x: Rows(a * x.vals, a * x.tail), _row_sum,
-             row_distance, row_norm)
+             lambda x, y, kind: float(rows_distance(x, y, kind)[0]),
+             lambda x, kind: float(rows_norm(x, kind)[0]))
 
 
 class _Walked(NamedTuple):
@@ -344,15 +345,19 @@ def _walk(T: MapInstance, x0: SeqVec, steps: int, at: Callable[[int], bool],
                     x0, steps, at, **how)
 
 
+def _require_member(T: MapInstance, x0: SeqVec, walk: str) -> None:
+    if not T.domain.contains(x0):
+        raise DomainViolationError(
+            f"{walk} start {format_vec(x0)} is outside the domain"
+        )
+
+
 def orbit(T: MapInstance, x0: SeqVec, depth: int) -> OrbitResult:
     """The orbit of x0 to depth: each step's displacement, the largest
     norm of an iterate and the last iterate."""
     if depth < 0:
         raise InvalidBudgetError(f"depth {depth} is below 0")
-    if not T.domain.contains(x0):
-        raise DomainViolationError(
-            f"orbit start {format_vec(x0)} is outside the domain"
-        )
+    _require_member(T, x0, "orbit")
     walk = _walk(T, x0, depth, lambda k: k < depth, norms=True)
     return OrbitResult(walk.final, tuple(walk.values), walk.max_norm)
 
@@ -704,6 +709,7 @@ def _oracle_compare(T: MapInstance, req: CheckRequest,
     if req.n_max < 0:
         raise InvalidBudgetError(f"n_max {req.n_max} is below 0")
     x0 = _start(T, req)
+    _require_member(T, x0, "oracle_compare")
     walk = _walk(T, x0, req.n_max, lambda k: k > 0, oracle=T.iterate_oracle)
     # NaN is unbounded
     worst = max([0.0] + [math.inf if d != d else d for d in walk.values])

@@ -79,7 +79,7 @@ def _annulus(rng, r, count):
     while len(points) < count:
         k = count - len(points)
         block = K.sample_rows(rng, k)
-        n = fsum_rows(np.abs(block.vals))  # norm(x, L1), bit for bit
+        n = fsum_rows(np.abs(block.vals))  # the l1 mass, to rounding
         rho = r * (0.5001 + 0.4998 * rng.random(k))
         keep = n > 0.0
         scaled = Rows(block.vals[keep] * (rho[keep] / n[keep])[:, None],

@@ -44,6 +44,10 @@ def ball_override(**params):
             "params": {"r": 1.0, "norm": {"variant": "lp", "p": 2}, **params}}
 
 
+SUP_BALL = {"kind": "ball", "params": {"r": 1.0, "norm": {"variant": "sup"}}}
+C_INTERVAL = {"kind": "c_interval", "params": {"cap": 1.0}}
+
+
 def read_report(out_dir, name="probe"):
     return json.loads((out_dir / f"{name}.report.json").read_text())
 
@@ -134,6 +138,22 @@ def test_domain_override_can_break_invariance(tmp_path, capsys):
     assert read_report(tmp_path)["counts"]["fail"] == 1
 
 
+def test_an_override_is_probed_only_at_its_canonical_points(tmp_path, capsys):
+    # c0_family on another band is inside its definition and runs
+    cfg = base_config(tmp_path, map={"name": "c0_family"}, domain={
+        "kind": "sigma_band", "params": {"delta": 0.25, "q": 0.5}})
+    assert main(["run", write_config(tmp_path, cfg)]) in (0, 5)
+    assert read_report(tmp_path)["checks"][0]["kind"] == "invariance"
+    # a box whose canonical points have l1 mass <= 1 passes the probe, but
+    # its draws reach mass 6.4 and stop the run with exit 3 and no report
+    cfg = base_config(tmp_path / "box", map={"name": "l1_sphere"}, domain={
+        "kind": "coefficient_box", "params": {"r": 0.1}},
+        checks=[{"kind": "holder_ratio", "pairs": 50}])
+    assert main(["run", write_config(tmp_path, cfg)]) == 3
+    assert "l1_sphere_retract needs ||x||_1 <= r" in capsys.readouterr().err
+    assert not (tmp_path / "box").exists()
+
+
 def test_a_large_l2_ball_override_stays_invariant(tmp_path, capsys):
     # Coordinates near 1e200 square past the float range; the norm must not.
     cfg = base_config(tmp_path, map={"name": "positive_part"},
@@ -220,13 +240,46 @@ def test_malformed_json(tmp_path, capsys):
     (lambda c: c.update(domain={"kind": "c_interval",
                                 "params": {"cap": 1.0}}),
      "does not fit norming, whose l2 norm needs tail 0"),
+    # override domains with a canonical point outside the map's definition
+    (lambda c: c.update(map={"name": "c0_family"}, domain=SUP_BALL),
+     "its point {1:-1.0} is outside the map's definition (c0_family needs "
+     "nonnegative coords)"),
+    (lambda c: c.update(map={"name": "clamp"}, domain=SUP_BALL),
+     "does not fit clamp: its point {1:-1.0}"),
+    (lambda c: c.update(map={"name": "affine_cube"}, domain=C_INTERVAL),
+     "its point {; tail:1.0} is outside the map's definition (affine_cube "
+     "is defined on c0 (tail 0))"),
+    (lambda c: c.update(map={"name": "affine_cube"}, domain=SUP_BALL),
+     "does not fit affine_cube: its point {; tail:1.0}"),
+    (lambda c: c.update(map={"name": "c0_family"}, domain=C_INTERVAL),
+     "does not fit c0_family: its point {; tail:1.0}"),
+    (lambda c: c.update(map={"name": "l1_sphere"}, domain={
+        "kind": "ball", "params": {"r": 2.0, "norm": {"variant": "lp",
+                                                      "p": 1}}}),
+     "does not fit l1_sphere: its point {1:2.0}"),
+    (lambda c: c.update(map={"name": "l1_sphere"}, domain={
+        "kind": "simplex", "params": {"p": 1.0, "mass": 1.5}}),
+     "does not fit l1_sphere: its point {1:1.5}"),
+    (lambda c: c.update(map={"name": "l1_sphere"}, domain={
+        "kind": "sub_simplex", "params": {"mass_cap": 3.0}}),
+     "does not fit l1_sphere: its point {1:3.0}"),
+    (lambda c: c.update(map={"name": "l1_sphere"}, domain={
+        "kind": "coefficient_box", "params": {"r": 0.5}}),
+     "l1_sphere_retract needs ||x||_1 <= r"),
+    (lambda c: c.update(map={"name": "hyperconvex"}, domain=SUP_BALL),
+     "its point {1:-1.0} is outside the map's definition (hyperconvex "
+     "needs t1 >= 0)"),
 ], ids=["extra-field", "missing-seed", "schema-version", "float-seed",
         "empty-checks", "bad-kind", "foreign-check-key", "bad-x0",
         "path-in-name", "string-n_list", "fractional-n_list",
         "string-lambdas", "nan-tolerance", "negative-seed",
         "negative-breadth", "infinite-domain-r", "boolean-domain-r",
         "foreign-domain-param", "domain-breadth", "sup-ball-on-l2-map",
-        "c_interval-on-l2-map"])
+        "c_interval-on-l2-map", "sup-ball-on-c0_family", "sup-ball-on-clamp",
+        "c_interval-on-affine_cube", "sup-ball-on-affine_cube",
+        "c_interval-on-c0_family", "l1-ball-2-on-l1_sphere",
+        "simplex-1.5-on-l1_sphere", "sub_simplex-3-on-l1_sphere",
+        "coefficient_box-on-l1_sphere", "sup-ball-on-hyperconvex"])
 def test_config_schema_violations(tmp_path, capsys, mangle, fragment):
     cfg = base_config(tmp_path)
     mangle(cfg)

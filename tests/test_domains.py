@@ -331,8 +331,8 @@ def test_contains_rows_answers_as_contains_on_batch_images():
 @pytest.mark.parametrize("kind", [L1, L2, NormKind.lp(3.0), MPN, SUP],
                          ids=lambda k: k.label())
 def test_contains_rows_decides_the_ball_boundary_as_contains(kind):
-    """Rows pushed onto the sphere of radius r + tol, where a left-to-right
-    norm and fsum's can fall on opposite sides of the bound."""
+    """Rows pushed onto the sphere of radius r + tol, where the last bit of
+    a norm decides membership."""
     rng = np.random.default_rng(43)
     for K in (ball(0.7, kind), positive_ball(0.7, kind)):
         x = ball(5.0, kind).sample_rows(rng, 2000)
@@ -341,10 +341,9 @@ def test_contains_rows_decides_the_ball_boundary_as_contains(kind):
         edge = radial_rows(x, K.r + K.tol, kind)
         want = _same_answers(K, edge)
         assert 0 < sum(want) < len(want), K.describe()
-        if kind != SUP:
-            # the block norm and the scalar norm do disagree on some rows
-            n = rows_norm(edge, kind).tolist()
-            assert any(a != norm(edge.vec(i), kind) for i, a in enumerate(n))
+        # the block norm and the scalar norm agree on every row
+        n = rows_norm(edge, kind).tolist()
+        assert all(a == norm(edge.vec(i), kind) for i, a in enumerate(n))
     if kind == L1:
         K = ball(0.7, L1)
         sphere = l1_sphere_rows(ball(0.7, L1).sample_rows(rng, 2000),

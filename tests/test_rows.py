@@ -27,12 +27,10 @@ from holderlab.seqvec import (
     fsum_rows,
     norm,
     pow_each,
-    row_distance,
-    row_norm,
     rows_distance,
     rows_norm,
 )
-from holderlab.verify import pair_ratios
+from holderlab.verify import CheckRequest, pair_ratios, run_check
 
 SUP = NormKind.sup()
 L1 = NormKind.lp(1.0)
@@ -117,9 +115,8 @@ def test_rows_norm_matches_the_scalar_norm(kind):
     y = _random_rows(rng, 300, 25, kind.allows_tail)
     got_n, got_d = rows_norm(x, kind), rows_distance(x, y, kind)
     for i, (xi, yi) in enumerate(zip(_points(x), _points(y))):
-        assert got_n[i] == pytest.approx(norm(xi, kind), rel=1e-12, abs=0)
-        assert got_d[i] == pytest.approx(distance(xi, yi, kind), rel=1e-12,
-                                         abs=1e-300)
+        assert got_n[i] == norm(xi, kind)
+        assert got_d[i] == distance(xi, yi, kind)
 
 
 SPECIAL_ROWS = [
@@ -179,8 +176,8 @@ def test_one_row_blocks_round_trip_and_trim():
 
 @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.label())
 def test_row_norm_and_row_distance_are_the_scalar_ones(kind):
-    """The one-row measures feed the scalar kernel, so they agree with norm
-    and distance bit for bit, NaN, overflow and errors included."""
+    """On one-row blocks rows_norm and rows_distance agree with norm and
+    distance bit for bit, NaN, overflow and errors included."""
     rng = np.random.default_rng(9)
     x = _random_rows(rng, 200, 30, kind.allows_tail)
     y = _random_rows(rng, 200, 18, kind.allows_tail)
@@ -190,8 +187,9 @@ def test_row_norm_and_row_distance_are_the_scalar_ones(kind):
     others = [y.take([i]) for i in range(200)] + specials[::-1]
     for a, b in zip(rows, others):
         for got, want in (
-                (_outcome(row_norm, a, kind), _outcome(norm, a.vec(0), kind)),
-                (_outcome(row_distance, a, b, kind),
+                (_outcome(lambda: float(rows_norm(a, kind)[0])),
+                 _outcome(norm, a.vec(0), kind)),
+                (_outcome(lambda: float(rows_distance(a, b, kind)[0])),
                  _outcome(distance, a.vec(0), b.vec(0), kind))):
             assert (_same_number(got, want) if isinstance(want, float)
                     else got == want)
@@ -221,8 +219,8 @@ def test_batch_forms_cover_the_intended_maps():
 
 
 def _check_block(T, x):
-    """apply.rows on x equals apply on each row to 1e-12 in the sup norm,
-    or raises what apply raises on the first row it fails on."""
+    """apply.rows on x equals apply on each row bit for bit, or raises what
+    apply raises on the first row it fails on."""
     want = [_outcome(T.apply, v) for v in _points(x)]
     errors = [w for w in want if isinstance(w, tuple)]
     got = _outcome(T.apply.rows, x)
@@ -230,7 +228,7 @@ def _check_block(T, x):
         assert got == errors[0], T.name
         return len(errors)
     for g, w in zip(_points(got), want):
-        assert distance(g, w, SUP) <= 1e-12, (T.name, str(w), str(g))
+        assert g == w, (T.name, str(w), str(g))
     return 0
 
 
@@ -310,3 +308,24 @@ def test_pair_ratios_memory_is_bounded_by_the_block():
     assert _peak_mb(lambda: pair_ratios(prus, (1,), 100_000, seed=1)) < 16.0
     wide = build_map("prus", breadth=65_536)
     assert _peak_mb(lambda: pair_ratios(wide, (1,), 50, seed=1)) < 16.0
+
+
+def _record(T, kind):
+    """The record of one check kind at its defaults, or what it raised;
+    the runtime is not part of it."""
+    rec = _outcome(run_check, T, CheckRequest(kind), 3)
+    return rec if isinstance(rec, tuple) else dataclasses.replace(
+        rec, runtime_ms=0.0)
+
+
+@pytest.mark.parametrize("T", [T for T in _maps() if T.name in BATCHED],
+                         ids=lambda T: T.name)
+def test_records_do_not_depend_on_the_batch_form(T):
+    """Stripping the batch form leaves every sup, witness and record as it
+    was: block and scalar code sum the same norms in the same order."""
+    scalar = dataclasses.replace(T, apply=lambda x: T.apply(x))
+    assert not hasattr(scalar.apply, "rows")
+    assert (_outcome(pair_ratios, T, (1, 2, 3), 1000, 3)
+            == _outcome(pair_ratios, scalar, (1, 2, 3), 1000, 3))
+    for kind in ("holder_ratio", "approx_fixed_set", "invariance"):
+        assert _record(T, kind) == _record(scalar, kind), kind

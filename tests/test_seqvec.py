@@ -247,11 +247,11 @@ def test_distance_lp_rejects_tail_mismatch():
 
 
 def _distance_by_dicts(x, y, kind):
-    """distance as written before the support merge: dict lookups, the
-    differences in another order."""
+    """distance as written before the support merge, with dict lookups;
+    the differences in index order, the order the norms sum in."""
     dx, dy = dict(x.support), dict(y.support)
-    diffs = [v - dy.get(i, y.tail) for i, v in x.support]
-    diffs += [x.tail - w for i, w in y.support if i not in dx]
+    diffs = [dx.get(i, x.tail) - dy.get(i, y.tail)
+             for i in sorted(dx.keys() | dy.keys())]
     return _measure(diffs, x.tail - y.tail, kind,
                     "distance needs equal tails, got difference")
 

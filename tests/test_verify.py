@@ -551,6 +551,15 @@ def test_oracle_compare_record():
     assert rec.measured <= 1e-12
 
 
+def test_walks_reject_a_start_outside_the_domain():
+    """orbit and oracle_compare share one membership check of x0."""
+    outside = SeqVec.from_dict({1: 5.0})  # norming's domain is the unit ball
+    for kind in ("orbit", "oracle_compare"):
+        with pytest.raises(DomainViolationError,
+                           match=rf"^{kind} start \{{1:5.0\}} is outside"):
+            run_check(norming_map(), CheckRequest(kind, x0=outside, seed=4))
+
+
 def test_oracle_compare_needs_an_oracle():
     with pytest.raises(InvalidCheckError):
         run_check(goebel_kirk_map(), CheckRequest("oracle_compare", seed=4))
