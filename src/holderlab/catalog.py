@@ -164,9 +164,12 @@ class ClaimProfile:
 class MapInstance:
     """A map with its domain, norm and claims.  `apply` may carry one
     attribute `rows`, its batch form: a function from a block of rows to the
-    block of their images, equal to `apply` row by row and raising what
-    `apply` raises on the first row it fails on.  Replacing `apply` drops
-    it."""
+    block of their images, equal to `apply` row by row on rows `apply`
+    accepts, and raising a ValueError or ArithmeticError on a block that
+    holds a row `apply` rejects.  Which error it raises is not part of the
+    contract: the verifier walks such a block again through `apply`, so
+    the error reported is `apply`'s.  Replacing `apply` drops the batch
+    form."""
 
     name: str
     params: Mapping[str, object]
@@ -394,42 +397,30 @@ def affine_mixing_map(
     L: float = 2.0,
     lam: float = 0.75,
     alpha: float = 0.5,
-    gamma: Callable[[int], float] | None = None,
 ) -> MapInstance:
     """Mass-preserving affine mixing on the l1 simplex slice: coordinate n
-    keeps a (1 - gamma_n) share and passes gamma_n forward.  Fixed point
-    free; two-sided bound (1/L)||x-y|| <= ||Tx-Ty|| <= lam*||x-y||^a claimed,
-    the lower side recorded for measurement only."""
+    keeps a (1 - gamma_n) share and passes gamma_n = 2^-n forward.  Fixed
+    point free; two-sided bound (1/L)||x-y|| <= ||Tx-Ty|| <= lam*||x-y||^a
+    claimed, the lower side recorded for measurement only."""
     if not L > 1.0:
         raise InvalidParameterError("L", "requires L > 1")
     if not 1.0 / L < lam <= 1.0:
         raise InvalidParameterError("lam", "requires 1/L < lam <= 1")
     if not 0.0 < alpha < 1.0:
         raise InvalidParameterError("alpha", "requires 0 < alpha < 1")
-    if gamma is None:
-        gamma = lambda n: 2.0 ** -n
     mass = 0.5 * (lam / L) ** (1.0 / (1.0 - alpha))
-    for n in (1, 2, 3, 16):
-        g = gamma(n)
-        if not 0.0 < g < 1.0:
-            raise InvalidParameterError("gamma", "requires 0 < gamma(n) < 1")
 
     def apply(x: SeqVec) -> SeqVec:
         out: dict[int, float] = {}
         for i, v in x.support:
-            g = gamma(i)
+            g = 2.0 ** -i
             out[i] = out.get(i, 0.0) + (1.0 - g) * v
             out[i + 1] = out.get(i + 1, 0.0) + g * v
         return SeqVec.from_dict(out, 0.0)
 
-    gammas = np.empty(0)  # gamma(1), gamma(2), ..., grown on demand
-
     def apply_rows(x: Rows) -> Rows:
-        nonlocal gammas
-        if len(gammas) < x.width:
-            gammas = np.array([gamma(i) for i in range(1, 2 * x.width + 1)])
         v = _support_values(x)
-        g = gammas[:x.width]
+        g = np.ldexp(1.0, -np.arange(1, x.width + 1))
         vals = np.zeros((len(x.tail), x.width + 1))
         vals[:, 1:] = g * v
         vals[:, :-1] += (1.0 - g) * v
@@ -529,7 +520,7 @@ def goebel_kirk_map(alpha: float = 0.5) -> MapInstance:
         i = np.arange(2, x.width + 1)
         vals = np.zeros((len(x.tail), x.width + 1))
         vals[:, 1:2] = pow_each(v[:, :1], alpha)
-        vals[:, 2:] = (1.0 - 1.0 / (i * i)) * v[:, 1:]
+        vals[:, 2:] = _gk_damping(i) * v[:, 1:]
         return radial_rows(Rows(vals, x.tail), 1.0, L2)
 
     def profile(n: int) -> float:
@@ -654,12 +645,9 @@ def c0_family_map(delta: float = 0.5, q: float = 0.25, alpha: float = 0.9,
         return SeqVec.from_dict(out, 0.0)
 
     def apply_rows(x: Rows) -> Rows:
-        bad_tail = x.tail != 0.0
-        bad = bad_tail | (x.vals < 0.0).any(axis=1)
-        if bad.any():
-            if bad_tail[np.argmax(bad)]:
-                raise NotInSpaceError("c0_family is defined on c0 (tail 0)")
-            raise DomainViolationError("c0_family needs nonnegative coords")
+        if (x.tail != 0.0).any() or (x.vals < 0.0).any():
+            raise DomainViolationError(
+                "c0_family needs nonnegative coords and tail 0")
         vals = np.empty((len(x.tail), x.width + 1))
         vals[:, 0] = top
         vals[:, 1:] = top * pow_each(x.vals, alpha)
@@ -694,10 +682,9 @@ def c0_family_map(delta: float = 0.5, q: float = 0.25, alpha: float = 0.9,
 
 
 def affine_cube_map(r: float = 0.125, alpha: float = 0.5, lam: float = 0.5,
-                    beta: Callable[[int], float] | None = None,
                     breadth: int = 64) -> MapInstance:
     """T(x)_n = (1 - beta_n) t_n + r beta_n on the c0 coefficient box [0, r],
-    with beta_n = 1/(n+1) by default.  Uniformly a-Holder lam-contractive
+    with beta_n = 1/(n+1).  Uniformly a-Holder lam-contractive
     when (2r)^(1-a) <= lam; the untruncated map is fixed point free, and the
     corner witnesses r(e1+...+em) displace by exactly r*beta_{m+1}."""
     if not r > 0.0:
@@ -708,12 +695,6 @@ def affine_cube_map(r: float = 0.125, alpha: float = 0.5, lam: float = 0.5,
         raise InvalidParameterError("lam", "requires 0 < lam < 1")
     if not (2.0 * r) ** (1.0 - alpha) <= lam:
         raise InvalidParameterError("r", "requires (2r)^(1-alpha) <= lam")
-    if beta is None:
-        beta = lambda n: 1.0 / (n + 1)
-    betas = [beta(n) for n in range(1, breadth + 1)]
-    for n, bn in enumerate(betas, start=1):
-        if not 0.0 < bn < 1.0:
-            raise InvalidParameterError("beta", "requires 0 < beta(n) < 1")
     dom = coefficient_box(r, breadth=breadth)
 
     def apply(x: SeqVec) -> SeqVec:
@@ -722,12 +703,12 @@ def affine_cube_map(r: float = 0.125, alpha: float = 0.5, lam: float = 0.5,
         d = dict(x.support)
         out: dict[int, float] = {}
         for n in range(1, breadth + 1):
-            bn = betas[n - 1]
+            bn = 1.0 / (n + 1)
             out[n] = (1.0 - bn) * d.pop(n, 0.0) + r * bn
         out.update(d)  # coordinates beyond the stored breadth are kept
         return SeqVec.from_dict(out, 0.0)
 
-    beta_row = np.array(betas)
+    beta_row = 1.0 / np.arange(2, breadth + 2)
 
     def apply_rows(x: Rows) -> Rows:
         if (x.tail != 0.0).any():
@@ -781,13 +762,9 @@ def renormed_l1_map() -> MapInstance:
         return SeqVec.from_dict(out, 0.0)
 
     def apply_rows(x: Rows) -> Rows:
-        # apply sums before it tests the tail, so every row up to the first
-        # nonzero tail is summed before that row's error
-        bad = np.flatnonzero(x.tail != 0.0)
-        last = bad[0] + 1 if len(bad) else len(x.tail)
-        sums = fsum_rows(_support_values(x.take(slice(0, last))))
-        if len(bad):
+        if (x.tail != 0.0).any():
             raise NotInSpaceError("renormed_l1 is defined on l1 (tail 0)")
+        sums = fsum_rows(x.vals)
         vals = np.empty((len(x.tail), x.width + 1))
         vals[:, 0] = 1.0 - sums
         vals[:, 1:] = x.vals

@@ -41,7 +41,7 @@ from .errors import (
 )
 from .report import VerificationReport, write_report
 from .seqvec import NORM_VARIANTS, NormKind, format_vec, parse_vec
-from .verify import CHECKS, COMMON_FIELDS, FIELDS, CheckRequest, run_check
+from .verify import CHECKS, FIELDS, CheckRequest, run_check
 
 __all__ = ["main", "EXIT_CODES"]
 
@@ -187,7 +187,7 @@ def _check_from_obj(obj: object, index: int) -> CheckRequest:
     _require(isinstance(kind, str) and kind in CHECKS,
              f"{where}unknown check kind {kind!r}; expected one of "
              f"{', '.join(CHECKS)}")
-    allowed = {"kind", *CHECKS[kind].fields, *COMMON_FIELDS}
+    allowed = {"kind", *CHECKS[kind].fields}
     extra = set(obj) - allowed
     _require(not extra,
              f"checks[{index}] ({kind}): unknown fields {sorted(extra)}; "
@@ -298,7 +298,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     records = []
     for index, req in enumerate(cfg["checks"]):
-        if req.tolerance is None and cfg["tolerance"] is not None:
+        if req.tolerance is None and "tolerance" in CHECKS[req.kind].fields:
             req = replace(req, tolerance=cfg["tolerance"])
         records.append(run_check(T, req, _derive_seed(seed, index)))
 

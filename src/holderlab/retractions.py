@@ -182,15 +182,15 @@ def l1_sphere_retract(x: SeqVec, r: float) -> SeqVec:
 def l1_sphere_rows(x: Rows, r: float) -> Rows:
     """l1_sphere_retract of every row of a block, bit for bit: the mass is
     the row's l1 norm, and the suffix sums run right to left one column at a
-    time as iota_mu_q's loop does (a zero column adds exactly 0).  A row the
-    scalar form rejects (a tail, a NaN, mass past r) makes the block raise
-    what the scalar form raises on the first such row."""
+    time as iota_mu_q's loop does (a zero column adds exactly 0).  A block
+    holding a row the scalar form rejects (a tail, a NaN, mass past r)
+    raises a DomainViolationError."""
     vals = x.vals
     a = np.abs(vals)
     nx = rows_norm(Rows(vals, np.zeros(len(vals))), L1)
-    bad = (x.tail != 0.0) | ~(nx <= r * (1.0 + 1e-9))
-    if bad.any():
-        l1_sphere_retract(x.vec(int(np.argmax(bad))), r)
+    if (x.tail != 0.0).any() or not (nx <= r * (1.0 + 1e-9)).all():
+        raise DomainViolationError(
+            f"l1_sphere_retract needs ||x||_1 <= r = {r!r} in every row")
     count, width = vals.shape
     out = np.zeros((count, width + 1))
     low = nx <= r / 2.0

@@ -52,7 +52,6 @@ __all__ = [
     "DisplacementEstimate",
     "Field",
     "FIELDS",
-    "COMMON_FIELDS",
     "Check",
     "CHECKS",
     "STRATEGIES",
@@ -131,9 +130,9 @@ def _by_rows(T: MapInstance, on_rows: Callable, on_points: Callable, *args,
              **kwargs):
     """on_rows(T, ...) when T.apply has a batch form, else on_points.
 
-    A batch form can meet a failing row at another stage than the point by
-    point walk does, so a block that fails is walked again point by point:
-    the error raised is then the one of the first failure in draw order."""
+    A batch form raises on a block holding a row `apply` rejects without
+    saying which, so a block that fails is walked again point by point: the
+    error raised is `apply`'s, at the first failure in draw order."""
     if getattr(T.apply, "rows", None) is not None:
         try:
             return on_rows(T, *args, **kwargs)
@@ -758,25 +757,27 @@ FIELDS: dict[str, Field] = {
         Field("target", "number", 1e-3),
     ]
 }
-COMMON_FIELDS = ("seed", "tolerance")  # every check kind accepts these
 
 
 @dataclass(frozen=True)
 class Check:
-    fields: tuple[str, ...]  # FIELDS it reads besides COMMON_FIELDS
+    fields: tuple[str, ...]  # the FIELDS entries its run reads
     run: Callable[[MapInstance, CheckRequest, int], CheckRecord]
 
 
 CHECKS: dict[str, Check] = {
-    "holder_ratio": Check(("pairs", "iterate", "exponent"), _holder_ratio),
-    "invariance": Check(("samples",), _invariance),
+    "holder_ratio": Check(("pairs", "iterate", "exponent", "seed"),
+                          _holder_ratio),
+    "invariance": Check(("samples", "seed"), _invariance),
     "orbit": Check(("x0", "depth"), _orbit),
-    "displacement": Check(("strategy", "budget", "lambdas", "target"),
-                          _displacement),
-    "uniform_profile": Check(("n_list", "pairs"), _uniform_profile),
-    "asymptotic_profile": Check(("n_max", "pairs"), _asymptotic_profile),
-    "approx_fixed_set": Check(("delta", "samples"), _approx_fixed_set),
-    "oracle_compare": Check(("x0", "n_max"), _oracle_compare),
+    "displacement": Check(("strategy", "budget", "lambdas", "target", "seed",
+                           "tolerance"), _displacement),
+    "uniform_profile": Check(("n_list", "pairs", "seed"), _uniform_profile),
+    "asymptotic_profile": Check(("n_max", "pairs", "seed"),
+                                _asymptotic_profile),
+    "approx_fixed_set": Check(("delta", "samples", "seed", "tolerance"),
+                              _approx_fixed_set),
+    "oracle_compare": Check(("x0", "n_max", "tolerance"), _oracle_compare),
 }
 
 

@@ -41,6 +41,7 @@ from holderlab.errors import (
 from holderlab.seqvec import (
     ZERO,
     NormKind,
+    Rows,
     SeqVec,
     basis_vector,
     coordinate,
@@ -175,6 +176,20 @@ def test_affine_mixing_preserves_mass_and_moves_spikes():
         assert T.domain.contains(y)
 
 
+def test_affine_mixing_moves_a_spike_by_two_to_the_minus_n():
+    """m e_n goes to (1 - 2^-n) m e_n + 2^-n m e_n+1, in both forms; at
+    n = 1075, 2^-n rounds to 0 and the spike stays."""
+    T = affine_mixing_map()
+    m = T.params["mass"]
+    for n in (1, 30, 1074, 1075):
+        g = math.ldexp(1.0, -n)
+        want = SeqVec.from_dict({n: (1.0 - g) * m, n + 1: g * m})
+        spike = basis_vector(n, m)
+        assert T.apply(spike) == want, n
+        assert T.apply.rows(Rows.of(spike)).vec(0) == want, n
+    assert want == spike
+
+
 def test_deficiency_radius_and_spike_displacement():
     T = deficiency_map(2.0, 0.5)
     lam = T.params["radius"]
@@ -275,6 +290,15 @@ def test_affine_cube_corner_witnesses_are_exact():
     fam = T.witness_family(3)
     assert fam[0] == SeqVec.from_dict({1: r})
     assert all(T.domain.contains(w) for w in fam)
+
+
+@pytest.mark.parametrize("breadth", [8, 64])
+def test_affine_cube_maps_zero_to_r_over_n_plus_one(breadth):
+    r = 0.125
+    T = affine_cube_map(r, 0.5, 0.5, breadth=breadth)
+    want = SeqVec.from_dict({n: r / (n + 1) for n in range(1, breadth + 1)})
+    assert T.apply(ZERO) == want
+    assert T.apply.rows(Rows.of(ZERO)).vec(0) == want
 
 
 def test_renormed_l1_is_an_isometry():

@@ -12,7 +12,7 @@ from holderlab.catalog import catalog_names, retraction_names
 from holderlab.cli import main
 from holderlab.domains import DOMAIN_KINDS
 from holderlab.report import canonical_bytes
-from holderlab.verify import CHECKS, COMMON_FIELDS, FIELDS
+from holderlab.verify import CHECKS, FIELDS
 
 MAPS = ("affine_cube", "affine_mixing", "baseline_c", "c0_family",
         "deficiency", "goebel_kirk", "hyperconvex", "l1_ball_composite",
@@ -222,9 +222,14 @@ def test_malformed_json(tmp_path, capsys):
      "n_list entry must be an integer"),
     (lambda c: c.update(checks=[{"kind": "displacement", "lambdas": ["x"]}]),
      "lambdas entry must be a finite number"),
-    (lambda c: c.update(checks=[{"kind": "invariance",
+    (lambda c: c.update(checks=[{"kind": "approx_fixed_set",
                                  "tolerance": float("nan")}]),
      "tolerance must be a finite number"),
+    # a field the check kind does not read
+    (lambda c: c.update(checks=[{"kind": "holder_ratio", "tolerance": 0}]),
+     "unknown fields ['tolerance']"),
+    (lambda c: c.update(checks=[{"kind": "orbit", "seed": 4}]),
+     "unknown fields ['seed']"),
     (lambda c: c.update(seed=-1), "seed must be at least 0"),
     (lambda c: c.update(breadth=-3), "breadth must be at least 1"),
     (lambda c: c.update(domain=ball_override(r=float("inf"))),
@@ -272,7 +277,8 @@ def test_malformed_json(tmp_path, capsys):
 ], ids=["extra-field", "missing-seed", "schema-version", "float-seed",
         "empty-checks", "bad-kind", "foreign-check-key", "bad-x0",
         "path-in-name", "string-n_list", "fractional-n_list",
-        "string-lambdas", "nan-tolerance", "negative-seed",
+        "string-lambdas", "nan-tolerance", "unread-tolerance", "unread-seed",
+        "negative-seed",
         "negative-breadth", "infinite-domain-r", "boolean-domain-r",
         "foreign-domain-param", "domain-breadth", "sup-ball-on-l2-map",
         "c_interval-on-l2-map", "sup-ball-on-c0_family", "sup-ball-on-clamp",
@@ -373,7 +379,7 @@ TYPED_VALUES = {
 def test_any_check_field_values_map_to_an_exit_code(tmp_path, data):
     kind = data.draw(st.sampled_from(sorted(CHECKS)), label="kind")
     check = {"kind": kind}
-    for name in CHECKS[kind].fields + COMMON_FIELDS:
+    for name in CHECKS[kind].fields:
         typed = TYPED_VALUES[FIELDS[name].type]
         check[name] = data.draw(st.one_of(typed, JSON_VALUES), label=name)
     map_name = data.draw(st.sampled_from(["norming", "shift_simplex",

@@ -219,13 +219,15 @@ def test_batch_forms_cover_the_intended_maps():
 
 
 def _check_block(T, x):
-    """apply.rows on x equals apply on each row bit for bit, or raises what
-    apply raises on the first row it fails on."""
+    """apply.rows on x equals apply on each row bit for bit when apply
+    accepts every row, and raises a ValueError or ArithmeticError when
+    apply rejects one of them.  Returns the count of rejected rows."""
     want = [_outcome(T.apply, v) for v in _points(x)]
     errors = [w for w in want if isinstance(w, tuple)]
     got = _outcome(T.apply.rows, x)
     if errors:
-        assert got == errors[0], T.name
+        assert isinstance(got, tuple), T.name
+        assert issubclass(got[0], (ValueError, ArithmeticError)), (T.name, got)
         return len(errors)
     for g, w in zip(_points(got), want):
         assert g == w, (T.name, str(w), str(g))
@@ -310,12 +312,17 @@ def test_pair_ratios_memory_is_bounded_by_the_block():
     assert _peak_mb(lambda: pair_ratios(wide, (1,), 50, seed=1)) < 16.0
 
 
-def _record(T, kind):
-    """The record of one check kind at its defaults, or what it raised;
-    the runtime is not part of it."""
-    rec = _outcome(run_check, T, CheckRequest(kind), 3)
+def _record(T, req, seed=3):
+    """The record of one check, or what it raised; the runtime is not part
+    of it."""
+    rec = _outcome(run_check, T, req, seed)
     return rec if isinstance(rec, tuple) else dataclasses.replace(
         rec, runtime_ms=0.0)
+
+
+def _stripped(T):
+    """T with its batch form dropped: every check walks it point by point."""
+    return dataclasses.replace(T, apply=lambda x: T.apply(x))
 
 
 @pytest.mark.parametrize("T", [T for T in _maps() if T.name in BATCHED],
@@ -323,9 +330,36 @@ def _record(T, kind):
 def test_records_do_not_depend_on_the_batch_form(T):
     """Stripping the batch form leaves every sup, witness and record as it
     was: block and scalar code sum the same norms in the same order."""
-    scalar = dataclasses.replace(T, apply=lambda x: T.apply(x))
+    scalar = _stripped(T)
     assert not hasattr(scalar.apply, "rows")
     assert (_outcome(pair_ratios, T, (1, 2, 3), 1000, 3)
             == _outcome(pair_ratios, scalar, (1, 2, 3), 1000, 3))
     for kind in ("holder_ratio", "approx_fixed_set", "invariance"):
-        assert _record(T, kind) == _record(scalar, kind), kind
+        assert _record(T, CheckRequest(kind)) == _record(scalar,
+                                                         CheckRequest(kind))
+
+
+OUTSIDE = [ball(1.0, SUP), c_interval(0.5), coefficient_box(0.1),
+           ball(2.0, L1)]
+SAMPLED = [CheckRequest("holder_ratio", pairs=200),
+           CheckRequest("invariance", samples=200),
+           CheckRequest("approx_fixed_set", samples=200),
+           CheckRequest("displacement", strategy="sample_min", budget=200)]
+
+
+@pytest.mark.parametrize("name", ["c0_family", "l1_sphere", "renormed_l1",
+                                  "goebel_kirk", "hyperconvex"])
+def test_errors_reported_are_those_of_apply(name):
+    """On domains whose draws leave the map's definition, a check gives the
+    same record, or raises the same error class and message, with the batch
+    form as without it: a block that raises is walked again point by
+    point, so the error reported is apply's on the first rejected draw."""
+    raised = 0
+    for K in OUTSIDE:
+        T = dataclasses.replace(build_map(name), domain=K)
+        for req in SAMPLED:
+            for seed in (1, 2, 3):
+                got = _record(T, req, seed)
+                assert got == _record(_stripped(T), req, seed), (K, req, seed)
+                raised += isinstance(got, tuple)
+    assert raised > 0
