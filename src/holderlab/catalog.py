@@ -60,6 +60,8 @@ from .seqvec import (
     pow_each,
     scale,
     shift_right,
+    shift_rows,
+    shifted,
 )
 
 __all__ = [
@@ -206,15 +208,12 @@ def _support_values(x: Rows) -> np.ndarray:
     return np.where(x.vals == x.tail[:, None], 0.0, x.vals)
 
 
-def _checkpoint_range(budget: int, cap: int) -> list[int]:
-    ns = list(range(1, min(budget, cap) + 1))
-    n = cap * 2
-    while n <= budget:
-        ns.append(n)
-        n *= 2
-    if budget > cap and budget not in ns:
-        ns.append(budget)
-    return ns
+def _equal_mass_family(mass: float, budget: int) -> list[SeqVec]:
+    """(mass/n)(e1 + ... + en) for n = 1 to 64, 128, 256, 512 and the budget,
+    every n at most the budget and 512."""
+    ns = dict.fromkeys([*range(1, 65), 128, 256, 512, budget])  # no repeats
+    return [SeqVec.from_dict({i: mass / n for i in range(1, n + 1)})
+            for n in ns if 0 < n <= min(budget, 512)]
 
 
 # ---------------------------------------------------------------------------
@@ -229,18 +228,13 @@ def prus_map(alpha: float = 0.5) -> MapInstance:
         raise InvalidParameterError("alpha", "requires 0 < alpha < 1")
 
     def apply(x: SeqVec) -> SeqVec:
-        new_tail = abs(x.tail) ** alpha
-        out = {1: abs(1.0 - abs(x.tail) ** alpha)}
-        for i, v in x.support:
-            out[i + 1] = abs(v) ** alpha
-        return SeqVec.from_dict(out, new_tail)
+        tail = abs(x.tail) ** alpha
+        return shifted([abs(1.0 - tail)], x, tail, lambda v: abs(v) ** alpha)
 
     def apply_rows(x: Rows) -> Rows:
         tail = pow_each(np.abs(x.tail), alpha)
-        vals = np.empty((len(tail), x.width + 1))
-        vals[:, 0] = np.abs(1.0 - tail)
-        vals[:, 1:] = pow_each(np.abs(x.vals), alpha)
-        return Rows(vals, tail)
+        return shift_rows([np.abs(1.0 - tail)],
+                          pow_each(np.abs(x.vals), alpha), tail)
 
     return MapInstance(
         name="prus",
@@ -313,17 +307,10 @@ def baseline_c_map() -> MapInstance:
     fixed point free, the inner map lifted into small balls elsewhere."""
 
     def apply(x: SeqVec) -> SeqVec:
-        out = {1: 1.0, 2: 0.0}
-        for i, v in x.support:
-            out[i + 2] = abs(v)
-        return SeqVec.from_dict(out, abs(x.tail))
+        return shifted([1.0, 0.0], x, abs(x.tail), abs)
 
     def apply_rows(x: Rows) -> Rows:
-        vals = np.empty((len(x.tail), x.width + 2))
-        vals[:, 0] = 1.0
-        vals[:, 1] = 0.0
-        vals[:, 2:] = np.abs(x.vals)
-        return Rows(vals, np.abs(x.tail))
+        return shift_rows([1.0, 0.0], np.abs(x.vals), np.abs(x.tail))
 
     return MapInstance(
         name="baseline_c",
@@ -351,30 +338,19 @@ def shift_simplex_map(p: float = 1.0, alpha: float = 0.5, lam: float = 0.5) -> M
     if not 0.0 < alpha < 1.0:
         raise InvalidParameterError("alpha", "requires 0 < alpha < 1")
     if not 0.0 < lam < 1.0:
-        raise InvalidParameterError("lam", "requires 0 < lam < 1")
+        raise InvalidParameterError("lambda", "requires 0 < lambda < 1")
     mass = lam ** (p / (1.0 - alpha)) / 2.0
-    dom = simplex(p, mass)
 
     def apply(x: SeqVec) -> SeqVec:
-        return SeqVec(tuple((i + 1, v) for i, v in x.support), 0.0)
+        return shifted([0.0], x, 0.0)
 
     def apply_rows(x: Rows) -> Rows:
-        vals = np.zeros((len(x.tail), x.width + 1))
-        vals[:, 1:] = _support_values(x)
-        return Rows(vals, np.zeros(len(x.tail)))
-
-    def witnesses(budget: int) -> list[SeqVec]:
-        out = []
-        for n in _checkpoint_range(budget, 64):
-            if n > 512:
-                break
-            out.append(SeqVec.from_dict({i: mass / n for i in range(1, n + 1)}))
-        return out
+        return shift_rows([0.0], _support_values(x), np.zeros(len(x.tail)))
 
     return MapInstance(
         name="shift_simplex",
         params={"p": p, "alpha": alpha, "lambda": lam, "mass": mass},
-        domain=dom,
+        domain=simplex(mass),
         norm=NormKind.lp(p),
         apply=_batched(apply, apply_rows),
         claims=ClaimProfile(
@@ -387,7 +363,7 @@ def shift_simplex_map(p: float = 1.0, alpha: float = 0.5, lam: float = 0.5) -> M
             fixed_points=FixedPointSet.empty(),
         ),
         formula="F(t1, t2, ...) = (0, t1, t2, ...) on the mass slice",
-        witness_family=witnesses,
+        witness_family=lambda budget: _equal_mass_family(mass, budget),
         notes=("equal-mass averages x_n = (mass/n)(e1+...+en) displace by "
                "exactly 2*mass/n in l1"),
     )
@@ -405,7 +381,7 @@ def affine_mixing_map(
     if not L > 1.0:
         raise InvalidParameterError("L", "requires L > 1")
     if not 1.0 / L < lam <= 1.0:
-        raise InvalidParameterError("lam", "requires 1/L < lam <= 1")
+        raise InvalidParameterError("lambda", "requires 1/L < lambda <= 1")
     if not 0.0 < alpha < 1.0:
         raise InvalidParameterError("alpha", "requires 0 < alpha < 1")
     mass = 0.5 * (lam / L) ** (1.0 / (1.0 - alpha))
@@ -430,7 +406,7 @@ def affine_mixing_map(
         name="affine_mixing",
         params={"L": L, "lambda": lam, "alpha": alpha, "mass": mass,
                 "gamma": "2^-n"},
-        domain=simplex(1.0, mass),
+        domain=simplex(mass),
         norm=L1,
         apply=_batched(apply, apply_rows),
         claims=ClaimProfile(
@@ -572,31 +548,22 @@ def hyperconvex_map(N: int = 4, alpha: float = 0.5) -> MapInstance:
                 break
         if t1 < 0.0:  # t1 ** alpha would be complex
             raise DomainViolationError("hyperconvex needs t1 >= 0")
-        head = [(1, cap), (2, t2 * t1 ** alpha)]
-        head += [(i + 2, v) for i, v in x.support]
-        return SeqVec.from_sorted(head, x.tail)
+        return shifted([cap, t2 * t1 ** alpha], x, x.tail)
 
     def apply_rows(x: Rows) -> Rows:
         t1, t2 = x.column(1), x.column(2)
         if (t1 < 0.0).any():
             raise DomainViolationError("hyperconvex needs t1 >= 0")
-        vals = np.empty((len(x.tail), x.width + 2))
-        vals[:, 0] = cap
-        vals[:, 1] = t2 * pow_each(t1, alpha)
-        vals[:, 2:] = x.vals
-        return Rows(vals, x.tail)
+        return shift_rows([cap, t2 * pow_each(t1, alpha)], x.vals, x.tail)
 
     def oracle(x: SeqVec, n: int) -> SeqVec:
         if n == 0:
             return x
         t1 = coordinate(x, 1)
         t2 = coordinate(x, 2)
-        out: list[tuple[int, float]] = []
-        for j in range(1, n + 1):
-            out.append((2 * j - 1, cap))
-            out.append((2 * j, t2 * (t1 / float(N) ** (n - j)) ** alpha))
-        out.extend((2 * n + i, v) for i, v in x.support)
-        return SeqVec.from_sorted(out, x.tail)
+        head = [h for j in range(1, n + 1)
+                for h in (cap, t2 * (t1 / float(N) ** (n - j)) ** alpha)]
+        return shifted(head, x, x.tail)
 
     return MapInstance(
         name="hyperconvex",
@@ -634,24 +601,21 @@ def c0_family_map(delta: float = 0.5, q: float = 0.25, alpha: float = 0.9,
     dom = sigma_band(delta, q, breadth=breadth)
     star = SeqVec.from_dict({i: top ** i for i in range(1, breadth + 1)})
 
+    def coordinate_rule(v: float) -> float:
+        if v < 0.0:
+            raise DomainViolationError("c0_family needs nonnegative coords")
+        return top * v ** alpha
+
     def apply(x: SeqVec) -> SeqVec:
         if x.tail != 0.0:
             raise NotInSpaceError("c0_family is defined on c0 (tail 0)")
-        out = {1: top}
-        for i, v in x.support:
-            if v < 0.0:
-                raise DomainViolationError("c0_family needs nonnegative coords")
-            out[i + 1] = top * v ** alpha
-        return SeqVec.from_dict(out, 0.0)
+        return shifted([top], x, 0.0, coordinate_rule)
 
     def apply_rows(x: Rows) -> Rows:
         if (x.tail != 0.0).any() or (x.vals < 0.0).any():
             raise DomainViolationError(
                 "c0_family needs nonnegative coords and tail 0")
-        vals = np.empty((len(x.tail), x.width + 1))
-        vals[:, 0] = top
-        vals[:, 1:] = top * pow_each(x.vals, alpha)
-        return Rows(vals, x.tail)
+        return shift_rows([top], top * pow_each(x.vals, alpha), x.tail)
 
     if alpha == 1.0:
         fps = FixedPointSet.singleton(star, residual=top ** (breadth + 1))
@@ -692,9 +656,9 @@ def affine_cube_map(r: float = 0.125, alpha: float = 0.5, lam: float = 0.5,
     if not 0.0 < alpha < 1.0:
         raise InvalidParameterError("alpha", "requires 0 < alpha < 1")
     if not 0.0 < lam < 1.0:
-        raise InvalidParameterError("lam", "requires 0 < lam < 1")
+        raise InvalidParameterError("lambda", "requires 0 < lambda < 1")
     if not (2.0 * r) ** (1.0 - alpha) <= lam:
-        raise InvalidParameterError("r", "requires (2r)^(1-alpha) <= lam")
+        raise InvalidParameterError("r", "requires (2r)^(1-alpha) <= lambda")
     dom = coefficient_box(r, breadth=breadth)
 
     def apply(x: SeqVec) -> SeqVec:
@@ -756,19 +720,12 @@ def renormed_l1_map() -> MapInstance:
         s = math.fsum(v for _, v in x.support)
         if x.tail != 0.0:
             raise NotInSpaceError("renormed_l1 is defined on l1 (tail 0)")
-        out = {1: 1.0 - s}
-        for i, v in x.support:
-            out[i + 1] = v
-        return SeqVec.from_dict(out, 0.0)
+        return shifted([1.0 - s], x, 0.0)
 
     def apply_rows(x: Rows) -> Rows:
         if (x.tail != 0.0).any():
             raise NotInSpaceError("renormed_l1 is defined on l1 (tail 0)")
-        sums = fsum_rows(x.vals)
-        vals = np.empty((len(x.tail), x.width + 1))
-        vals[:, 0] = 1.0 - sums
-        vals[:, 1:] = x.vals
-        return Rows(vals, x.tail)
+        return shift_rows([1.0 - fsum_rows(x.vals)], x.vals, x.tail)
 
     return MapInstance(
         name="renormed_l1",
@@ -801,7 +758,7 @@ def l1_ball_composite_map(alpha: float = 0.5, lam: float = 0.5) -> MapInstance:
     if not 0.0 < alpha < 1.0:
         raise InvalidParameterError("alpha", "requires 0 < alpha < 1")
     if not 0.0 < lam < 1.0:
-        raise InvalidParameterError("lam", "requires 0 < lam < 1")
+        raise InvalidParameterError("lambda", "requires 0 < lambda < 1")
     theta = math.sqrt(alpha)
     r = 0.25 * (lam / 8.0 ** theta) ** (1.0 / (1.0 - theta))
 
@@ -821,14 +778,6 @@ def l1_ball_composite_map(alpha: float = 0.5, lam: float = 0.5) -> MapInstance:
         base = to_sphere(x)
         return SeqVec(tuple((i + n, v) for i, v in base.support), 0.0)
 
-    def witnesses(budget: int) -> list[SeqVec]:
-        out = []
-        for n in _checkpoint_range(budget, 64):
-            if n > 512:
-                break
-            out.append(SeqVec.from_dict({i: r / n for i in range(1, n + 1)}))
-        return out
-
     return MapInstance(
         name="l1_ball_composite",
         params={"alpha": alpha, "lambda": lam, "radius": r},
@@ -846,7 +795,7 @@ def l1_ball_composite_map(alpha: float = 0.5, lam: float = 0.5) -> MapInstance:
         formula=("T = shift . abs . sphere_retract(r) . ball_retract(r), "
                  "r = (lam/8^sqrt(a))^(1/(1-sqrt(a)))/4"),
         iterate_oracle=oracle,
-        witness_family=witnesses,
+        witness_family=lambda budget: _equal_mass_family(r, budget),
         notes=("report-only Holder claim; the iterate identity "
                "T^n = shift^n . (abs . sphere . ball) holds because the "
                "shift maps the landed sphere into itself"),
@@ -860,7 +809,7 @@ def l1_ball_composite_map(alpha: float = 0.5, lam: float = 0.5) -> MapInstance:
 def lambda_scale(inner: MapInstance, lam: float) -> MapInstance:
     """x -> inner(lam * x).  Needs a domain star-shaped about 0."""
     if not 0.0 < lam < 1.0:
-        raise InvalidParameterError("lam", "requires 0 < lam < 1")
+        raise InvalidParameterError("lambda", "requires 0 < lambda < 1")
     if not inner.domain.star_shaped:
         raise InvalidCompositionError(
             f"lambda_scale needs a domain star-shaped about 0, "
@@ -942,7 +891,7 @@ def lift_to_ball(F: MapInstance, r: float, alpha: float, lam: float) -> MapInsta
     if not r > 0.0:
         raise InvalidParameterError("r", "requires r > 0")
     if not 2.0 * L * r ** (1.0 - alpha) <= lam:
-        raise InvalidParameterError("r", "requires 2 L r^(1-alpha) <= lam")
+        raise InvalidParameterError("r", "requires 2 L r^(1-alpha) <= lambda")
 
     def apply(x: SeqVec) -> SeqVec:
         rx = radial_retract(x, r, F.norm)

@@ -41,7 +41,7 @@ from .errors import (
 )
 from .report import VerificationReport, write_report
 from .seqvec import NORM_VARIANTS, NormKind, format_vec, parse_vec
-from .verify import CHECKS, FIELDS, CheckRequest, run_check
+from .verify import CHECKS, FIELDS, STRATEGIES, CheckRequest, run_check
 
 __all__ = ["main", "EXIT_CODES"]
 
@@ -72,6 +72,8 @@ _TOP_KEYS = {"schema_version", "name", "map", "domain", "seed", "checks",
              "strict", "out", "breadth", "tolerance"}
 _MAP_KEYS = {"name", "params"}
 _DOMAIN_KEYS = {"kind", "params", "tol"}
+# The displacement fields some strategy reads and others do not.
+_STRATEGY_FIELDS = {key for s in STRATEGIES.values() for key in s.fields}
 
 
 def _require(cond: bool, message: str) -> None:
@@ -199,6 +201,13 @@ def _check_from_obj(obj: object, index: int) -> CheckRequest:
         if choices is not None:
             _require(value in choices, f"{where}unknown {key} {value!r}; "
                      f"expected one of {', '.join(choices)}")
+    if kind == "displacement":
+        strategy = fields.get("strategy", FIELDS["strategy"].default)
+        reads = STRATEGIES[strategy].fields
+        unread = sorted(key for key in fields if key in _STRATEGY_FIELDS
+                        and key not in reads)
+        _require(not unread,
+                 f"{where}strategy {strategy!r} does not read {unread}")
     return CheckRequest(kind, **fields)
 
 

@@ -54,7 +54,7 @@ class DomainKind:
 DOMAIN_KINDS: dict[str, DomainKind] = {
     "ball": DomainKind(("r", "norm"), True, True),
     "positive_ball": DomainKind(("r", "norm"), True, True),
-    "simplex": DomainKind(("p", "mass"), False),        # sum == mass
+    "simplex": DomainKind(("mass",), False),            # sum == mass
     "sub_simplex": DomainKind(("mass_cap",), True),     # sum <= mass_cap
     "coefficient_box": DomainKind(("r",), True),        # coords in [0, r]
     "sigma_band": DomainKind(("delta", "q"), False),    # q^i <= t_i <= 1-delta
@@ -66,7 +66,6 @@ DOMAIN_KINDS: dict[str, DomainKind] = {
 _CONSTRAINTS = {
     "r": ("r > 0", lambda d: d.r > 0.0),
     "norm": ("a NormKind", lambda d: isinstance(d.norm, NormKind)),
-    "p": ("p >= 1", lambda d: d.p >= 1.0),
     "mass": ("mass > 0", lambda d: d.mass > 0.0),
     "mass_cap": ("mass_cap > 0", lambda d: d.mass_cap > 0.0),
     "delta": ("0 < delta < 1", lambda d: 0.0 < d.delta < 1.0),
@@ -91,7 +90,6 @@ class DomainSpec:
     kind: str
     r: float | None = None
     norm: NormKind | None = None
-    p: float | None = None
     mass: float | None = None
     mass_cap: float | None = None
     delta: float | None = None
@@ -383,7 +381,7 @@ class DomainSpec:
             return (f"nonnegative part of the radius-{self.r} ball "
                     f"in the {self.norm.label()} norm")
         if k == "simplex":
-            return f"l{self.p:g} simplex slice of mass {self.mass}"
+            return f"l1 simplex slice of mass {self.mass}"
         if k == "sub_simplex":
             return f"nonnegative vectors of l1 mass at most {self.mass_cap}"
         if k == "coefficient_box":
@@ -409,8 +407,8 @@ def positive_ball(r: float, norm: NormKind, **options) -> DomainSpec:
     return DomainSpec("positive_ball", r=r, norm=norm, **options)
 
 
-def simplex(p: float, mass: float, **options) -> DomainSpec:
-    return DomainSpec("simplex", p=p, mass=mass, **options)
+def simplex(mass: float, **options) -> DomainSpec:
+    return DomainSpec("simplex", mass=mass, **options)
 
 
 def sub_simplex(mass_cap: float, **options) -> DomainSpec:

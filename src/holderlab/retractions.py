@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainViolationError
-from .seqvec import SeqVec, NormKind, Rows, norm, rows_norm, scale
+from .seqvec import SeqVec, NormKind, Rows, norm, rows_norm, scale, shifted
 
 __all__ = [
     "radial_retract",
@@ -140,9 +140,7 @@ def excess_map(x: SeqVec, r: float) -> SeqVec:
 
 def _sphere_low(x: SeqVec, r: float, nx: float) -> SeqVec:
     # (r - 2||x||_1) e_1 + 2 S(x); the shift frees coordinate 1.
-    out = {i + 1: 2.0 * v for i, v in x.support}
-    out[1] = r - 2.0 * nx
-    return SeqVec.from_dict(out, 0.0)
+    return shifted([r - 2.0 * nx], x, 0.0, lambda v: 2.0 * v)
 
 
 def _sphere_high(x: SeqVec, r: float) -> SeqVec:

@@ -37,6 +37,8 @@ __all__ = [
     "fsum_rows",
     "axpy",
     "scale",
+    "shifted",
+    "shift_rows",
     "shift_right",
     "tail_limit",
     "c_basis_coefficients",
@@ -436,13 +438,37 @@ def scale(a: float, x: SeqVec) -> SeqVec:
     return SeqVec.from_sorted([(i, a * v) for i, v in x.support], t)
 
 
+def shifted(head: list[float], x: SeqVec, tail: float,
+            rule: Callable[[float], float] | None = None) -> SeqVec:
+    """(h1, ..., hk, rule(t1), rule(t2), ...) with tail = rule(x.tail); no
+    rule moves each t_i unchanged.  Canonical, as from_sorted would make it."""
+    tail += 0.0  # normalizes -0.0
+    k = len(head)
+    pairs = []
+    for j, h in enumerate(head, 1):
+        if h != tail:
+            pairs.append((j, h + 0.0))
+    for i, v in x.support:
+        if rule is not None:
+            v = rule(v) + 0.0
+        if v != tail:
+            pairs.append((i + k, v))
+    return SeqVec(tuple(pairs), tail)
+
+
+def shift_rows(head: list, body: np.ndarray, tail: np.ndarray) -> Rows:
+    """shifted on a block: the head columns (numbers or arrays), then body."""
+    vals = np.empty((len(tail), len(head) + body.shape[1]))
+    vals[:, len(head):] = body
+    for j, column in enumerate(head):
+        vals[:, j] = column
+    return Rows(vals, tail)
+
+
 def shift_right(x: SeqVec) -> SeqVec:
     """The forward shift S(t1, t2, ...) = (0, t1, t2, ...); the tail is kept
     (the shifted sequence has the same eventual value)."""
-    first = [(1, 0.0)] if x.tail != 0.0 else []
-    return SeqVec.from_sorted(
-        first + [(i + 1, v) for i, v in x.support], x.tail
-    )
+    return shifted([0.0], x, x.tail)
 
 
 def basis_vector(i: int, value: float = 1.0) -> SeqVec:

@@ -12,7 +12,8 @@ CHECKS is the one table of check kinds.  Each entry names the request
 fields it reads (FIELDS declares their types and defaults) and the function
 that turns a map, a request and a seed into a CheckRecord, so a new check
 kind is one such function and one CHECKS entry.  STRATEGIES is the one
-table of displacement strategies.  Every orbit-style walk (the orbit check,
+table of displacement strategies; each entry names the fields its strategy
+reads beyond the budget.  Every orbit-style walk (the orbit check,
 oracle_compare and the orbit strategies) is one call of the orbit kernel.
 
 Every check is deterministic given its seed; identical requests produce
@@ -54,6 +55,7 @@ __all__ = [
     "FIELDS",
     "Check",
     "CHECKS",
+    "Strategy",
     "STRATEGIES",
     "CheckRequest",
     "CheckRecord",
@@ -431,18 +433,59 @@ def _cesaro_affine(T: MapInstance, budget: int, seed: int, lambdas, target):
                  lambda k: True, mean=True).least
 
 
-STRATEGIES: dict[str, Callable[..., _Least]] = {
-    "sample_min": _sample_min,
-    "orbit_min": _orbit_min,
-    "lambda_scaling": _lambda_scaling,
-    "cesaro_affine": _cesaro_affine,
+@dataclass(frozen=True)
+class Strategy:
+    fields: tuple[str, ...]  # the FIELDS entries its run reads beyond budget
+    run: Callable[..., _Least]
+
+
+STRATEGIES: dict[str, Strategy] = {
+    "sample_min": Strategy(("seed",), _sample_min),
+    "orbit_min": Strategy((), _orbit_min),
+    "lambda_scaling": Strategy(("lambdas", "target"), _lambda_scaling),
+    "cesaro_affine": Strategy((), _cesaro_affine),
+}
+
+
+@dataclass(frozen=True)
+class Field:
+    """A request field: its JSON type ("int", "seed" (an int >= 0),
+    "number", "int list", "number list", "string" or "vector"), its default
+    and, for a string, the table whose keys it must name."""
+
+    name: str
+    type: str
+    default: object = None
+    choices: Mapping[str, object] | None = None
+
+
+FIELDS: dict[str, Field] = {
+    f.name: f
+    for f in [
+        Field("pairs", "int", 1000),
+        Field("samples", "int", 1000),
+        Field("iterate", "int", 1),
+        Field("exponent", "number"),
+        Field("n_list", "int list", (1, 2, 5, 10, 20)),
+        Field("n_max", "int", 10),
+        Field("depth", "int", 50),
+        Field("budget", "int", 1000),
+        Field("strategy", "string", "sample_min", STRATEGIES),
+        Field("delta", "number", 1.0),
+        Field("x0", "vector"),
+        Field("seed", "seed"),
+        Field("tolerance", "number"),
+        Field("lambdas", "number list", (0.5, 0.9, 0.99, 0.999)),
+        Field("target", "number", 1e-3),
+    ]
 }
 
 
 def estimate_displacement(T: MapInstance, strategy: str, budget: int,
                           seed: int,
-                          lambdas: tuple[float, ...] = (0.5, 0.9, 0.99, 0.999),
-                          target: float = 1e-3) -> DisplacementEstimate:
+                          lambdas: tuple[float, ...] = FIELDS["lambdas"].default,
+                          target: float = FIELDS["target"].default
+                          ) -> DisplacementEstimate:
     """Upper estimate of the minimal displacement inf ||x - Tx|| by one of
     the STRATEGIES; a NaN displacement counts as +inf."""
     if budget < 1:
@@ -452,7 +495,7 @@ def estimate_displacement(T: MapInstance, strategy: str, budget: int,
             f"unknown strategy {strategy!r}; expected one of "
             f"{', '.join(STRATEGIES)}"
         )
-    least = STRATEGIES[strategy](T, budget, seed, lambdas, target)
+    least = STRATEGIES[strategy].run(T, budget, seed, lambdas, target)
     if least.witness is None:
         raise InsufficientSamplesError("no displacement witness was evaluated")
     return DisplacementEstimate(least.value, least.witness, least.evaluations)
@@ -723,40 +766,6 @@ def _oracle_compare(T: MapInstance, req: CheckRequest,
 
 # ---------------------------------------------------------------------------
 # The registry
-
-
-@dataclass(frozen=True)
-class Field:
-    """A request field: its JSON type ("int", "seed" (an int >= 0),
-    "number", "int list", "number list", "string" or "vector"), its default
-    and, for a string, the table whose keys it must name."""
-
-    name: str
-    type: str
-    default: object = None
-    choices: Mapping[str, object] | None = None
-
-
-FIELDS: dict[str, Field] = {
-    f.name: f
-    for f in [
-        Field("pairs", "int", 1000),
-        Field("samples", "int", 1000),
-        Field("iterate", "int", 1),
-        Field("exponent", "number"),
-        Field("n_list", "int list", (1, 2, 5, 10, 20)),
-        Field("n_max", "int", 10),
-        Field("depth", "int", 50),
-        Field("budget", "int", 1000),
-        Field("strategy", "string", "sample_min", STRATEGIES),
-        Field("delta", "number", 1.0),
-        Field("x0", "vector"),
-        Field("seed", "seed"),
-        Field("tolerance", "number"),
-        Field("lambdas", "number list", (0.5, 0.9, 0.99, 0.999)),
-        Field("target", "number", 1e-3),
-    ]
-}
 
 
 @dataclass(frozen=True)

@@ -68,9 +68,9 @@ def all_instances():
     (lambda: prus_map(alpha=0.0), "alpha"),
     (lambda: norming_map(alpha=1.0), "alpha"),
     (lambda: shift_simplex_map(p=0.5), "p"),
-    (lambda: shift_simplex_map(lam=1.0), "lam"),
+    (lambda: shift_simplex_map(lam=1.0), "lambda"),
     (lambda: affine_mixing_map(L=1.0), "L"),
-    (lambda: affine_mixing_map(L=2.0, lam=0.25), "lam"),
+    (lambda: affine_mixing_map(L=2.0, lam=0.25), "lambda"),
     (lambda: deficiency_map(p=0.5), "p"),
     (lambda: goebel_kirk_map(alpha=2.0), "alpha"),
     (lambda: hyperconvex_map(N=2, alpha=0.5), "N"),

@@ -12,7 +12,7 @@ from holderlab.catalog import catalog_names, retraction_names
 from holderlab.cli import main
 from holderlab.domains import DOMAIN_KINDS
 from holderlab.report import canonical_bytes
-from holderlab.verify import CHECKS, FIELDS
+from holderlab.verify import CHECKS, FIELDS, STRATEGIES
 
 MAPS = ("affine_cube", "affine_mixing", "baseline_c", "c0_family",
         "deficiency", "goebel_kirk", "hyperconvex", "l1_ball_composite",
@@ -230,6 +230,16 @@ def test_malformed_json(tmp_path, capsys):
      "unknown fields ['tolerance']"),
     (lambda c: c.update(checks=[{"kind": "orbit", "seed": 4}]),
      "unknown fields ['seed']"),
+    # a field the displacement strategy does not read
+    (lambda c: c.update(checks=[{"kind": "displacement",
+                                 "strategy": "orbit_min", "lambdas": [0.5],
+                                 "target": 7, "seed": 3}]),
+     "strategy 'orbit_min' does not read ['lambdas', 'seed', 'target']"),
+    (lambda c: c.update(checks=[{"kind": "displacement", "target": 0.1}]),
+     "strategy 'sample_min' does not read ['target']"),
+    (lambda c: c.update(checks=[{"kind": "displacement",
+                                 "strategy": "lambda_scaling", "seed": 3}]),
+     "strategy 'lambda_scaling' does not read ['seed']"),
     (lambda c: c.update(seed=-1), "seed must be at least 0"),
     (lambda c: c.update(breadth=-3), "breadth must be at least 1"),
     (lambda c: c.update(domain=ball_override(r=float("inf"))),
@@ -263,11 +273,14 @@ def test_malformed_json(tmp_path, capsys):
                                                       "p": 1}}}),
      "does not fit l1_sphere: its point {1:2.0}"),
     (lambda c: c.update(map={"name": "l1_sphere"}, domain={
-        "kind": "simplex", "params": {"p": 1.0, "mass": 1.5}}),
+        "kind": "simplex", "params": {"mass": 1.5}}),
      "does not fit l1_sphere: its point {1:1.5}"),
     (lambda c: c.update(map={"name": "l1_sphere"}, domain={
         "kind": "sub_simplex", "params": {"mass_cap": 3.0}}),
      "does not fit l1_sphere: its point {1:3.0}"),
+    (lambda c: c.update(map={"name": "shift_simplex"}, domain={
+        "kind": "simplex", "params": {"p": 1.0, "mass": 0.125}}),
+     "unknown simplex domain params: ['p']"),
     (lambda c: c.update(map={"name": "l1_sphere"}, domain={
         "kind": "coefficient_box", "params": {"r": 0.5}}),
      "l1_sphere_retract needs ||x||_1 <= r"),
@@ -278,6 +291,8 @@ def test_malformed_json(tmp_path, capsys):
         "empty-checks", "bad-kind", "foreign-check-key", "bad-x0",
         "path-in-name", "string-n_list", "fractional-n_list",
         "string-lambdas", "nan-tolerance", "unread-tolerance", "unread-seed",
+        "orbit_min-unread-fields", "sample_min-unread-target",
+        "lambda_scaling-unread-seed",
         "negative-seed",
         "negative-breadth", "infinite-domain-r", "boolean-domain-r",
         "foreign-domain-param", "domain-breadth", "sup-ball-on-l2-map",
@@ -285,6 +300,7 @@ def test_malformed_json(tmp_path, capsys):
         "c_interval-on-affine_cube", "sup-ball-on-affine_cube",
         "c_interval-on-c0_family", "l1-ball-2-on-l1_sphere",
         "simplex-1.5-on-l1_sphere", "sub_simplex-3-on-l1_sphere",
+        "simplex-with-p",
         "coefficient_box-on-l1_sphere", "sup-ball-on-hyperconvex"])
 def test_config_schema_violations(tmp_path, capsys, mangle, fragment):
     cfg = base_config(tmp_path)
@@ -310,6 +326,14 @@ def test_parameter_violation(tmp_path, capsys):
     cfg["map"] = {"name": "hyperconvex", "params": {"N": 2}}
     assert main(["run", write_config(tmp_path, cfg)]) == 3
     assert "N" in capsys.readouterr().err
+
+
+def test_a_parameter_error_names_the_config_parameter(tmp_path, capsys):
+    cfg = base_config(tmp_path, map={"name": "shift_simplex",
+                                     "params": {"lambda": 1.5}})
+    assert main(["run", write_config(tmp_path, cfg)]) == 3
+    assert ("parameter 'lambda' violates constraint: requires 0 < lambda < 1"
+            in capsys.readouterr().err)
 
 
 def test_domain_parameter_violation(tmp_path, capsys):
@@ -379,7 +403,18 @@ TYPED_VALUES = {
 def test_any_check_field_values_map_to_an_exit_code(tmp_path, data):
     kind = data.draw(st.sampled_from(sorted(CHECKS)), label="kind")
     check = {"kind": kind}
-    for name in CHECKS[kind].fields:
+    names = CHECKS[kind].fields
+    if kind == "displacement":
+        # a strategy, then only the fields a known strategy reads
+        strategy = data.draw(st.one_of(TYPED_VALUES["string"], JSON_VALUES),
+                             label="strategy")
+        check["strategy"] = strategy
+        names = [name for name in names if name != "strategy"]
+        if isinstance(strategy, str) and strategy in STRATEGIES:
+            unread = {name for s in STRATEGIES.values() for name in s.fields}
+            unread -= set(STRATEGIES[strategy].fields)
+            names = [name for name in names if name not in unread]
+    for name in names:
         typed = TYPED_VALUES[FIELDS[name].type]
         check[name] = data.draw(st.one_of(typed, JSON_VALUES), label=name)
     map_name = data.draw(st.sampled_from(["norming", "shift_simplex",

@@ -45,7 +45,7 @@ def all_domains():
         ball(0.7, L2),
         ball(1.0, MPN),
         positive_ball(0.9, L1),
-        simplex(1.0, 0.125),
+        simplex(0.125),
         sub_simplex(0.5),
         coefficient_box(1.0),
         sigma_band(0.125, 0.5),
@@ -67,7 +67,7 @@ NATURAL_NORM = {
 
 
 def test_simplex_contains_single_spike():
-    K = simplex(1.0, 0.125)
+    K = simplex(0.125)
     assert K.contains(basis_vector(1, 0.125))
     assert K.contains(basis_vector(2, 0.125))
     assert not K.contains(basis_vector(1, 0.25))
@@ -145,8 +145,8 @@ def test_sigma_chain_decays_geometrically():
     lambda: ball(0.0, L1),
     lambda: ball(-1.0, SUP),
     lambda: positive_ball(0.0, L1),
-    lambda: simplex(0.5, 1.0),
-    lambda: simplex(1.0, 0.0),
+    lambda: simplex(float("nan")),
+    lambda: simplex(0.0),
     lambda: sub_simplex(0.0),
     lambda: coefficient_box(0.0),
     lambda: sigma_band(0.0, 0.5),
@@ -159,7 +159,7 @@ def test_sigma_chain_decays_geometrically():
     lambda: DomainSpec("ball", r=float("inf"), norm=L2),
     lambda: ball(True, L2),
     lambda: coefficient_box(1.0, tol=float("inf")),
-    lambda: DomainSpec("simplex", p=1.0, mass=1.0, r=1.0),
+    lambda: DomainSpec("simplex", mass=1.0, r=1.0),
 ])
 def test_factories_reject_bad_parameters(build):
     with pytest.raises(InvalidParameterError):
@@ -243,7 +243,7 @@ def test_sampled_pairs_respect_diameter_bound():
 
 def test_describe_mentions_the_shape():
     assert "radius" in ball(1.0, L2).describe()
-    assert "simplex" in simplex(1.0, 0.125).describe()
+    assert "simplex" in simplex(0.125).describe()
     assert "band" in sigma_band(0.125, 0.5).describe()
 
 
@@ -267,7 +267,7 @@ def _row_domains():
         ball(0.8, NormKind.lp(3.0)),
         positive_ball(0.9, SUP),
         positive_ball(0.6, L2),
-        simplex(2.0, 0.5),
+        simplex(0.5),
         sub_simplex(1.0, tol=0.0),
         sigma_band(0.125, 0.01, breadth=12),
         c_interval(1.0, breadth=8),

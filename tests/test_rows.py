@@ -29,6 +29,9 @@ from holderlab.seqvec import (
     pow_each,
     rows_distance,
     rows_norm,
+    shift_right,
+    shift_rows,
+    shifted,
 )
 from holderlab.verify import CheckRequest, pair_ratios, run_check
 
@@ -208,6 +211,33 @@ def test_rows_distance_of_a_column_shift_is_exact():
         assert (rows_distance(shifted[2], shifted[3], kind) == base).all()
 
 
+# Rules that work on a float and on an array alike: the identity, one that
+# gives -0.0 on negative coordinates (and tails), and two that move every
+# value.
+SHIFT_RULES = [None, lambda v: v * (v > 0.0), abs, lambda v: 2.0 * v - 0.5]
+
+
+@pytest.mark.parametrize("breadth", [8, 64])
+def test_shift_rows_is_shifted_row_by_row(breadth):
+    x = ball(1.0, SUP).sample_rows(breadth, 60, breadth)
+    assert x.tail.any() and not x.tail.all()
+    for rule in SHIFT_RULES:
+        f = (lambda v: v) if rule is None else rule
+        tail = f(x.tail)
+        # heads of length 0 to 2; a head equal to the tail is dropped
+        for head in ([], [0.5], [tail], [-0.0, tail], [0.25, 0.0]):
+            block = shift_rows(head, f(x.vals), tail)
+            for i in range(len(tail)):
+                row_head = [float(h[i]) if isinstance(h, np.ndarray) else h
+                            for h in head]
+                want = shifted(row_head, x.vec(i), float(tail[i]), rule)
+                assert block.vec(i) == want
+                assert repr(block.vec(i)) == repr(want)  # signs of zeros
+    for i in range(len(x.tail)):
+        v = x.vec(i)
+        assert shift_right(v) == shifted([0.0], v, v.tail)
+
+
 def _maps():
     return [build_map(name) for name in catalog_names() + retraction_names()]
 
@@ -265,7 +295,7 @@ def test_replacing_apply_drops_the_batch_form():
 def _domains():
     return [ball(1.0, SUP), ball(1.0, L1), ball(0.7, L2), ball(1.0, MPN),
             positive_ball(0.9, L1), positive_ball(0.9, SUP),
-            simplex(1.0, 0.125), simplex(2.0, 0.5), sub_simplex(0.5),
+            simplex(0.125), simplex(0.5), sub_simplex(0.5),
             coefficient_box(1.0), sigma_band(0.125, 0.5), c_interval(0.25)]
 
 

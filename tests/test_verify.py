@@ -53,7 +53,7 @@ from holderlab.verify import (
 
 def _degenerate(T):
     """The same map over the one-point domain {e1}: every pair coincides."""
-    return dataclasses.replace(T, domain=simplex(1.0, 1.0, breadth=1))
+    return dataclasses.replace(T, domain=simplex(1.0, breadth=1))
 
 
 # ---------------------------------------------------------------------------
