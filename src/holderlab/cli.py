@@ -41,7 +41,7 @@ from .errors import (
 )
 from .report import VerificationReport, write_report
 from .seqvec import NORM_VARIANTS, NormKind, format_vec, parse_vec
-from .verify import CHECKS, FIELDS, STRATEGIES, CheckRequest, run_check
+from .verify import CHECKS, FIELDS, CheckRequest, run_check, unread_fields
 
 __all__ = ["main", "EXIT_CODES"]
 
@@ -72,8 +72,6 @@ _TOP_KEYS = {"schema_version", "name", "map", "domain", "seed", "checks",
              "strict", "out", "breadth", "tolerance"}
 _MAP_KEYS = {"name", "params"}
 _DOMAIN_KEYS = {"kind", "params", "tol"}
-# The displacement fields some strategy reads and others do not.
-_STRATEGY_FIELDS = {key for s in STRATEGIES.values() for key in s.fields}
 
 
 def _require(cond: bool, message: str) -> None:
@@ -189,11 +187,10 @@ def _check_from_obj(obj: object, index: int) -> CheckRequest:
     _require(isinstance(kind, str) and kind in CHECKS,
              f"{where}unknown check kind {kind!r}; expected one of "
              f"{', '.join(CHECKS)}")
-    allowed = {"kind", *CHECKS[kind].fields}
-    extra = set(obj) - allowed
+    extra = unread_fields(kind, set(obj) - {"kind"})
     _require(not extra,
-             f"checks[{index}] ({kind}): unknown fields {sorted(extra)}; "
-             f"allowed: {sorted(allowed)}")
+             f"checks[{index}] ({kind}): unknown fields {extra}; "
+             f"allowed: {sorted({'kind', *CHECKS[kind].fields})}")
     fields = {key: _PARSERS[FIELDS[key].type](value, key, where)
               for key, value in obj.items() if key != "kind"}
     for key, value in fields.items():
@@ -201,13 +198,11 @@ def _check_from_obj(obj: object, index: int) -> CheckRequest:
         if choices is not None:
             _require(value in choices, f"{where}unknown {key} {value!r}; "
                      f"expected one of {', '.join(choices)}")
-    if kind == "displacement":
-        strategy = fields.get("strategy", FIELDS["strategy"].default)
-        reads = STRATEGIES[strategy].fields
-        unread = sorted(key for key in fields if key in _STRATEGY_FIELDS
-                        and key not in reads)
-        _require(not unread,
-                 f"{where}strategy {strategy!r} does not read {unread}")
+    # the kind reads every key left, so only a strategy can leave one unread
+    strategy = fields.get("strategy", FIELDS["strategy"].default)
+    unread = unread_fields(kind, fields, strategy)
+    _require(not unread,
+             f"{where}strategy {strategy!r} does not read {unread}")
     return CheckRequest(kind, **fields)
 
 
@@ -320,7 +315,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         checks=records,
     )
     json_path, summary_path = write_report(report, out_dir)
-    sys.stdout.write(report.to_summary())
+    sys.stdout.write(report.summary)
     print(f"report: {json_path}")
     print(f"summary: {summary_path}")
     return EXIT_CHECK_FAILED if report.failed else EXIT_OK
@@ -396,7 +391,9 @@ def _cmd_describe(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """One parser per process; parse_args keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="holderlab",
         description=("Measure Holder constants, invariance and minimal "
@@ -425,8 +422,11 @@ def main(argv: list[str] | None = None) -> int:
                             help="print one map's construction sheet")
     p_desc.add_argument("name")
     p_desc.set_defaults(func=_cmd_describe)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except HolderLabError as exc:

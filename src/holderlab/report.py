@@ -7,10 +7,11 @@ strips exactly those fields so byte comparison works.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import tempfile
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from datetime import datetime, timezone
 
 from .verify import CheckRecord
@@ -63,13 +64,16 @@ class VerificationReport:
             "seed": self.seed,
             "strict": self.strict,
             "counts": self.counts(),
-            "checks": [asdict(rec) for rec in self.checks],
+            "checks": [dict(vars(rec)) for rec in self.checks],
         }
 
     def to_json(self) -> str:
         return json.dumps(self.to_obj(), indent=2, sort_keys=True) + "\n"
 
-    def to_summary(self) -> str:
+    @functools.cached_property
+    def summary(self) -> str:
+        """The plain-text summary, rendered on first use: build a new report
+        rather than change one."""
         counts = self.counts()
         lines = [
             f"verification summary: {self.name}",
@@ -132,5 +136,5 @@ def write_report(report: VerificationReport, out_dir: str) -> tuple[str, str]:
     json_path = os.path.join(out_dir, f"{report.name}.report.json")
     summary_path = os.path.join(out_dir, f"{report.name}.summary.txt")
     _atomic_write(json_path, report.to_json())
-    _atomic_write(summary_path, report.to_summary())
+    _atomic_write(summary_path, report.summary)
     return json_path, summary_path

@@ -31,7 +31,7 @@ from typing import Callable, Iterator, Mapping, NamedTuple
 import numpy as np
 
 from .catalog import MapInstance
-from .domains import DomainSpec, as_rng
+from .domains import as_rng
 from .errors import (
     InvalidBudgetError,
     InvalidCheckError,
@@ -59,6 +59,7 @@ __all__ = [
     "STRATEGIES",
     "CheckRequest",
     "CheckRecord",
+    "unread_fields",
     "pair_ratios",
     "orbit",
     "estimate_displacement",
@@ -118,14 +119,6 @@ def _block_sizes(count: int, width: int) -> Iterator[int]:
     step = max(1, BLOCK_ELEMENTS // width)
     for start in range(0, count, step):
         yield min(step, count - start)
-
-
-def _sampled_points(K: DomainSpec, rng, count: int) -> Iterator[SeqVec]:
-    """`count` members of K drawn block by block, one at a time."""
-    for k in _block_sizes(count, K.breadth):
-        block = K.sample_rows(rng, k)
-        for i in range(k):
-            yield block.vec(i)
 
 
 def _by_rows(T: MapInstance, on_rows: Callable, on_points: Callable, *args,
@@ -239,6 +232,14 @@ class _Least:
         self.evaluations += 1
         if self.witness is None or d < self.value:
             self.value, self.witness = (math.inf if d != d else d), x
+
+    def consider_rows(self, d: np.ndarray, x: Rows) -> None:
+        """consider(d[j], x[j]) for each row j in turn."""
+        d = np.where(np.isnan(d), math.inf, d)
+        j = int(np.argmin(d))
+        self.evaluations += len(d)
+        if self.witness is None or d[j] < self.value:
+            self.value, self.witness = float(d[j]), x.vec(j)
 
     def merge(self, other: "_Least") -> None:
         """Fold in a stream considered after this one."""
@@ -367,6 +368,16 @@ def orbit(T: MapInstance, x0: SeqVec, depth: int) -> OrbitResult:
 # the least displacement it evaluated.  All witness streams extend under a
 # larger budget, so estimates never increase with it.
 
+# The displacement kernel: ||x[j] - T x[j]|| for every row x[j].
+
+def _displacements_rows(T: MapInstance, x: Rows) -> np.ndarray:
+    return rows_distance(x, T.apply.rows(x), T.norm)
+
+
+def _displacements_points(T: MapInstance, x: Rows) -> np.ndarray:
+    return np.array([T.displacement(x.vec(j)) for j in range(len(x.tail))])
+
+
 def _sample_min(T: MapInstance, budget: int, seed: int, lambdas, target):
     """The canonical points, the instance's witness family and random
     samples."""
@@ -376,9 +387,11 @@ def _sample_min(T: MapInstance, budget: int, seed: int, lambdas, target):
     if T.witness_family is not None:
         for x in T.witness_family(budget):
             least.consider(T.displacement(x), x)
-    for x in _sampled_points(T.domain, as_rng(seed),
-                             budget - least.evaluations):
-        least.consider(T.displacement(x), x)
+    rng = as_rng(seed)
+    for k in _block_sizes(budget - least.evaluations, T.domain.breadth):
+        x = T.domain.sample_rows(rng, k)
+        least.consider_rows(_by_rows(T, _displacements_rows,
+                                     _displacements_points, x), x)
     return least
 
 
@@ -790,12 +803,33 @@ CHECKS: dict[str, Check] = {
 }
 
 
-def _known_kind(req: CheckRequest) -> None:
+def unread_fields(kind: str, keys, strategy: str | None = None) -> list[str]:
+    """The keys a check of `kind` does not read, sorted: those naming no
+    field of the kind and, for a displacement check with a strategy, the
+    fields only other strategies read."""
+    reads = set(CHECKS[kind].fields)
+    if kind == "displacement" and strategy is not None:
+        reads -= {key for s in STRATEGIES.values() for key in s.fields}
+        reads |= set(STRATEGIES[strategy].fields)
+    return sorted(set(keys) - reads)
+
+
+def _validate(req: CheckRequest) -> None:
+    """A known kind, and no field it does not read away from its default.
+    An unknown strategy is left to estimate_displacement."""
     if req.kind not in CHECKS:
         raise InvalidCheckError(
             f"unknown check kind {req.kind!r}; expected one of "
             f"{', '.join(CHECKS)}"
         )
+    given = [f.name for f in FIELDS.values()
+             if getattr(req, f.name) != f.default]
+    strategy = req.strategy if req.strategy in STRATEGIES else None
+    unread = unread_fields(req.kind, given, strategy)
+    if unread:
+        what = (f"strategy {req.strategy!r}" if req.kind == "displacement"
+                else f"check kind {req.kind!r}")
+        raise InvalidCheckError(f"{what} does not read {unread}")
 
 
 # One frozen dataclass: the kind, then every FIELDS entry with its default.
@@ -804,7 +838,7 @@ CheckRequest = make_dataclass(
     [("kind", str)] + [(f.name, object, field(default=f.default))
                        for f in FIELDS.values()],
     frozen=True,
-    namespace={"__module__": __name__, "__post_init__": _known_kind},
+    namespace={"__module__": __name__, "__post_init__": _validate},
 )
 
 

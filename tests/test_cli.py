@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from holderlab.catalog import catalog_names, retraction_names
+from holderlab import cli
 from holderlab.cli import main
 from holderlab.domains import DOMAIN_KINDS
 from holderlab.report import canonical_bytes
@@ -90,6 +91,31 @@ def test_out_flag_overrides_config(tmp_path):
     assert main(["run", path, "--out", str(target)]) == 0
     assert (target / "probe.report.json").exists()
     assert not (tmp_path / "unused").exists()
+
+
+def test_one_parser_serves_every_call(tmp_path):
+    """main reuses one parser per process: no option of one call reaches
+    the next, and a bad command line exits 2 every time."""
+    cfg = base_config(tmp_path, checks=[{"kind": "holder_ratio", "pairs": 50},
+                                        {"kind": "orbit", "depth": 5}])
+    cfg["map"] = {"name": "c0_family", "params": {"alpha": 0.9}}
+    path = write_config(tmp_path, cfg)
+
+    def run(name, *options):
+        code = main(["run", path, *options, "--out", str(tmp_path / name)])
+        return code, canonical_bytes(
+            (tmp_path / name / "probe.report.json").read_text())
+
+    cli._parser.cache_clear()
+    fresh = run("fresh")
+    assert run("options", "--strict", "--seed", "123",
+               "--breadth", "32") != fresh
+    assert fresh[0] == 0
+    assert run("again") == fresh
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", path, "--seed", "x"])
+        assert exc.value.code == 2
 
 
 def test_breadth_override_accepted(tmp_path):

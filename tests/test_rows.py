@@ -10,6 +10,7 @@ import pytest
 
 from holderlab.catalog import build_map, catalog_names, retraction_names
 from holderlab.domains import (
+    as_rng,
     ball,
     c_interval,
     coefficient_box,
@@ -22,6 +23,7 @@ from holderlab.seqvec import (
     NORM_VARIANTS,
     NormKind,
     Rows,
+    SeqVec,
     coordinate,
     distance,
     fsum_rows,
@@ -33,7 +35,8 @@ from holderlab.seqvec import (
     shift_rows,
     shifted,
 )
-from holderlab.verify import CheckRequest, pair_ratios, run_check
+from holderlab.verify import (CheckRequest, estimate_displacement,
+                              pair_ratios, run_check)
 
 SUP = NormKind.sup()
 L1 = NormKind.lp(1.0)
@@ -364,9 +367,47 @@ def test_records_do_not_depend_on_the_batch_form(T):
     assert not hasattr(scalar.apply, "rows")
     assert (_outcome(pair_ratios, T, (1, 2, 3), 1000, 3)
             == _outcome(pair_ratios, scalar, (1, 2, 3), 1000, 3))
-    for kind in ("holder_ratio", "approx_fixed_set", "invariance"):
-        assert _record(T, CheckRequest(kind)) == _record(scalar,
-                                                         CheckRequest(kind))
+    for req in [CheckRequest("holder_ratio"),
+                CheckRequest("approx_fixed_set"), CheckRequest("invariance"),
+                CheckRequest("displacement", strategy="sample_min",
+                             budget=300)]:
+        assert _record(T, req) == _record(scalar, req)
+
+
+def _poisoned(T):
+    """T, but T x is NaN wherever x_1 > 0.3, in both forms."""
+    def apply(x):
+        return (SeqVec.from_dict({1: math.nan}) if coordinate(x, 1) > 0.3
+                else T.apply(x))
+
+    def rows(x):
+        y = T.apply.rows(x)
+        return Rows(np.where(x.vals[:, :1] > 0.3, math.nan, y.vals), y.tail)
+
+    apply.rows = rows
+    return dataclasses.replace(T, apply=apply)
+
+
+@pytest.mark.parametrize("T", [build_map("shift_simplex"), build_map("prus"),
+                               _poisoned(build_map("prus")),
+                               build_map("deficiency")],
+                         ids=["shift_simplex", "prus", "poisoned", "scalar"])
+def test_sample_min_is_the_first_least_point(T):
+    """sample_min's block walk gives the value, witness and evaluation count
+    of a point by point walk over the same points: the canonical points,
+    the witness family, then the draws, a NaN counting as +inf."""
+    budget, seed = 300, 4
+    points = list(T.domain.canonical_points())
+    if T.witness_family is not None:
+        points += list(T.witness_family(budget))
+    draws = T.domain.sample_rows(as_rng(seed), budget - len(points))
+    points += [draws.vec(j) for j in range(len(draws.tail))]
+    d = [T.displacement(x) for x in points]
+    d = [math.inf if v != v else v for v in d]
+    j = d.index(min(d))
+    est = estimate_displacement(T, "sample_min", budget, seed)
+    assert (est.value, est.witness, est.evaluations) == (d[j], points[j],
+                                                         budget)
 
 
 OUTSIDE = [ball(1.0, SUP), c_interval(0.5), coefficient_box(0.1),

@@ -42,6 +42,7 @@ from holderlab.seqvec import (
 )
 from holderlab.verify import (
     CHECKS,
+    FIELDS,
     STRATEGIES,
     CheckRequest,
     estimate_displacement,
@@ -461,13 +462,13 @@ def test_displacement_verdict_zero_bound_unreached():
     # cannot refute d = 0, so the record is report-only rather than a fail.
     rec = run_check(norming_map(),
                     CheckRequest("displacement", strategy="lambda_scaling",
-                                 budget=200, seed=4))
+                                 budget=200))
     assert rec.measured > 1e-12
     assert rec.verdict == "report_only"
     # With an explicit coarser tolerance the same witness confirms the bound.
     rec = run_check(norming_map(),
                     CheckRequest("displacement", strategy="lambda_scaling",
-                                 budget=200, seed=4, tolerance=1e-2))
+                                 budget=200, tolerance=1e-2))
     assert rec.verdict == "pass"
 
 
@@ -545,8 +546,7 @@ def test_approx_fixed_set_validates_delta_and_samples():
 
 
 def test_oracle_compare_record():
-    rec = run_check(norming_map(), CheckRequest("oracle_compare", n_max=5,
-                                                seed=4))
+    rec = run_check(norming_map(), CheckRequest("oracle_compare", n_max=5))
     assert rec.verdict == "pass"
     assert rec.measured <= 1e-12
 
@@ -557,12 +557,12 @@ def test_walks_reject_a_start_outside_the_domain():
     for kind in ("orbit", "oracle_compare"):
         with pytest.raises(DomainViolationError,
                            match=rf"^{kind} start \{{1:5.0\}} is outside"):
-            run_check(norming_map(), CheckRequest(kind, x0=outside, seed=4))
+            run_check(norming_map(), CheckRequest(kind, x0=outside))
 
 
 def test_oracle_compare_needs_an_oracle():
     with pytest.raises(InvalidCheckError):
-        run_check(goebel_kirk_map(), CheckRequest("oracle_compare", seed=4))
+        run_check(goebel_kirk_map(), CheckRequest("oracle_compare"))
 
 
 def test_invariance_and_orbit_records():
@@ -572,7 +572,7 @@ def test_invariance_and_orbit_records():
     assert rec.verdict == "pass"
     assert rec.details["checked"] == 105
 
-    rec = run_check(norming_map(), CheckRequest("orbit", depth=6, seed=4))
+    rec = run_check(norming_map(), CheckRequest("orbit", depth=6))
     assert rec.verdict == "report_only"
     assert len(rec.details["displacements"]) == 6
     assert rec.details["final_displacement"] == rec.details["displacements"][-1]
@@ -586,6 +586,26 @@ def test_unknown_check_kind_is_rejected():
     with pytest.raises(InvalidCheckError):
         CheckRequest("bogus")
     assert len(CHECKS) == 8
+
+
+def test_requests_reject_fields_their_kind_does_not_read():
+    """The config reader's field rule holds for Python callers as well."""
+    with pytest.raises(InvalidCheckError,
+                       match=r"^strategy 'orbit_min' does not read "
+                             r"\['lambdas', 'target'\]$"):
+        CheckRequest("displacement", strategy="orbit_min", lambdas=(7.0,),
+                     target=-1.0, budget=10)
+    with pytest.raises(InvalidCheckError,
+                       match=r"^check kind 'orbit' does not read "
+                             r"\['seed'\]$"):
+        CheckRequest("orbit", seed=4)
+    with pytest.raises(InvalidCheckError, match=r"\['strategy'\]$"):
+        CheckRequest("invariance", strategy="orbit_min")
+    # defaults are not given fields, and lambda_scaling reads both
+    CheckRequest("displacement", strategy="orbit_min",
+                 lambdas=FIELDS["lambdas"].default)
+    CheckRequest("displacement", strategy="lambda_scaling", lambdas=(0.5,),
+                 target=0.1)
 
 
 def _comparable(rec):
@@ -620,6 +640,6 @@ def test_records_carry_direction_and_passed():
                                                 seed=1))
     assert rec.direction
     assert rec.passed == (rec.verdict == "pass")
-    rec = run_check(norming_map(), CheckRequest("orbit", depth=3, seed=1))
+    rec = run_check(norming_map(), CheckRequest("orbit", depth=3))
     assert rec.direction
     assert not rec.passed
