@@ -13,9 +13,11 @@ converges, yet arbitrarily good approximate fixed points exist.
 from __future__ import annotations
 
 import difflib
+import functools
 import inspect
 import math
 from dataclasses import dataclass, field, replace
+from types import SimpleNamespace
 from typing import Callable, Mapping
 
 import numpy as np
@@ -217,15 +219,71 @@ def _equal_mass_family(mass: float, budget: int) -> list[SeqVec]:
 
 
 # ---------------------------------------------------------------------------
+# Parameter rules
+
+
+# A factory parameter as `list` and `describe` print it: JSON name, default,
+# its rules' texts joined by ", ", and the factory's keyword for it.
+@dataclass(frozen=True)
+class ParamSpec:
+    name: str
+    default: object
+    constraint: str
+    arg: str
+
+
+# A rule is (JSON parameter name, text, test); the test reads the factory's
+# arguments as attributes by keyword (a.lam for lambda).  Rules run in the
+# order listed, so a test may assume the rules before it.
+_ALPHA = ("alpha", "0 < alpha < 1", lambda a: 0.0 < a.alpha < 1.0)
+_LAMBDA = ("lambda", "0 < lambda < 1", lambda a: 0.0 < a.lam < 1.0)
+_P = ("p", "p >= 1", lambda a: a.p >= 1.0)
+_R = ("r", "r > 0", lambda a: a.r > 0.0)
+
+
+def _check(rules, args: Mapping[str, object]) -> None:
+    """Raise InvalidParameterError at the first rule `args` break."""
+    a = SimpleNamespace(**args)
+    for name, text, holds in rules:
+        if not holds(a):
+            raise InvalidParameterError(name, f"requires {text}")
+
+
+def _requires(*rules):
+    """Decorator: the factory checks `rules` before it builds anything.  It
+    gains `params`, a ParamSpec per argument with a default but breadth, and
+    `takes_breadth`."""
+
+    def wrap(factory):
+        sig = inspect.signature(factory).parameters
+        defaults = {k: p.default for k, p in sig.items()
+                    if p.default is not p.empty}
+
+        @functools.wraps(factory)
+        def checked(*args, **kwargs):
+            _check(rules, {**defaults, **dict(zip(sig, args)), **kwargs})
+            return factory(*args, **kwargs)
+
+        json_name = {k: "lambda" if k == "lam" else k for k in defaults}
+        checked.params = tuple(
+            ParamSpec(json_name[k], d, ", ".join(
+                t for n, t, _ in rules if n == json_name[k]), k)
+            for k, d in defaults.items() if k != "breadth")
+        checked.takes_breadth = "breadth" in sig
+        return checked
+
+    return wrap
+
+
+# ---------------------------------------------------------------------------
 # Individual constructions
 
 
+@_requires(_ALPHA)
 def prus_map(alpha: float = 0.5) -> MapInstance:
     """T(x) = (|1 - |L(x)|^a|, |t1|^a, |t2|^a, ...) on the sup-norm ball of c,
     where L(x) is the limit of x.  Holder nonexpansive with exponent a, fixed
     point free, and T^n(0) walks along (1,...,1,0,...) at displacement 1."""
-    if not 0.0 < alpha < 1.0:
-        raise InvalidParameterError("alpha", "requires 0 < alpha < 1")
 
     def apply(x: SeqVec) -> SeqVec:
         tail = abs(x.tail) ** alpha
@@ -254,12 +312,11 @@ def prus_map(alpha: float = 0.5) -> MapInstance:
     )
 
 
+@_requires(_ALPHA)
 def norming_map(alpha: float = 0.5) -> MapInstance:
     """T(x) = ((1 + t1^2)/2)^a * e1 on the l2 ball; t1 is the value of the
     norming functional of e1.  Fixed point e1; for a = 1/2 the iterates have
     the closed form (sum_{i<=n} 2^-i + t1^2/2^n)^(1/2) e1."""
-    if not 0.0 < alpha < 1.0:
-        raise InvalidParameterError("alpha", "requires 0 < alpha < 1")
 
     def apply(x: SeqVec) -> SeqVec:
         phi = coordinate(x, 1)
@@ -268,7 +325,8 @@ def norming_map(alpha: float = 0.5) -> MapInstance:
 
     def apply_rows(x: Rows) -> Rows:
         phi = x.column(1)
-        c = pow_each((1.0 + phi * phi) / 2.0, alpha)
+        with np.errstate(over="ignore"):  # inf, as the scalar square gives
+            c = pow_each((1.0 + phi * phi) / 2.0, alpha)
         return Rows(c[:, None], np.zeros(len(c)))
 
     oracle = None
@@ -302,6 +360,7 @@ def norming_map(alpha: float = 0.5) -> MapInstance:
     )
 
 
+@_requires()
 def baseline_c_map() -> MapInstance:
     """F(x) = (1, 0, |t1|, |t2|, ...) on the sup-norm ball: nonexpansive,
     fixed point free, the inner map lifted into small balls elsewhere."""
@@ -329,16 +388,11 @@ def baseline_c_map() -> MapInstance:
     )
 
 
+@_requires(_P, _ALPHA, _LAMBDA)
 def shift_simplex_map(p: float = 1.0, alpha: float = 0.5, lam: float = 0.5) -> MapInstance:
     """The forward shift on the lp simplex slice of mass lam^(p/(1-a))/2.
     Uniformly a-Holder lam-contractive (the mass is sized so the diameter
     absorbs the exponent gap), affine, fixed point free, displacement 0."""
-    if not p >= 1.0:
-        raise InvalidParameterError("p", "requires p >= 1")
-    if not 0.0 < alpha < 1.0:
-        raise InvalidParameterError("alpha", "requires 0 < alpha < 1")
-    if not 0.0 < lam < 1.0:
-        raise InvalidParameterError("lambda", "requires 0 < lambda < 1")
     mass = lam ** (p / (1.0 - alpha)) / 2.0
 
     def apply(x: SeqVec) -> SeqVec:
@@ -369,6 +423,9 @@ def shift_simplex_map(p: float = 1.0, alpha: float = 0.5, lam: float = 0.5) -> M
     )
 
 
+@_requires(("L", "L > 1", lambda a: a.L > 1.0),
+           ("lambda", "1/L < lambda <= 1", lambda a: 1.0 / a.L < a.lam <= 1.0),
+           _ALPHA)
 def affine_mixing_map(
     L: float = 2.0,
     lam: float = 0.75,
@@ -378,12 +435,6 @@ def affine_mixing_map(
     keeps a (1 - gamma_n) share and passes gamma_n = 2^-n forward.  Fixed
     point free; two-sided bound (1/L)||x-y|| <= ||Tx-Ty|| <= lam*||x-y||^a
     claimed, the lower side recorded for measurement only."""
-    if not L > 1.0:
-        raise InvalidParameterError("L", "requires L > 1")
-    if not 1.0 / L < lam <= 1.0:
-        raise InvalidParameterError("lambda", "requires 1/L < lambda <= 1")
-    if not 0.0 < alpha < 1.0:
-        raise InvalidParameterError("alpha", "requires 0 < alpha < 1")
     mass = 0.5 * (lam / L) ** (1.0 / (1.0 - alpha))
 
     def apply(x: SeqVec) -> SeqVec:
@@ -425,14 +476,11 @@ def affine_mixing_map(
     )
 
 
+@_requires(_P, _ALPHA)
 def deficiency_map(p: float = 2.0, alpha: float = 0.5) -> MapInstance:
     """T(x) = (r - ||x||_p) e1 + sum_i t_i e_{2i} on the lp ball whose radius
     r solves (2r)^(1-a) 2^(2-a) = 1, which makes T a-Holder nonexpansive;
     fixed point free with minimal displacement at most 2r."""
-    if not p >= 1.0:
-        raise InvalidParameterError("p", "requires p >= 1")
-    if not 0.0 < alpha < 1.0:
-        raise InvalidParameterError("alpha", "requires 0 < alpha < 1")
     lam = 0.5 * 0.5 ** ((2.0 - alpha) / (1.0 - alpha))
     nk = NormKind.lp(p)
     dom = ball(lam, nk)
@@ -463,6 +511,7 @@ def _gk_damping(i: int) -> float:
     return 1.0 - 1.0 / (i * i)
 
 
+@_requires(_ALPHA)
 def goebel_kirk_map(alpha: float = 0.5) -> MapInstance:
     """Asymptotically a-Holder nonexpansive map on the l2 ball:
     F(t) = (0, t1^a, A2 t2, A3 t3, ...) with A_i = 1 - 1/i^2, composed with
@@ -472,8 +521,6 @@ def goebel_kirk_map(alpha: float = 0.5) -> MapInstance:
     slightly outside the ball (first-coordinate mass gains under t1^a); the
     projection is nonexpansive in l2 and acts at most once along any orbit,
     since F outputs have first coordinate 0 and are then strictly shrunk."""
-    if not 0.0 < alpha < 1.0:
-        raise InvalidParameterError("alpha", "requires 0 < alpha < 1")
 
     def apply(x: SeqVec) -> SeqVec:
         if x.tail != 0.0:
@@ -524,16 +571,12 @@ def goebel_kirk_map(alpha: float = 0.5) -> MapInstance:
     )
 
 
+@_requires(("N", "N >= 1", lambda a: a.N >= 1), _ALPHA,
+           ("N", "N^alpha >= 2", lambda a: 2.0 <= float(a.N) ** a.alpha))
 def hyperconvex_map(N: int = 4, alpha: float = 0.5) -> MapInstance:
     """F(x) = (1/N, t2 t1^a, t1, t2, ...) on coords and tail in [0, 1/N].
     Uniformly a-Holder nonexpansive, fixed point free; iterates have a closed
     form used as the oracle."""
-    if N < 1:
-        raise InvalidParameterError("N", "requires N >= 1")
-    if not 0.0 < alpha < 1.0:
-        raise InvalidParameterError("alpha", "requires 0 < alpha < 1")
-    if not 2.0 <= float(N) ** alpha:
-        raise InvalidParameterError("N", "requires N^alpha >= 2")
     cap = 1.0 / N
     dom = c_interval(cap)
 
@@ -561,8 +604,13 @@ def hyperconvex_map(N: int = 4, alpha: float = 0.5) -> MapInstance:
             return x
         t1 = coordinate(x, 1)
         t2 = coordinate(x, 2)
-        head = [h for j in range(1, n + 1)
-                for h in (cap, t2 * (t1 / float(N) ** (n - j)) ** alpha)]
+        head = []
+        for k in range(n - 1, -1, -1):
+            try:
+                s = t1 / float(N) ** k
+            except OverflowError:  # N^k passes the float range
+                s = t1 / math.inf
+            head += (cap, t2 * s ** alpha)
         return shifted(head, x, x.tail)
 
     return MapInstance(
@@ -585,18 +633,15 @@ def hyperconvex_map(N: int = 4, alpha: float = 0.5) -> MapInstance:
     )
 
 
+@_requires(("delta", "0 < delta < 1", lambda a: 0.0 < a.delta < 1.0),
+           ("q", "0 < q <= 1 - delta", lambda a: 0.0 < a.q <= 1.0 - a.delta),
+           ("alpha", "0 < alpha <= 1", lambda a: 0.0 < a.alpha <= 1.0))
 def c0_family_map(delta: float = 0.5, q: float = 0.25, alpha: float = 0.9,
                   breadth: int = 64) -> MapInstance:
     """T_a(x) = (1-delta) e1 + sum_i (1-delta) t_i^a e_{i+1} on the band
     q^i <= t_i <= t_1 = 1-delta.  For a < 1 fixed point free with minimal
     displacement at most (1-delta)(1-a) sup t^a|ln t| = (1-delta)(1-a)/(e a);
     for a = 1 the geometric point sum (1-delta)^i e_i is fixed."""
-    if not 0.0 < delta < 1.0:
-        raise InvalidParameterError("delta", "requires 0 < delta < 1")
-    if not 0.0 < q <= 1.0 - delta:
-        raise InvalidParameterError("q", "requires 0 < q <= 1 - delta")
-    if not 0.0 < alpha <= 1.0:
-        raise InvalidParameterError("alpha", "requires 0 < alpha <= 1")
     top = 1.0 - delta
     dom = sigma_band(delta, q, breadth=breadth)
     star = SeqVec.from_dict({i: top ** i for i in range(1, breadth + 1)})
@@ -645,20 +690,15 @@ def c0_family_map(delta: float = 0.5, q: float = 0.25, alpha: float = 0.9,
     )
 
 
+@_requires(_R, _ALPHA, _LAMBDA,
+           ("r", "(2r)^(1-alpha) <= lambda",
+            lambda a: (2.0 * a.r) ** (1.0 - a.alpha) <= a.lam))
 def affine_cube_map(r: float = 0.125, alpha: float = 0.5, lam: float = 0.5,
                     breadth: int = 64) -> MapInstance:
     """T(x)_n = (1 - beta_n) t_n + r beta_n on the c0 coefficient box [0, r],
     with beta_n = 1/(n+1).  Uniformly a-Holder lam-contractive
     when (2r)^(1-a) <= lam; the untruncated map is fixed point free, and the
     corner witnesses r(e1+...+em) displace by exactly r*beta_{m+1}."""
-    if not r > 0.0:
-        raise InvalidParameterError("r", "requires r > 0")
-    if not 0.0 < alpha < 1.0:
-        raise InvalidParameterError("alpha", "requires 0 < alpha < 1")
-    if not 0.0 < lam < 1.0:
-        raise InvalidParameterError("lambda", "requires 0 < lambda < 1")
-    if not (2.0 * r) ** (1.0 - alpha) <= lam:
-        raise InvalidParameterError("r", "requires (2r)^(1-alpha) <= lambda")
     dom = coefficient_box(r, breadth=breadth)
 
     def apply(x: SeqVec) -> SeqVec:
@@ -711,6 +751,7 @@ def affine_cube_map(r: float = 0.125, alpha: float = 0.5, lam: float = 0.5,
     )
 
 
+@_requires()
 def renormed_l1_map() -> MapInstance:
     """T(x) = (1 - sum_i t_i, t1, t2, ...) on the nonnegative mass-at-most-1
     set, measured in the max(positive part, negative part) renorming of l1.
@@ -749,16 +790,13 @@ def renormed_l1_map() -> MapInstance:
     )
 
 
+@_requires(_ALPHA, _LAMBDA)
 def l1_ball_composite_map(alpha: float = 0.5, lam: float = 0.5) -> MapInstance:
     """The composite T = shift . abs . sphere-retract . ball-retract on the
     unit l1 ball, landing on the small positive sphere of radius
     r = (lam/8^th)^(1/(1-th))/4 with th = sqrt(a).  Claimed uniformly
     a-Holder lam-contractive; the claim is recorded report-only because the
     retraction constants are certified elsewhere, not here."""
-    if not 0.0 < alpha < 1.0:
-        raise InvalidParameterError("alpha", "requires 0 < alpha < 1")
-    if not 0.0 < lam < 1.0:
-        raise InvalidParameterError("lambda", "requires 0 < lambda < 1")
     theta = math.sqrt(alpha)
     r = 0.25 * (lam / 8.0 ** theta) ** (1.0 / (1.0 - theta))
 
@@ -806,10 +844,9 @@ def l1_ball_composite_map(alpha: float = 0.5, lam: float = 0.5) -> MapInstance:
 # Combinators
 
 
+@_requires(_LAMBDA)
 def lambda_scale(inner: MapInstance, lam: float) -> MapInstance:
     """x -> inner(lam * x).  Needs a domain star-shaped about 0."""
-    if not 0.0 < lam < 1.0:
-        raise InvalidParameterError("lambda", "requires 0 < lambda < 1")
     if not inner.domain.star_shaped:
         raise InvalidCompositionError(
             f"lambda_scale needs a domain star-shaped about 0, "
@@ -832,15 +869,12 @@ def lambda_scale(inner: MapInstance, lam: float) -> MapInstance:
     )
 
 
+@_requires(("epsilon", "0 < epsilon < 1", lambda a: 0.0 < a.epsilon < 1.0), _ALPHA)
 def holderize(T: MapInstance, epsilon: float, alpha: float = 0.5) -> MapInstance:
     """Blend a nonexpansive T with the identity through the radial weight
     c(x) = eps ||x||^a / (4 (1 + ||x||^a)), yielding an a-Holder map with
     constant eps + diam^(1-a) that stays eps-close to T and keeps its fixed
     points."""
-    if not 0.0 < epsilon < 1.0:
-        raise InvalidParameterError("epsilon", "requires 0 < epsilon < 1")
-    if not 0.0 < alpha < 1.0:
-        raise InvalidParameterError("alpha", "requires 0 < alpha < 1")
     cl = T.claims.classical_lipschitz
     if cl is None or cl > 1.0:
         raise InvalidCompositionError(
@@ -886,12 +920,10 @@ def lift_to_ball(F: MapInstance, r: float, alpha: float, lam: float) -> MapInsta
         raise InvalidCompositionError(
             "lift_to_ball needs an inner map with a classical Lipschitz constant"
         )
-    if not 0.0 < alpha < 1.0:
-        raise InvalidParameterError("alpha", "requires 0 < alpha < 1")
-    if not r > 0.0:
-        raise InvalidParameterError("r", "requires r > 0")
-    if not 2.0 * L * r ** (1.0 - alpha) <= lam:
-        raise InvalidParameterError("r", "requires 2 L r^(1-alpha) <= lambda")
+    # the last rule reads L, so the rules run after the composition checks
+    _check((_ALPHA, _R, ("r", "2 L r^(1-alpha) <= lambda",
+                         lambda a: 2.0 * a.L * a.r ** (1.0 - a.alpha) <= a.lam)),
+           {"L": L, "r": r, "alpha": alpha, "lam": lam})
 
     def apply(x: SeqVec) -> SeqVec:
         rx = radial_retract(x, r, F.norm)
@@ -927,13 +959,12 @@ def lift_to_ball(F: MapInstance, r: float, alpha: float, lam: float) -> MapInsta
     )
 
 
+@_requires(("alpha", "alpha > 1 for the probe", lambda a: a.alpha > 1.0))
 def constant_map(value: SeqVec, domain: DomainSpec, kind: NormKind,
                  alpha: float = 2.0) -> MapInstance:
     """x -> value.  With alpha > 1 this is the only shape a Holder map with
     that exponent can take on a convex set, which is what the exponent probe
     checks."""
-    if not alpha > 1.0:
-        raise InvalidParameterError("alpha", "requires alpha > 1 for the probe")
     if not domain.contains(value):
         raise InvalidParameterError("value", "must belong to the domain")
 
@@ -971,18 +1002,12 @@ class ScalarOrbit:
     converged: bool
 
 
+@_requires(("alpha", "alpha > 1", lambda a: a.alpha > 1.0),
+           ("L", "0 < L < 1", lambda a: 0.0 < a.L < 1.0),
+           ("n", "n >= 0", lambda a: a.n >= 0),
+           ("x0", "|T(x0) - x0| <= 1", lambda a: abs(a.T_rule(a.x0) - a.x0) <= 1.0))
 def banach_alpha_gt1_iterate(T_rule: Callable[[float], float], x0: float,
                              L: float, alpha: float, n: int) -> ScalarOrbit:
-    if not alpha > 1.0:
-        raise InvalidParameterError("alpha", "requires alpha > 1")
-    if not 0.0 < L < 1.0:
-        raise InvalidParameterError("L", "requires 0 < L < 1")
-    if n < 0:
-        raise InvalidParameterError("n", "requires n >= 0")
-    first = abs(T_rule(x0) - x0)
-    if first > 1.0:
-        raise InvalidParameterError("x0", "requires |T(x0) - x0| <= 1")
-
     values = [x0]
     displacements: list[float] = []
     converged = False
@@ -1012,68 +1037,43 @@ def banach_alpha_gt1_iterate(T_rule: Callable[[float], float], x0: float,
 
 
 @dataclass(frozen=True)
-class ParamSpec:
-    name: str
-    default: object
-    constraint: str
-
-
-@dataclass(frozen=True)
 class CatalogEntry:
     name: str
     factory: Callable[..., MapInstance]
-    params: tuple[ParamSpec, ...]
     summary: str
+
+    @property
+    def params(self) -> tuple[ParamSpec, ...]:
+        return self.factory.params
 
 
 CATALOG: dict[str, CatalogEntry] = {
     e.name: e
     for e in [
         CatalogEntry("prus", prus_map,
-                     (ParamSpec("alpha", 0.5, "0 < alpha < 1"),),
                      "fixed-point-free Holder nonexpansive map on the sup ball of c"),
         CatalogEntry("norming", norming_map,
-                     (ParamSpec("alpha", 0.5, "0 < alpha < 1"),),
                      "rank-one map on the l2 ball with fixed point e1 and closed-form "
                      "iterates at alpha = 1/2"),
-        CatalogEntry("baseline_c", baseline_c_map, (),
+        CatalogEntry("baseline_c", baseline_c_map,
                      "nonexpansive fixed-point-free base map lifted into small balls"),
         CatalogEntry("shift_simplex", shift_simplex_map,
-                     (ParamSpec("p", 1.0, "p >= 1"),
-                      ParamSpec("alpha", 0.5, "0 < alpha < 1"),
-                      ParamSpec("lambda", 0.5, "0 < lambda < 1")),
                      "forward shift on a mass slice, uniformly Holder contractive"),
         CatalogEntry("affine_mixing", affine_mixing_map,
-                     (ParamSpec("L", 2.0, "L > 1"),
-                      ParamSpec("lambda", 0.75, "1/L < lambda <= 1"),
-                      ParamSpec("alpha", 0.5, "0 < alpha < 1")),
                      "mass-preserving affine mixing with a report-only expansion floor"),
         CatalogEntry("deficiency", deficiency_map,
-                     (ParamSpec("p", 2.0, "p >= 1"),
-                      ParamSpec("alpha", 0.5, "0 < alpha < 1")),
                      "Holder nonexpansive map with small but positive displacement bound"),
         CatalogEntry("goebel_kirk", goebel_kirk_map,
-                     (ParamSpec("alpha", 0.5, "0 < alpha < 1"),),
                      "asymptotically Holder nonexpansive, profile (n+1)/n * 2^(1-a)"),
         CatalogEntry("hyperconvex", hyperconvex_map,
-                     (ParamSpec("N", 4, "N >= 1, N^alpha >= 2"),
-                      ParamSpec("alpha", 0.5, "0 < alpha < 1")),
                      "uniformly Holder nonexpansive, fixed point free on [0, 1/N] coords"),
         CatalogEntry("c0_family", c0_family_map,
-                     (ParamSpec("delta", 0.5, "0 < delta < 1"),
-                      ParamSpec("q", 0.25, "0 < q <= 1 - delta"),
-                      ParamSpec("alpha", 0.9, "0 < alpha <= 1")),
                      "exponent-continuous family on a band, fixed point free below a = 1"),
         CatalogEntry("affine_cube", affine_cube_map,
-                     (ParamSpec("r", 0.125, "r > 0, (2r)^(1-alpha) <= lambda"),
-                      ParamSpec("alpha", 0.5, "0 < alpha < 1"),
-                      ParamSpec("lambda", 0.5, "0 < lambda < 1")),
                      "affine box map with exact corner witnesses r*beta_{m+1}"),
-        CatalogEntry("renormed_l1", renormed_l1_map, (),
+        CatalogEntry("renormed_l1", renormed_l1_map,
                      "affine fixed-point-free isometry in the max(pos, neg) renorming"),
         CatalogEntry("l1_ball_composite", l1_ball_composite_map,
-                     (ParamSpec("alpha", 0.5, "0 < alpha < 1"),
-                      ParamSpec("lambda", 0.5, "0 < lambda < 1")),
                      "retract-to-sphere composite on the unit l1 ball (report-only claim)"),
     ]
 }
@@ -1093,7 +1093,6 @@ class Retraction:
     formula: str
     setup: Callable[[float], tuple[DomainSpec, NormKind,
                                    Callable[[SeqVec], SeqVec]]]
-    params: tuple[ParamSpec, ...] = (ParamSpec("r", 1.0, "r > 0"),)
 
     def __post_init__(self) -> None:
         if not self.lipschitz >= 1.0:
@@ -1104,11 +1103,10 @@ class Retraction:
         return (f"retraction wrapper: {self.source_set} -> {self.target_set} "
                 f"(Lipschitz {self.lipschitz:g})")
 
+    @_requires(_R)
     def factory(self, r: float = 1.0) -> MapInstance:
         """The retraction as a self-map; the claimed constant holds for
         every iterate because retractions are idempotent."""
-        if not r > 0.0:
-            raise InvalidParameterError("r", "requires r > 0")
         domain, kind, apply = self.setup(r)
         return MapInstance(
             name=self.name,
@@ -1129,6 +1127,8 @@ class Retraction:
             notes=f"retraction of {self.source_set} onto {self.target_set}; "
                   f"claimed Lipschitz constant {self.lipschitz:g}",
         )
+
+    params = factory.params
 
 
 # setup looks the retraction functions up in this module when it runs, so a
@@ -1201,11 +1201,10 @@ def build_map(name: str, params: Mapping[str, object] | None = None,
             if not float(value).is_integer():
                 raise InvalidParameterError(key, "must be an integer")
             value = int(value)
-        kwargs["lam" if key == "lambda" else key] = value
-    if breadth is not None:
-        if "breadth" in inspect.signature(entry.factory).parameters:
-            kwargs["breadth"] = breadth
-            return entry.factory(**kwargs)
-        inst = entry.factory(**kwargs)
-        return replace(inst, domain=inst.domain.with_breadth(breadth))
-    return entry.factory(**kwargs)
+        kwargs[specs[key].arg] = value
+    if breadth is None:
+        return entry.factory(**kwargs)
+    if entry.factory.takes_breadth:
+        return entry.factory(**kwargs, breadth=breadth)
+    inst = entry.factory(**kwargs)
+    return replace(inst, domain=inst.domain.with_breadth(breadth))

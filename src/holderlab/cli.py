@@ -321,24 +321,26 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return EXIT_CHECK_FAILED if report.failed else EXIT_OK
 
 
+def _schema(entry) -> str:
+    return (", ".join(f"{p.name}={p.default!r}" for p in entry.params)
+            or "no parameters")
+
+
 def _cmd_list(_args: argparse.Namespace) -> int:
     print("catalog maps:")
     for name in sorted(CATALOG):
         entry = CATALOG[name]
         inst = entry.factory()
-        schema = ", ".join(f"{p.name}={p.default!r}" for p in entry.params)
         oracle = ("  [closed-form iterates]"
                   if inst.iterate_oracle is not None else "")
-        print(f"  {name}  ({schema})" if schema else f"  {name}  (no parameters)",
-              end="")
-        print(oracle)
+        print(f"  {name}  ({_schema(entry)}){oracle}")
         print(f"      {entry.summary}")
         print(f"      {inst.formula}")
     print()
     print("retractions (addressable as map names in configs):")
     for name in sorted(RETRACTION_CATALOG):
         entry = RETRACTION_CATALOG[name]
-        print(f"  {name}  (r=1.0)")
+        print(f"  {name}  ({_schema(entry)})")
         print(f"      {entry.summary}")
     return EXIT_OK
 

@@ -230,14 +230,13 @@ class DomainSpec:
 
     # -- sampling ------------------------------------------------------------
 
-    def sample(self, seed: SeedLike, breadth: int | None = None) -> SeqVec:
+    def sample(self, seed: SeedLike) -> SeqVec:
         """One random member: the single row of :meth:`sample_rows`.
         Deterministic given an integer seed; pass a Generator to draw a
         stream."""
-        return self.sample_rows(seed, 1, breadth).vec(0)
+        return self.sample_rows(seed, 1).vec(0)
 
-    def sample_rows(self, seed: SeedLike, count: int,
-                    breadth: int | None = None) -> Rows:
+    def sample_rows(self, seed: SeedLike, count: int) -> Rows:
         """`count` random members as a block of rows `breadth` wide.  The
         law charges every region of the breadth-truncated face with positive
         probability: a support size uniform on 1..b, a uniformly random
@@ -247,22 +246,15 @@ class DomainSpec:
         Each row is read off its own run of uniforms, so the rows drawn from
         one Generator do not depend on how they are split into blocks."""
         rng = as_rng(seed)
-        b = self.breadth if breadth is None else breadth
-        if b < 1:
-            raise InvalidBudgetError(f"breadth {b} is below 1")
+        b = self.breadth
         k = self.kind
         zeros = np.zeros(count)
 
         if k == "sigma_band":
-            top = 1.0 - self.delta
-            if b == self.breadth:
-                floors, spans = self._sigma_floors, self._sigma_spans
-            else:
-                floors = np.array([self.sigma(i) for i in range(2, b + 1)])
-                spans = top - floors
             vals = np.empty((count, b))
-            vals[:, 0] = top
-            vals[:, 1:] = floors + spans * rng.random((count, b - 1))
+            vals[:, 0] = 1.0 - self.delta
+            vals[:, 1:] = (self._sigma_floors
+                           + self._sigma_spans * rng.random((count, b - 1)))
             return Rows(vals, zeros)
 
         # per row: the support size, b support keys, b values, two extras

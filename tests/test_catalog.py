@@ -7,6 +7,7 @@ import pytest
 
 from holderlab.catalog import (
     CATALOG,
+    RETRACTION_CATALOG,
     FixedPointSet,
     affine_cube_map,
     affine_mixing_map,
@@ -85,6 +86,62 @@ def test_constructors_name_the_offending_parameter(build, parameter):
     with pytest.raises(InvalidParameterError) as err:
         build()
     assert err.value.parameter == parameter
+
+
+# One violating case per parameter rule: the map name, its factory, JSON
+# params, and the parameter and rule text the error must name.
+ALPHA = "0 < alpha < 1"
+LAMBDA = "0 < lambda < 1"
+RULE_CASES = [
+    ("prus", prus_map, {"alpha": 1.5}, "alpha", ALPHA),
+    ("norming", norming_map, {"alpha": 0.0}, "alpha", ALPHA),
+    ("shift_simplex", shift_simplex_map, {"p": 0.5}, "p", "p >= 1"),
+    ("shift_simplex", shift_simplex_map, {"alpha": 1.0}, "alpha", ALPHA),
+    ("shift_simplex", shift_simplex_map, {"lambda": 1.0}, "lambda", LAMBDA),
+    ("affine_mixing", affine_mixing_map, {"L": 1.0}, "L", "L > 1"),
+    ("affine_mixing", affine_mixing_map, {"L": 2.0, "lambda": 0.25}, "lambda",
+     "1/L < lambda <= 1"),
+    ("affine_mixing", affine_mixing_map, {"alpha": 1.0}, "alpha", ALPHA),
+    ("deficiency", deficiency_map, {"p": 0.5}, "p", "p >= 1"),
+    ("deficiency", deficiency_map, {"alpha": 0.0}, "alpha", ALPHA),
+    ("goebel_kirk", goebel_kirk_map, {"alpha": 2.0}, "alpha", ALPHA),
+    ("hyperconvex", hyperconvex_map, {"N": 0}, "N", "N >= 1"),
+    ("hyperconvex", hyperconvex_map, {"N": 2}, "N", "N^alpha >= 2"),
+    ("hyperconvex", hyperconvex_map, {"alpha": 1.0}, "alpha", ALPHA),
+    ("c0_family", c0_family_map, {"delta": 1.5}, "delta", "0 < delta < 1"),
+    ("c0_family", c0_family_map, {"q": 0.6}, "q", "0 < q <= 1 - delta"),
+    ("c0_family", c0_family_map, {"alpha": 1.5}, "alpha", "0 < alpha <= 1"),
+    ("affine_cube", affine_cube_map, {"r": 0.0}, "r", "r > 0"),
+    ("affine_cube", affine_cube_map, {"r": 0.5}, "r",
+     "(2r)^(1-alpha) <= lambda"),
+    ("affine_cube", affine_cube_map, {"alpha": 1.0}, "alpha", ALPHA),
+    ("affine_cube", affine_cube_map, {"lambda": 1.0}, "lambda", LAMBDA),
+    ("l1_ball_composite", l1_ball_composite_map, {"alpha": 1.0}, "alpha",
+     ALPHA),
+    ("l1_ball_composite", l1_ball_composite_map, {"lambda": 1.0}, "lambda",
+     LAMBDA),
+] + [(name, RETRACTION_CATALOG[name].factory, {"r": 0.0}, "r", "r > 0")
+     for name in retraction_names()]
+
+
+@pytest.mark.parametrize("name, factory, params, parameter, rule", RULE_CASES,
+                         ids=[f"{c[0]}-{c[3]}" for c in RULE_CASES])
+def test_every_rule_has_a_violating_case(name, factory, params, parameter,
+                                         rule):
+    # the factory called directly and build_map with JSON names agree
+    kwargs = {("lam" if k == "lambda" else k): v for k, v in params.items()}
+    for build in (lambda: factory(**kwargs), lambda: build_map(name, params)):
+        with pytest.raises(InvalidParameterError) as err:
+            build()
+        assert err.value.parameter == parameter
+        assert err.value.constraint == f"requires {rule}"
+
+
+def test_the_rule_cases_cover_every_described_constraint():
+    described = {(name, p.name, rule)
+                 for name, entry in {**CATALOG, **RETRACTION_CATALOG}.items()
+                 for p in entry.params for rule in p.constraint.split(", ")}
+    assert described == {(c[0], c[3], c[4]) for c in RULE_CASES}
 
 
 # ---------------------------------------------------------------------------

@@ -188,6 +188,16 @@ def test_a_large_l2_ball_override_stays_invariant(tmp_path, capsys):
     assert "[PASS] invariance" in capsys.readouterr().out
 
 
+def test_a_huge_simplex_override_squares_past_the_float_range(tmp_path):
+    # norming's batch form squares t1 = 1e155 to inf, as its scalar form
+    # does, with no RuntimeWarning; T(K) leaves K and the run fails
+    cfg = base_config(tmp_path, breadth=8, domain={
+        "kind": "simplex", "params": {"mass": 1e155}},
+        checks=[{"kind": "invariance", "samples": 8},
+                {"kind": "holder_ratio", "pairs": 8}])
+    assert main(["run", write_config(tmp_path, cfg)]) == 5
+
+
 def test_top_level_breadth_applies_to_a_domain_override(tmp_path):
     def witness_indices(**overrides):
         cfg = base_config(tmp_path, map={"name": "prus"},
@@ -396,6 +406,16 @@ def test_a_strategy_the_map_cannot_take_is_a_parameter_error(tmp_path):
     assert main(["run", write_config(tmp_path, cfg)]) == 3
 
 
+@pytest.mark.parametrize("N, n_max", [(16, 300), (1e200, 5)])
+def test_hyperconvex_oracle_past_the_float_range(tmp_path, N, n_max):
+    # N^(n - j) overflows a float; the closed form's t1 / N^(n - j) is then
+    # 0, which is what iterating the map gives too
+    cfg = base_config(tmp_path, map={"name": "hyperconvex", "params": {"N": N}},
+                      checks=[{"kind": "oracle_compare", "n_max": n_max}])
+    assert main(["run", write_config(tmp_path, cfg)]) == 0
+    assert read_report(tmp_path)["checks"][0]["measured"] == 0.0
+
+
 def test_unknown_map_name(tmp_path, capsys):
     cfg = base_config(tmp_path)
     cfg["map"] = {"name": "shift_simple"}
@@ -524,6 +544,57 @@ def test_describe_shows_every_enforced_rule(capsys):
 def test_describe_unknown_name(capsys):
     assert main(["describe", "nope"]) == 4
     assert "nope" in capsys.readouterr().err
+
+
+# SHA-256 of the stdout of `list` and of `describe` on every name.  A change
+# that rewords a construction sheet on purpose re-records these digests.
+GOLDEN_SHEETS = {
+    ("list",):
+    "7c438055cd9758e9c148cdb3200169a60bf14cb4630f1ee6459f7ba5d3b5ac2e",
+    ("describe", "affine_cube"):
+    "ee6e1c3736ac355b9cbfa01f970578518b6bebd934b9dcebe9779ba4fe74d48c",
+    ("describe", "affine_mixing"):
+    "2418aef769bd76a4a4ace1cce848d8d55dc9f9daac96e243842011f164b09f5b",
+    ("describe", "baseline_c"):
+    "a740ea707ee6e28e16c8573b32054808c923bebb4a3388de19a1f3ad0469b1c0",
+    ("describe", "c0_family"):
+    "6db8e9b53ff99e9803e440af19cfa29b8d90bd4d9da0b12b2376c6cf8f977890",
+    ("describe", "deficiency"):
+    "0c111b82242d977cab23317bf6dc1a596e1499d400b7f289f2e3e6a4ef75b767",
+    ("describe", "goebel_kirk"):
+    "a547da55bd588700ff00b007890a15852f8e9174423c5270b2ef5ac6f4358544",
+    ("describe", "hyperconvex"):
+    "201efef87585b22154db70873c49418e4ae0c9f5db1346aa2dc681f8c71bcbe1",
+    ("describe", "l1_ball_composite"):
+    "01917c51c3a872d681e3baf5b0049b121bcb451845c17dd391afb092f1c69ce3",
+    ("describe", "norming"):
+    "d924e3e3d1c41f6b8f2f536181ff4998f93cee312b8043918c076b973bdad6b0",
+    ("describe", "prus"):
+    "0818a9b309489973accd2efd8265df4bf081760774d33898247728fdc4b20787",
+    ("describe", "renormed_l1"):
+    "920510d8cc3f857ca76e3294d1f67d190a7004a5cc7b20020319d4039baae0cd",
+    ("describe", "shift_simplex"):
+    "c2bc1b96c84ef18f92c38d56d5107ff1afd7e65ade2c57bb7968869f43cf5622",
+    ("describe", "abs"):
+    "9a34c44c8cc8d66b38d2774be337fbe9879380e7684d6813af91e1687ffa2758",
+    ("describe", "clamp"):
+    "ff64af0b8b044bdcb80b892def60e80a1d86fea9c2ae89afa6bfa4eb1b7e96ef",
+    ("describe", "l1_sphere"):
+    "d2521b9a2eb21d907e98e420ec520af09fde7b32f8f2ffd93530f270c0c58722",
+    ("describe", "positive_part"):
+    "43c77985b4d356de032c60ff571ed9df401cab16d2c720ef9d1ec74a0ce0962c",
+    ("describe", "radial"):
+    "df28a3c6e8a9dfbbe3373a372ddc33ebff052ff940dd36262cb8f65d7f5660f2",
+}
+
+
+@pytest.mark.parametrize("argv", GOLDEN_SHEETS, ids="-".join)
+def test_construction_sheets_are_pinned(capsys, argv):
+    described = {a[1] for a in GOLDEN_SHEETS if a[0] == "describe"}
+    assert described == set(catalog_names() + retraction_names())
+    assert main(list(argv)) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHEETS[argv]
 
 
 # ---------------------------------------------------------------------------

@@ -170,7 +170,7 @@ def test_breadth_below_one_is_rejected():
     with pytest.raises(InvalidBudgetError):
         ball(1.0, L1, breadth=0)
     with pytest.raises(InvalidBudgetError):
-        ball(1.0, L1).sample(0, breadth=0)
+        ball(1.0, L1).with_breadth(0)
 
 
 def test_with_breadth_returns_adjusted_copy():
@@ -202,7 +202,7 @@ def test_sampling_is_deterministic_per_seed():
 def test_sample_respects_breadth_override():
     K = coefficient_box(1.0)
     for s in range(50):
-        x = K.sample(s, breadth=5)
+        x = K.with_breadth(5).sample(s)
         assert all(i <= 5 for i, _ in x.support)
 
 
@@ -284,7 +284,7 @@ def _same_answers(K, x):
 def _wild(rng, count, width):
     """Sup-ball rows with tails, negative coordinates, -0.0, NaN and +-inf
     entries, and NaN and +-inf tails."""
-    x = ball(1.0, SUP).sample_rows(rng, count, breadth=width)
+    x = ball(1.0, SUP).with_breadth(width).sample_rows(rng, count)
     vals, tail = x.vals.copy(), x.tail.copy()
     cells = rng.random(vals.shape)
     vals[cells < 0.01] = np.nan

@@ -222,7 +222,7 @@ SHIFT_RULES = [None, lambda v: v * (v > 0.0), abs, lambda v: 2.0 * v - 0.5]
 
 @pytest.mark.parametrize("breadth", [8, 64])
 def test_shift_rows_is_shifted_row_by_row(breadth):
-    x = ball(1.0, SUP).sample_rows(breadth, 60, breadth)
+    x = ball(1.0, SUP).with_breadth(breadth).sample_rows(breadth, 60)
     assert x.tail.any() and not x.tail.all()
     for rule in SHIFT_RULES:
         f = (lambda v: v) if rule is None else rule
@@ -277,7 +277,7 @@ def test_batch_form_matches_apply(T):
     assert _check_block(T, T.apply.rows(x)) == 0
     # sup-ball rows: tails, negative coordinates, and the rows some maps
     # reject, one at a time and as one block
-    wild = ball(1.0, SUP).sample_rows(rng, 200, breadth=T.domain.breadth)
+    wild = ball(1.0, SUP).with_breadth(T.domain.breadth).sample_rows(rng, 200)
     failures = sum(_check_block(T, wild.take([i])) for i in range(200))
     assert _check_block(T, wild) == failures
     if T.name in ("goebel_kirk", "hyperconvex", "c0_family", "affine_cube",
