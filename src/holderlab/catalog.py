@@ -60,6 +60,7 @@ from .seqvec import (
     fsum_rows,
     norm,
     pow_each,
+    rows_norm,
     scale,
     shift_right,
     shift_rows,
@@ -489,12 +490,19 @@ def deficiency_map(p: float = 2.0, alpha: float = 0.5) -> MapInstance:
         head = [(1, lam - norm(x, nk))]
         return SeqVec.from_sorted(head + [(2 * i, v) for i, v in x.support])
 
+    def apply_rows(x: Rows) -> Rows:
+        # twice as wide: coordinate i moves to 2i (column 2i - 1)
+        vals = np.zeros((len(x.tail), max(2 * x.width, 1)))
+        vals[:, 0] = lam - rows_norm(x, nk)  # raises on a nonzero tail
+        vals[:, 1::2] = x.vals
+        return Rows(vals, np.zeros(len(x.tail)))
+
     return MapInstance(
         name="deficiency",
         params={"p": p, "alpha": alpha, "radius": lam},
         domain=dom,
         norm=nk,
-        apply=apply,
+        apply=_batched(apply, apply_rows),
         claims=ClaimProfile(
             alpha=alpha,
             holder_constant=1.0,

@@ -260,10 +260,14 @@ class DomainSpec:
         # per row: the support size, b support keys, b values, two extras
         u = rng.random((count, 2 * b + 3))
         size = np.minimum((u[:, 0] * b).astype(np.int64), b - 1) + 1
-        # the support: the coordinates holding the `size` smallest keys
+        # the support: the coordinates holding the `size` smallest keys,
+        # the first `size` in each row's key order
         leading = np.arange(b) < size[:, None]
-        ranks = u[:, 1:b + 1].argsort(axis=1).argsort(axis=1)
-        support = ranks < size[:, None]
+        order = u[:, 1:b + 1].argsort(axis=1)
+        order += np.arange(0, count * b, b)[:, None]  # flat indices
+        support = np.empty(count * b, dtype=bool)
+        support[order] = leading
+        support = support.reshape(count, b)
         w = u[:, b + 1:2 * b + 1]
         extra, extra2 = u[:, 2 * b + 1], u[:, 2 * b + 2]
 

@@ -70,10 +70,10 @@ PAIR_CUTOFF = 1e-13  # pairs closer than this are degenerate for ratios
 RATIO_SLACK = 1e-9   # multiplicative slack on claimed constants
 ORACLE_TOL = 1e-12
 DISPLACEMENT_TOL = 1e-12
-# Array elements in one block of sampled rows, which bounds a check's memory
-# for any sample count and breadth.  A batch form widens a row by at most two
-# columns per step, so sizing blocks by max(breadth, 2 * steps) keeps every
-# iterate block under twice this.
+# Array elements in one block of sampled rows, for rows as wide as
+# _row_width assumes.  The growth rule (_require_fit) keeps every iterate block
+# under twice this, so it bounds a check's memory for any sample count and
+# breadth.
 BLOCK_ELEMENTS = 2 ** 14
 
 
@@ -121,17 +121,58 @@ def _block_sizes(count: int, width: int) -> Iterator[int]:
         yield min(step, count - start)
 
 
+def _row_width(breadth: int, steps: int) -> int:
+    """The width of a row that blocks of rows `breadth` wide are sized for
+    when they go `steps` steps."""
+    return max(breadth, 2 * steps)
+
+
+class _Outgrown(Exception):
+    """A block of rows grew wider than the growth rule allows."""
+
+
+def _require_fit(width: int, breadth: int, steps: int) -> int:
+    """The growth rule: after `steps` steps a block that started `breadth`
+    wide may be up to twice _row_width(breadth, steps) wide.  A batch form
+    that widens a row by at most two columns a step stays within that at
+    any depth; one that doubles a row's width fits a step or two.  A wider
+    block raises _Outgrown, and _by_rows walks it again by points.  Returns
+    the width allowed, which only grows with `steps`."""
+    allowed = 2 * _row_width(breadth, steps)
+    if width > allowed:
+        raise _Outgrown(f"{width} columns after {steps} steps from {breadth}")
+    return allowed
+
+
+def _image_width(T: MapInstance, width: int, steps: int) -> int:
+    """The width of a block `width` wide after `steps` applications of T's
+    batch form, probed on a block of no rows: a batch form sizes its image
+    by the width of the block alone.  `width` if T has no batch form or the
+    probe raises."""
+    rows = getattr(T.apply, "rows", None)
+    if rows is None:
+        return width
+    block = Rows(np.empty((0, width)), np.empty(0))
+    try:
+        for _ in range(steps):
+            block = rows(block)
+    except (ValueError, ArithmeticError):
+        return width
+    return block.width
+
+
 def _by_rows(T: MapInstance, on_rows: Callable, on_points: Callable, *args,
              **kwargs):
     """on_rows(T, ...) when T.apply has a batch form, else on_points.
 
     A batch form raises on a block holding a row `apply` rejects without
     saying which, so a block that fails is walked again point by point: the
-    error raised is `apply`'s, at the first failure in draw order."""
+    error raised is `apply`'s, at the first failure in draw order.  A block
+    that breaks the growth rule is walked again the same way."""
     if getattr(T.apply, "rows", None) is not None:
         try:
             return on_rows(T, *args, **kwargs)
-        except (ValueError, ArithmeticError):
+        except (ValueError, ArithmeticError, _Outgrown):
             pass
     return on_points(T, *args, **kwargs)
 
@@ -149,6 +190,7 @@ def _iterate_rows(T: MapInstance, x: Rows, y: Rows, ns: list[int]):
         cx, cy = x.take(kept), y.take(kept)
         for n in range(1, ns[-1] + 1):
             cx, cy = T.apply.rows(cx), T.apply.rows(cy)
+            _require_fit(max(cx.width, cy.width), x.width, n)
             if n in column:
                 dists[:, column[n]] = rows_distance(cx, cy, T.norm)
     return d, kept, dists
@@ -193,7 +235,7 @@ def pair_ratios(T: MapInstance, ns: tuple[int, ...], pairs: int, seed: int,
     witness: tuple[Rows, Rows] | None = None  # made SeqVecs once, at the end
     used = 0
     # two rows per pair
-    for k in _block_sizes(pairs, 2 * max(T.domain.breadth, 2 * steps[-1])):
+    for k in _block_sizes(pairs, 2 * _row_width(T.domain.breadth, steps[-1])):
         rows = T.domain.sample_rows(rng, 2 * k)
         x, y = rows.take(slice(0, None, 2)), rows.take(slice(1, None, 2))
         d, kept, dists = _by_rows(T, _iterate_rows, _iterate_points,
@@ -259,6 +301,7 @@ class _Ops(NamedTuple):
     add: Callable     # (x, y) -> x + y
     distance: Callable
     norm: Callable
+    width: Callable   # a point -> the columns it stores (0 for a SeqVec)
 
 
 def _row_sum(x: Rows, y: Rows) -> Rows:
@@ -273,16 +316,17 @@ def _row_sum(x: Rows, y: Rows) -> Rows:
 _POINTS = _Ops(lambda x: x, lambda x: x, lambda T, x: T.apply(x),
                lambda a, x: scale(a, x), lambda x, y: axpy(1.0, x, 1.0, y),
                lambda x, y, kind: distance(x, y, kind),
-               lambda x, kind: norm(x, kind))
+               lambda x, kind: norm(x, kind), lambda x: 0)
 # One-row blocks through the batch form, trimmed after every step so that a
 # support that underflows at its far end keeps the row narrow.  Block norms
 # are the scalar ones bit for bit, and scale and add round as `scale` and
-# `axpy` do.
+# `axpy` do.  The growth rule bounds the width of each iterate.
 _ROWS = _Ops(Rows.of, lambda x: x.vec(0),
              lambda T, x: T.apply.rows(x).trimmed(),
              lambda a, x: Rows(a * x.vals, a * x.tail), _row_sum,
              lambda x, y, kind: float(rows_distance(x, y, kind)[0]),
-             lambda x, kind: float(rows_norm(x, kind)[0]))
+             lambda x, kind: float(rows_norm(x, kind)[0]),
+             lambda x: x.vals.shape[1])
 
 
 class _Walked(NamedTuple):
@@ -300,9 +344,17 @@ def _orbit_kernel(ops: _Ops, T: MapInstance, x0: SeqVec, steps: int,
     and at each k with at(k) measure one point p_k, which is x_k or, with
     mean, the Cesaro mean of x_0..x_k: ||p_k - T p_k||, or with an oracle
     ||p_k - oracle(x0, k)||.  The walk ends early after a measurement
-    <= stop; with norms it tracks the largest norm of an iterate."""
+    <= stop; with norms it tracks the largest norm of an iterate, a NaN
+    norm counting as +inf."""
+
+    def size(x) -> float:
+        n = ops.norm(x, T.norm)
+        return math.inf if n != n else n
+
     x = total = ops.point(x0)
-    max_norm = ops.norm(x, T.norm) if norms else None
+    breadth = max(ops.width(x), T.domain.breadth)
+    allowed = 0  # by the growth rule, as of the last step that checked it
+    max_norm = size(x) if norms else None
     least, values = _Least(), []
     for k in range(steps + 1):
         nxt = None
@@ -324,12 +376,12 @@ def _orbit_kernel(ops: _Ops, T: MapInstance, x0: SeqVec, steps: int,
         if nxt is None:
             nxt = ops.apply(T, x if lam is None else ops.scale(lam, x))
         x = nxt
+        if ops.width(x) > allowed:
+            allowed = _require_fit(ops.width(x), breadth, k + 1)
         if mean:
             total = ops.add(total, x)
         if norms:
-            n = ops.norm(x, T.norm)
-            if n > max_norm:
-                max_norm = n
+            max_norm = max(max_norm, size(x))
     if least.witness is not None:
         least.witness = ops.vec(least.witness)
     return _Walked(values, least, max_norm, ops.vec(x))
@@ -339,7 +391,9 @@ def _walk(T: MapInstance, x0: SeqVec, steps: int, at: Callable[[int], bool],
           **how) -> _Walked:
     """The orbit kernel, on one-row blocks when T.apply has a batch form and
     x0's row fits in one block.  A sparse start with a far index (x0 =
-    {10^9: t}) would make a row of that width, so it walks by points."""
+    {10^9: t}) would make a row of that width, so it walks by points, and so
+    does a walk whose row breaks the growth rule (deficiency's row doubles
+    its width each step)."""
     if x0.support and x0.support[-1][0] > BLOCK_ELEMENTS:
         return _orbit_kernel(_POINTS, T, x0, steps, at, **how)
     return _by_rows(T, functools.partial(_orbit_kernel, _ROWS),
@@ -737,7 +791,11 @@ def _approx_fixed_set(T: MapInstance, req: CheckRequest,
     qualifying = 0
     max_second = 0.0
     worst: Rows | None = None
-    for k in _block_sizes(req.samples, max(T.domain.breadth, 4)):
+    width = _row_width(T.domain.breadth, 2)
+    image = _image_width(T, T.domain.breadth, 2)
+    if image > 2 * width:  # breaks the growth rule: blocks sized by it
+        width = image
+    for k in _block_sizes(req.samples, width):
         x = T.domain.sample_rows(rng, k)
         kept, second = _by_rows(T, _second_steps_rows, _second_steps_points,
                                 x, req.delta)

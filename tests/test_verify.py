@@ -44,7 +44,10 @@ from holderlab.verify import (
     CHECKS,
     FIELDS,
     STRATEGIES,
+    BLOCK_ELEMENTS,
     CheckRequest,
+    _Outgrown,
+    _require_fit,
     estimate_displacement,
     orbit,
     pair_ratios,
@@ -168,9 +171,18 @@ def _point_walk(T):
     return dataclasses.replace(T, apply=lambda x: T.apply(x))
 
 
-def _row_walk(T):
-    """T whose scalar apply fails the test: every walk must go by rows."""
+# Maps whose rows double in width each step: their walks break the growth
+# rule within a few steps and go by points.
+OUTGROWN = {"deficiency"}
+
+
+def _row_walk(T, scalar_calls=None):
+    """T whose scalar apply fails the test: every walk must go by rows.
+    Given a list, the scalar apply appends to it and runs instead."""
     def apply(x):
+        if scalar_calls is not None:
+            scalar_calls.append(x)
+            return T.apply(x)
         raise AssertionError(f"{T.name}: a walk went point by point")
 
     apply.rows = T.apply.rows
@@ -189,8 +201,11 @@ def _accepted_strategies(T):
 @pytest.mark.parametrize("T", _batched_maps(), ids=lambda T: T.name)
 def test_row_walks_equal_point_walks(T):
     """The orbit kernel walks one-row blocks when T has a batch form; the
-    row walk and the point walk measure the same values bit for bit."""
-    R, P = _row_walk(T), _point_walk(T)
+    row walk and the point walk measure the same values bit for bit.  A
+    walk that outgrows the growth rule falls back to points, with the same
+    values."""
+    fell_back = [] if T.name in OUTGROWN else None
+    R, P = _row_walk(T, fell_back), _point_walk(T)
     for strategy in _accepted_strategies(T):
         budget = 300 if strategy == "lambda_scaling" else 120
         rows = estimate_displacement(R, strategy, budget=budget, seed=3)
@@ -202,6 +217,35 @@ def test_row_walks_equal_point_walks(T):
         req = CheckRequest("oracle_compare", n_max=25)
         assert (_comparable(run_check(R, req, 1))
                 == _comparable(run_check(P, req, 1)))
+    assert fell_back is None or fell_back
+
+
+def test_the_growth_rule_admits_linear_growth_at_any_depth():
+    """Two columns a step never break the rule, from any start width and
+    far past BLOCK_ELEMENTS steps; doubling breaks it within a few steps."""
+    for breadth in (0, 1, 64, BLOCK_ELEMENTS):
+        for steps in (1, 2, 3, 100, BLOCK_ELEMENTS + 1, 10 ** 9):
+            _require_fit(breadth + 2 * steps, breadth, steps)
+        width, steps = max(breadth, 1), 0
+        with pytest.raises(_Outgrown):
+            while steps < 40:
+                width, steps = 2 * width, steps + 1
+                _require_fit(width, breadth, steps)
+        assert steps <= 5
+
+
+def test_a_nan_norm_makes_the_orbit_unbounded():
+    """A NaN iterate norm counts as +inf in max_norm, as a NaN counts in
+    every other measurement."""
+    T = prus_map()
+
+    def apply(x):
+        y = T.apply(x)
+        return SeqVec.from_dict({1: math.nan}) if len(y.support) == 4 else y
+
+    res = orbit(dataclasses.replace(T, apply=apply), ZERO, 6)
+    assert math.isnan(res.displacements[3])
+    assert res.max_norm == math.inf
 
 
 def test_a_start_with_a_far_index_walks_by_points():
