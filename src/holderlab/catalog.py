@@ -172,8 +172,9 @@ class MapInstance:
     block of their images, equal to `apply` row by row on rows `apply`
     accepts, and raising a ValueError or ArithmeticError on a block that
     holds a row `apply` rejects.  Which error it raises is not part of the
-    contract: the verifier walks such a block again through `apply`, so
-    the error reported is `apply`'s.  Replacing `apply` drops the batch
+    contract: the verifier then goes through `apply`, the whole block and,
+    if that raises, row by row in draw order, so the error reported is
+    `apply`'s first in draw order.  Replacing `apply` drops the batch
     form."""
 
     name: str

@@ -314,7 +314,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
         strict=strict,
         checks=records,
     )
-    json_path, summary_path = write_report(report, out_dir)
+    try:
+        json_path, summary_path = write_report(report, out_dir)
+    except (OSError, ValueError) as exc:  # a name too long, a NUL, a file
+        raise ConfigError(f"cannot write report {report.name!r} under "
+                          f"{out_dir!r}: {exc}") from exc
     sys.stdout.write(report.summary)
     print(f"report: {json_path}")
     print(f"summary: {summary_path}")

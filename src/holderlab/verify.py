@@ -15,6 +15,9 @@ kind is one such function and one CHECKS entry.  STRATEGIES is the one
 table of displacement strategies; each entry names the fields its strategy
 reads beyond the budget.  Every orbit-style walk (the orbit check,
 oracle_compare and the orbit strategies) is one call of the orbit kernel.
+Each kernel is written once over an _Ops table, which holds its points as
+Rows or as SeqVecs; the sampled kernels (pairs, displacements, escapes,
+one step) run under the one fallback rule of _sampled.
 
 Every check is deterministic given its seed; identical requests produce
 identical results bit for bit.
@@ -22,10 +25,10 @@ identical results bit for bit.
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from dataclasses import dataclass, field, make_dataclass
+from itertools import compress, repeat
 from typing import Callable, Iterator, Mapping, NamedTuple
 
 import numpy as np
@@ -75,6 +78,9 @@ DISPLACEMENT_TOL = 1e-12
 # under twice this, so it bounds a check's memory for any sample count and
 # breadth.
 BLOCK_ELEMENTS = 2 ** 14
+# Rows a block goes by at a time as SeqVecs: a whole block of SeqVecs and
+# their iterates kept alive at once busies the garbage collector.
+_POINT_ROWS = 8
 
 
 @dataclass(frozen=True)
@@ -136,7 +142,7 @@ def _require_fit(width: int, breadth: int, steps: int) -> int:
     wide may be up to twice _row_width(breadth, steps) wide.  A batch form
     that widens a row by at most two columns a step stays within that at
     any depth; one that doubles a row's width fits a step or two.  A wider
-    block raises _Outgrown, and _by_rows walks it again by points.  Returns
+    block raises _Outgrown, and the block goes again by points.  Returns
     the width allowed, which only grows with `steps`."""
     allowed = 2 * _row_width(breadth, steps)
     if width > allowed:
@@ -161,55 +167,112 @@ def _image_width(T: MapInstance, width: int, steps: int) -> int:
     return block.width
 
 
-def _by_rows(T: MapInstance, on_rows: Callable, on_points: Callable, *args,
-             **kwargs):
-    """on_rows(T, ...) when T.apply has a batch form, else on_points.
+class _Ops(NamedTuple):
+    """How a kernel holds a block of points: as Rows through T's batch
+    form (_ROWS) or as a list of SeqVecs through T.apply (_POINTS).  A
+    measurement gives one entry per point."""
 
-    A batch form raises on a block holding a row `apply` rejects without
-    saying which, so a block that fails is walked again point by point: the
-    error raised is `apply`'s, at the first failure in draw order.  A block
-    that breaks the growth rule is walked again the same way."""
+    point: Callable     # SeqVec -> a one-point block
+    vec: Callable       # (a block, j) -> its point j as a SeqVec
+    take: Callable      # (a block, a mask) -> the points the mask keeps
+    apply: Callable     # (T, a block) -> T of each point
+    scale: Callable     # (a, x) -> a x
+    add: Callable       # (x, y) -> x + y
+    distance: Callable  # (x, y, kind) -> ||x - y|| per point
+    norm: Callable      # (x, kind) -> ||x|| per point
+    contains: Callable  # (domain, a block) -> membership per point
+    width: Callable     # a block -> the columns it stores (0 for SeqVecs)
+
+
+def _row_sum(x: Rows, y: Rows) -> Rows:
+    width = max(x.width, y.width)
+    x, y = x.widen(width), y.widen(width)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return Rows(x.vals + y.vals, x.tail + y.tail).trimmed()
+
+
+def _apply_rows(T: MapInstance, x: Rows) -> Rows:
+    """T's batch form on a block.  A one-row block (an orbit's) is trimmed
+    after every step, so that a support that underflows at its far end
+    keeps the row narrow; a larger block rarely ends in a column that
+    every row shares with its tail, and checking would cost each step."""
+    y = T.apply.rows(x)
+    return y.trimmed() if len(y.tail) == 1 else y
+
+
+# Rows through the batch form.  Block norms are the scalar ones bit for bit,
+# and scale and add round as `scale` and `axpy` do.  The growth rule bounds
+# the width of each iterate.
+_ROWS = _Ops(Rows.of, Rows.vec, Rows.take, _apply_rows,
+             lambda a, x: Rows(a * x.vals, a * x.tail), _row_sum,
+             rows_distance, rows_norm, lambda K, x: K.contains_rows(x),
+             lambda x: x.vals.shape[1])
+# Lists of SeqVecs.  The seqvec functions are looked up when called, so a
+# wrapper set on this module's names (the benchmark's tracer) sees them.
+_POINTS = _Ops(lambda x: [x], lambda x, j: x[j],
+               lambda x, keep: list(compress(x, keep)),
+               lambda T, x: list(map(T.apply, x)),
+               lambda a, x: list(map(scale, repeat(a), x)),
+               lambda x, y: list(map(axpy, repeat(1.0), x, repeat(1.0), y)),
+               lambda x, y, kind: list(map(distance, x, y, repeat(kind))),
+               lambda x, kind: list(map(norm, x, repeat(kind))),
+               lambda K, x: list(map(K.contains, x)), lambda x: 0)
+
+
+def _by_points(T: MapInstance, kernel: Callable, blocks: tuple[Rows, ...],
+               args: tuple, rows: int, until: Callable | None):
+    """kernel on `rows` rows of the blocks at a time, as lists of SeqVecs,
+    in draw order up to the first part whose result meets `until`; the
+    parts' arrays concatenated."""
+    parts, n = [], len(blocks[0].tail)
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        points = ([b.vec(j) for j in range(start, stop)] for b in blocks)
+        parts.append(kernel(_POINTS, T, *points, *args))
+        if until is not None and until(parts[-1]):
+            break
+    if isinstance(parts[0], tuple):
+        return tuple(map(np.concatenate, zip(*parts)))
+    return np.concatenate(parts)
+
+
+def _sampled(T: MapInstance, kernel: Callable, blocks: tuple[Rows, ...],
+             *args, until: Callable | None = None):
+    """kernel(ops, T, *blocks, *args), whose arrays have one entry per row
+    of the sampled blocks, by the one fallback rule: (1) the whole blocks as
+    Rows, when T.apply has a batch form; (2) as SeqVecs, _POINT_ROWS rows
+    at a time, when it has none or step 1 raised a ValueError or an
+    ArithmeticError (a batch form's answer to a row `apply` rejects) or
+    _Outgrown; (3) when step 2 raised anything, row by row in draw order,
+    so the error raised is `apply`'s first in draw order.  Steps 2 and 3
+    stop after the first part whose result meets `until`."""
     if getattr(T.apply, "rows", None) is not None:
         try:
-            return on_rows(T, *args, **kwargs)
+            return kernel(_ROWS, T, *blocks, *args)
         except (ValueError, ArithmeticError, _Outgrown):
             pass
-    return on_points(T, *args, **kwargs)
+    try:
+        return _by_points(T, kernel, blocks, args, _POINT_ROWS, until)
+    except Exception:
+        return _by_points(T, kernel, blocks, args, 1, until)
 
 
-# The pair kernel: for x[j], y[j] the distance d[j], the indices `kept` of
-# the pairs with d >= PAIR_CUTOFF (or NaN), and for those the distances
-# ||T^n x - T^n y|| at each n in `ns` (ascending), one column per n.
-
-def _iterate_rows(T: MapInstance, x: Rows, y: Rows, ns: list[int]):
+def _pair_kernel(ops: _Ops, T: MapInstance, x, y, ns: list[int]):
+    """For the pairs x[j], y[j]: the distance d[j] and, where d[j] >=
+    PAIR_CUTOFF (or NaN), the distances ||T^n x[j] - T^n y[j]|| at each n in
+    `ns` (ascending), one column per n (NaN in the other rows)."""
     column = {n: c for c, n in enumerate(ns)}
-    d = rows_distance(x, y, T.norm)
-    kept = np.flatnonzero(~(d < PAIR_CUTOFF))
-    dists = np.empty((len(kept), len(ns)))
-    if len(kept):
-        cx, cy = x.take(kept), y.take(kept)
+    d = np.asarray(ops.distance(x, y, T.norm))
+    kept = ~(d < PAIR_CUTOFF)
+    dists = np.full((len(d), len(ns)), math.nan)
+    if kept.any():
+        cx, cy = ops.take(x, kept), ops.take(y, kept)
         for n in range(1, ns[-1] + 1):
-            cx, cy = T.apply.rows(cx), T.apply.rows(cy)
-            _require_fit(max(cx.width, cy.width), x.width, n)
+            cx, cy = ops.apply(T, cx), ops.apply(T, cy)
+            _require_fit(max(ops.width(cx), ops.width(cy)), ops.width(x), n)
             if n in column:
-                dists[:, column[n]] = rows_distance(cx, cy, T.norm)
-    return d, kept, dists
-
-
-def _iterate_points(T: MapInstance, x: Rows, y: Rows, ns: list[int]):
-    d, kept, dists = [], [], []
-    for j in range(len(x.tail)):
-        cx, cy = x.vec(j), y.vec(j)
-        d.append(distance(cx, cy, T.norm))
-        if d[-1] < PAIR_CUTOFF:
-            continue
-        kept.append(j)
-        for n in range(1, ns[-1] + 1):
-            cx, cy = T.apply(cx), T.apply(cy)
-            if n in ns:
-                dists.append(distance(cx, cy, T.norm))
-    return (np.array(d), np.array(kept, dtype=np.int64),
-            np.array(dists).reshape(len(kept), len(ns)))
+                dists[kept, column[n]] = ops.distance(cx, cy, T.norm)
+    return d, dists
 
 
 def pair_ratios(T: MapInstance, ns: tuple[int, ...], pairs: int, seed: int,
@@ -220,9 +283,9 @@ def pair_ratios(T: MapInstance, ns: tuple[int, ...], pairs: int, seed: int,
 
     The exponent defaults to the claimed one; pairs closer than PAIR_CUTOFF
     are skipped (the ratio is numerically meaningless there) and a NaN ratio
-    counts as +inf.  Pairs travel as blocks of rows through the batch form of
-    T.apply when it has one, and pair by pair otherwise; the witness is the
-    first pair in draw order that reaches the largest ratio."""
+    counts as +inf.  Pairs travel in blocks under the fallback rule of
+    _sampled; the witness is the first pair in draw order that reaches the
+    largest ratio."""
     if pairs < 1:
         raise InvalidBudgetError(f"pairs {pairs} is below 1")
     if not ns or min(ns) < 1:
@@ -238,13 +301,13 @@ def pair_ratios(T: MapInstance, ns: tuple[int, ...], pairs: int, seed: int,
     for k in _block_sizes(pairs, 2 * _row_width(T.domain.breadth, steps[-1])):
         rows = T.domain.sample_rows(rng, 2 * k)
         x, y = rows.take(slice(0, None, 2)), rows.take(slice(1, None, 2))
-        d, kept, dists = _by_rows(T, _iterate_rows, _iterate_points,
-                                  x, y, steps)
+        d, dists = _sampled(T, _pair_kernel, (x, y), steps)
+        kept = np.flatnonzero(~(d < PAIR_CUTOFF))
         if not len(kept):
             continue
         used += len(kept)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            ratios = dists / pow_each(d[kept], a)[:, None]
+            ratios = dists[kept] / pow_each(d[kept], a)[:, None]
         ratios[np.isnan(ratios)] = math.inf  # a NaN distance is unbounded
         for n, top in zip(steps, ratios.max(axis=0).tolist()):
             sups[n] = max(sups[n], top)
@@ -291,44 +354,6 @@ class _Least:
             self.value, self.witness = other.value, other.witness
 
 
-class _Ops(NamedTuple):
-    """How an orbit walk holds its points."""
-
-    point: Callable   # SeqVec -> a point
-    vec: Callable     # a point -> SeqVec
-    apply: Callable   # (T, a point) -> T of it
-    scale: Callable   # (a, x) -> a x
-    add: Callable     # (x, y) -> x + y
-    distance: Callable
-    norm: Callable
-    width: Callable   # a point -> the columns it stores (0 for a SeqVec)
-
-
-def _row_sum(x: Rows, y: Rows) -> Rows:
-    width = max(x.width, y.width)
-    x, y = x.widen(width), y.widen(width)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return Rows(x.vals + y.vals, x.tail + y.tail).trimmed()
-
-
-# SeqVecs.  The seqvec functions are looked up when called, so a wrapper
-# set on this module's names (the benchmark's tracer) sees point walks.
-_POINTS = _Ops(lambda x: x, lambda x: x, lambda T, x: T.apply(x),
-               lambda a, x: scale(a, x), lambda x, y: axpy(1.0, x, 1.0, y),
-               lambda x, y, kind: distance(x, y, kind),
-               lambda x, kind: norm(x, kind), lambda x: 0)
-# One-row blocks through the batch form, trimmed after every step so that a
-# support that underflows at its far end keeps the row narrow.  Block norms
-# are the scalar ones bit for bit, and scale and add round as `scale` and
-# `axpy` do.  The growth rule bounds the width of each iterate.
-_ROWS = _Ops(Rows.of, lambda x: x.vec(0),
-             lambda T, x: T.apply.rows(x).trimmed(),
-             lambda a, x: Rows(a * x.vals, a * x.tail), _row_sum,
-             lambda x, y, kind: float(rows_distance(x, y, kind)[0]),
-             lambda x, kind: float(rows_norm(x, kind)[0]),
-             lambda x: x.vals.shape[1])
-
-
 class _Walked(NamedTuple):
     values: list[float]  # the measurement at each checkpoint, in order
     least: _Least        # their least, with a SeqVec witness
@@ -348,7 +373,7 @@ def _orbit_kernel(ops: _Ops, T: MapInstance, x0: SeqVec, steps: int,
     norm counting as +inf."""
 
     def size(x) -> float:
-        n = ops.norm(x, T.norm)
+        n = float(ops.norm(x, T.norm)[0])
         return math.inf if n != n else n
 
     x = total = ops.point(x0)
@@ -366,7 +391,7 @@ def _orbit_kernel(ops: _Ops, T: MapInstance, x0: SeqVec, steps: int,
                 q = ops.apply(T, p)
                 if not mean and lam is None:
                     nxt = q  # T x_k is the next iterate
-            d = ops.distance(p, q, T.norm)
+            d = float(ops.distance(p, q, T.norm)[0])
             values.append(d)
             least.consider(d, p)
             if stop is not None and d <= stop:
@@ -383,22 +408,24 @@ def _orbit_kernel(ops: _Ops, T: MapInstance, x0: SeqVec, steps: int,
         if norms:
             max_norm = max(max_norm, size(x))
     if least.witness is not None:
-        least.witness = ops.vec(least.witness)
-    return _Walked(values, least, max_norm, ops.vec(x))
+        least.witness = ops.vec(least.witness, 0)
+    return _Walked(values, least, max_norm, ops.vec(x, 0))
 
 
 def _walk(T: MapInstance, x0: SeqVec, steps: int, at: Callable[[int], bool],
           **how) -> _Walked:
-    """The orbit kernel, on one-row blocks when T.apply has a batch form and
-    x0's row fits in one block.  A sparse start with a far index (x0 =
-    {10^9: t}) would make a row of that width, so it walks by points, and so
-    does a walk whose row breaks the growth rule (deficiency's row doubles
-    its width each step)."""
-    if x0.support and x0.support[-1][0] > BLOCK_ELEMENTS:
-        return _orbit_kernel(_POINTS, T, x0, steps, at, **how)
-    return _by_rows(T, functools.partial(_orbit_kernel, _ROWS),
-                    functools.partial(_orbit_kernel, _POINTS),
-                    x0, steps, at, **how)
+    """The orbit kernel on a one-row block through T's batch form, and by
+    points when T has none.  A sparse start with a far index (x0 = {10^9:
+    t}) would make a row of that width, so it walks by points, as does a row
+    walk that raises a ValueError or an ArithmeticError or breaks the growth
+    rule (deficiency's row doubles its width each step)."""
+    if (getattr(T.apply, "rows", None) is not None
+            and not (x0.support and x0.support[-1][0] > BLOCK_ELEMENTS)):
+        try:
+            return _orbit_kernel(_ROWS, T, x0, steps, at, **how)
+        except (ValueError, ArithmeticError, _Outgrown):
+            pass
+    return _orbit_kernel(_POINTS, T, x0, steps, at, **how)
 
 
 def _require_member(T: MapInstance, x0: SeqVec, walk: str) -> None:
@@ -422,14 +449,9 @@ def orbit(T: MapInstance, x0: SeqVec, depth: int) -> OrbitResult:
 # the least displacement it evaluated.  All witness streams extend under a
 # larger budget, so estimates never increase with it.
 
-# The displacement kernel: ||x[j] - T x[j]|| for every row x[j].
-
-def _displacements_rows(T: MapInstance, x: Rows) -> np.ndarray:
-    return rows_distance(x, T.apply.rows(x), T.norm)
-
-
-def _displacements_points(T: MapInstance, x: Rows) -> np.ndarray:
-    return np.array([T.displacement(x.vec(j)) for j in range(len(x.tail))])
+def _displacements(ops: _Ops, T: MapInstance, x) -> np.ndarray:
+    """||x[j] - T x[j]|| for every point x[j]."""
+    return np.asarray(ops.distance(x, ops.apply(T, x), T.norm))
 
 
 def _sample_min(T: MapInstance, budget: int, seed: int, lambdas, target):
@@ -444,8 +466,7 @@ def _sample_min(T: MapInstance, budget: int, seed: int, lambdas, target):
     rng = as_rng(seed)
     for k in _block_sizes(budget - least.evaluations, T.domain.breadth):
         x = T.domain.sample_rows(rng, k)
-        least.consider_rows(_by_rows(T, _displacements_rows,
-                                     _displacements_points, x), x)
+        least.consider_rows(_sampled(T, _displacements, (x,)), x)
     return least
 
 
@@ -617,19 +638,9 @@ def _holder_ratio(T: MapInstance, req: CheckRequest, seed: int) -> CheckRecord:
     )
 
 
-# The escape kernel: the index of the first row x[j] with T x[j] outside
-# T's domain, or None.
-
-def _escape_rows(T: MapInstance, x: Rows) -> int | None:
-    outside = np.flatnonzero(~T.domain.contains_rows(T.apply.rows(x)))
-    return int(outside[0]) if len(outside) else None
-
-
-def _escape_points(T: MapInstance, x: Rows) -> int | None:
-    for j in range(len(x.tail)):
-        if not T.domain.contains(T.apply(x.vec(j))):
-            return j
-    return None
+def _escapes(ops: _Ops, T: MapInstance, x) -> np.ndarray:
+    """Whether T x[j] is outside T's domain, for every point x[j]."""
+    return ~np.asarray(ops.contains(T.domain, ops.apply(T, x)), dtype=bool)
 
 
 def _invariance(T: MapInstance, req: CheckRequest, seed: int) -> CheckRecord:
@@ -649,10 +660,11 @@ def _invariance(T: MapInstance, req: CheckRequest, seed: int) -> CheckRecord:
         rng = as_rng(seed)
         for k in _block_sizes(req.samples, K.breadth):
             x = K.sample_rows(rng, k)
-            j = _by_rows(T, _escape_rows, _escape_points, x)
-            if j is not None:
-                checked += j + 1
-                witness = x.vec(j)
+            outside = np.flatnonzero(_sampled(T, _escapes, (x,),
+                                              until=np.any))
+            if len(outside):
+                checked += int(outside[0]) + 1
+                witness = x.vec(int(outside[0]))
                 break
             checked += k
     return CheckRecord(
@@ -748,32 +760,18 @@ def _asymptotic_profile(T: MapInstance, req: CheckRequest,
     )
 
 
-# The one-step kernel: for the samples x[j], the indices of those with
-# ||x - Tx|| <= delta (or NaN), and for those ||Tx - T^2x||, +inf where
-# either distance is NaN.
-
-def _second_steps_rows(T: MapInstance, x: Rows, delta: float):
-    tx = T.apply.rows(x)
-    first = rows_distance(x, tx, T.norm)
-    kept = np.flatnonzero(~(first > delta))
-    tx = tx.take(kept)
-    second = rows_distance(tx, T.apply.rows(tx), T.norm)
-    second[np.isnan(first[kept]) | np.isnan(second)] = math.inf
+def _second_steps(ops: _Ops, T: MapInstance, x, delta: float):
+    """For the points x[j]: whether ||x - Tx|| <= delta (or NaN), and where
+    it is, ||Tx - T^2x||, +inf where either distance is NaN (-inf in the
+    other rows)."""
+    tx = ops.apply(T, x)
+    first = np.asarray(ops.distance(x, tx, T.norm))
+    kept = ~(first > delta)
+    tx = ops.take(tx, kept)
+    second = np.full(len(first), -math.inf)
+    second[kept] = ops.distance(tx, ops.apply(T, tx), T.norm)
+    second[np.isnan(first) | np.isnan(second)] = math.inf
     return kept, second
-
-
-def _second_steps_points(T: MapInstance, x: Rows, delta: float):
-    kept, second = [], []
-    for j in range(len(x.tail)):
-        cx = x.vec(j)
-        tx = T.apply(cx)
-        first = distance(cx, tx, T.norm)
-        if first > delta:
-            continue
-        kept.append(j)
-        d = distance(tx, T.apply(tx), T.norm)
-        second.append(math.inf if first != first or d != d else d)
-    return np.array(kept, dtype=np.int64), np.array(second)
 
 
 def _approx_fixed_set(T: MapInstance, req: CheckRequest,
@@ -797,12 +795,11 @@ def _approx_fixed_set(T: MapInstance, req: CheckRequest,
         width = image
     for k in _block_sizes(req.samples, width):
         x = T.domain.sample_rows(rng, k)
-        kept, second = _by_rows(T, _second_steps_rows, _second_steps_points,
-                                x, req.delta)
-        qualifying += len(kept)
-        if len(kept) and second.max() > max_second:
+        kept, second = _sampled(T, _second_steps, (x,), req.delta)
+        qualifying += int(kept.sum())
+        if second.max() > max_second:
             j = int(np.argmax(second))
-            max_second, worst = float(second[j]), x.take([kept[j]])
+            max_second, worst = float(second[j]), x.take([j])
     passed = max_second <= req.delta + _tolerance(req, DISPLACEMENT_TOL)
     return CheckRecord(
         "approx_fixed_set", req.delta, max_second,

@@ -50,6 +50,7 @@ from holderlab.seqvec import (
     norm,
     scale,
 )
+from holderlab.verify import estimate_displacement
 
 SUP = NormKind.sup()
 L1 = NormKind.lp(1.0)
@@ -455,6 +456,23 @@ def test_lift_to_ball_constraint_and_transport():
         assert abs(lhs - rhs) <= 1e-12
     assert T.claims.displacement_bound is None
     assert T.claims.fixed_points.kind == "empty"
+
+
+def test_lift_to_ball_witnesses_transport_exactly():
+    """Each witness r p has displacement r ||p - F p||, exactly when r is
+    a power of two, and sample_min sees the least of them."""
+    F = baseline_c_map()
+    r = 1.0 / 16.0
+    T = lift_to_ball(F, r, 0.5, 0.5)
+    inner = list(F.domain.canonical_points())
+    if F.witness_family is not None:
+        inner += F.witness_family(40)
+    witnesses = T.witness_family(40)
+    assert witnesses == [scale(r, p) for p in inner]
+    displacements = [T.displacement(w) for w in witnesses]
+    assert displacements == [r * F.displacement(p) for p in inner]
+    est = estimate_displacement(T, "sample_min", 40, 0)
+    assert est.value <= min(displacements)
 
 
 def test_constant_map_probe():

@@ -93,6 +93,39 @@ def test_out_flag_overrides_config(tmp_path):
     assert not (tmp_path / "unused").exists()
 
 
+# A report that cannot be written is a config error that names the path,
+# and leaves no temp file behind.
+
+def test_a_name_too_long_for_a_file_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    path = write_config(tmp_path, base_config(out, name="n" * 300))
+    assert main(["run", path]) == 2
+    assert "n" * 300 in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_an_out_that_names_a_file_exits_2(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("kept", encoding="utf-8")
+    assert main(["run", write_config(tmp_path, base_config(taken))]) == 2
+    assert str(taken) in capsys.readouterr().err
+    path = write_config(tmp_path, base_config(tmp_path / "unused"))
+    assert main(["run", path, "--out", str(taken)]) == 2
+    assert str(taken) in capsys.readouterr().err
+    assert taken.read_text(encoding="utf-8") == "kept"
+
+
+@pytest.mark.parametrize("field", ["name", "out"])
+def test_a_nul_in_the_report_path_exits_2(tmp_path, capsys, field):
+    out = tmp_path / "out"
+    out.mkdir()
+    cfg = base_config(out)
+    cfg[field] += "\0x"
+    assert main(["run", write_config(tmp_path, cfg)]) == 2
+    assert repr(cfg[field]) in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_one_parser_serves_every_call(tmp_path):
     """main reuses one parser per process: no option of one call reaches
     the next, and a bad command line exits 2 every time."""
@@ -626,6 +659,17 @@ GOLDEN_REPORTS = [
      "e73eec3a18b0b4979e4874365de96e97add64f39494ab2abe196611d82b9cffa"),
     ("l1_sphere", {"kind": "holder_ratio", "pairs": 60},
      "22b60034860bb701c45a331be2e3051f9a02aca1131335317884298d68bf5011"),
+    # The SeqVec paths: l1_ball_composite has no batch form, and
+    # deficiency's pair blocks outgrow the growth rule by iterate 3.
+    ("l1_ball_composite", {"kind": "holder_ratio", "pairs": 60, "iterate": 2},
+     "4e56d739929d98cadc1a46e852c8821ca295490fc5dffdbfaed966494940eb27"),
+    ("l1_ball_composite", {"kind": "invariance", "samples": 40},
+     "45c73acd3731448f8a89f89a807ea3b1e80cff1feb3b4bcf1651bdda02e80dca"),
+    ("l1_ball_composite", {"kind": "displacement", "strategy": "sample_min",
+                           "budget": 40},
+     "54bae5c9a9d31eac13a86d001dd162ea3188e7dce1e2597f46712fb5647fbcf8"),
+    ("deficiency", {"kind": "holder_ratio", "pairs": 60, "iterate": 3},
+     "88b71d278854d9eb5101b651a7a38ff2b66df3ad0dffa2da3cbace9e715266d8"),
 ]
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from holderlab.catalog import (
     affine_mixing_map,
+    baseline_c_map,
     build_map,
     c0_family_map,
     catalog_names,
@@ -29,6 +30,7 @@ from holderlab.errors import (
     InvalidCheckError,
     InvalidParameterError,
     InvalidStrategyError,
+    NotInSpaceError,
 )
 from holderlab.seqvec import (
     ZERO,
@@ -43,6 +45,7 @@ from holderlab.seqvec import (
 from holderlab.verify import (
     CHECKS,
     FIELDS,
+    PAIR_CUTOFF,
     STRATEGIES,
     BLOCK_ELEMENTS,
     CheckRequest,
@@ -340,6 +343,111 @@ def test_block_invariance_walks_a_failing_block_by_points():
     req = CheckRequest("invariance", samples=600)
     assert (_comparable(run_check(dataclasses.replace(T, apply=apply), req, 3))
             == _comparable(run_check(_point_walk(T), req, 3)))
+
+
+def _raising(T, first, second):
+    """T without a batch form whose apply raises DomainViolationError on the
+    points of `first` and NotInSpaceError on the images of the points of
+    `second`: errors at the first and at the second step."""
+    images = {T.apply(x): x for x in second}
+
+    def apply(x):
+        if x in first:
+            raise DomainViolationError(f"step 1 at {format_vec(x)}")
+        if x in images:
+            raise NotInSpaceError(f"step 2 from {format_vec(images[x])}")
+        return T.apply(x)
+
+    return dataclasses.replace(T, apply=apply)
+
+
+def _first_error(walk):
+    try:
+        walk()
+    except Exception as exc:  # noqa: BLE001 - the reference's own error
+        return exc
+    raise AssertionError("the reference raised nothing")
+
+
+# Rows failing at step 1, rows failing at step 2, and the row whose error
+# comes first in draw order.
+FAILING_ROWS = [({10}, {7}, 7), ({2}, {7}, 2), ({7}, {7, 3}, 3)]
+
+
+@pytest.mark.parametrize("first, second, winner", FAILING_ROWS)
+def test_a_failing_pair_block_raises_the_first_error_in_draw_order(
+        first, second, winner):
+    """Replayed row by row, a block raises the error of its first failing
+    pair, not the first error of a step-by-step walk of the whole block."""
+    T, pairs, seed = baseline_c_map(), 40, 5
+    draws = T.domain.sample_rows(np.random.default_rng(seed), 2 * pairs)
+    S = _raising(T, {draws.vec(i) for i in first},
+                 {draws.vec(i) for i in second})
+
+    def reference():
+        for j in range(pairs):
+            x, y = draws.vec(2 * j), draws.vec(2 * j + 1)
+            if distance(x, y, T.norm) < PAIR_CUTOFF:
+                continue
+            for _ in range(2):
+                x, y = S.apply(x), S.apply(y)
+
+    want = _first_error(reference)
+    assert str(want).endswith(format_vec(draws.vec(winner)))
+    with pytest.raises(type(want)) as got:
+        run_check(S, CheckRequest("holder_ratio", pairs=pairs, iterate=2),
+                  seed)
+    assert str(got.value) == str(want)
+
+
+@pytest.mark.parametrize("first, second, winner", FAILING_ROWS)
+def test_a_failing_sample_block_raises_the_first_error_in_draw_order(
+        first, second, winner):
+    T, samples, seed, delta = baseline_c_map(), 40, 5, 10.0
+    draws = T.domain.sample_rows(np.random.default_rng(seed), samples)
+    S = _raising(T, {draws.vec(i) for i in first},
+                 {draws.vec(i) for i in second})
+
+    def reference():
+        for j in range(samples):
+            x = draws.vec(j)
+            tx = S.apply(x)
+            if not distance(x, tx, T.norm) > delta:
+                S.apply(tx)
+
+    want = _first_error(reference)
+    assert str(want).endswith(format_vec(draws.vec(winner)))
+    with pytest.raises(type(want)) as got:
+        run_check(S, CheckRequest("approx_fixed_set", samples=samples,
+                                  delta=delta), seed)
+    assert str(got.value) == str(want)
+
+
+@pytest.mark.parametrize("batched", [False, True])
+def test_an_escape_ends_the_replay_before_a_failing_row(batched):
+    """Row j leaves the domain and apply raises on row j + 1: the replay
+    stops at the escape, with or without a batch form."""
+    T, samples, seed, j = norming_map(), 40, 5, 6
+    draws = T.domain.sample_rows(np.random.default_rng(seed), samples)
+    escapes, fails = draws.vec(j), draws.vec(j + 1)
+
+    def apply(x):
+        if x == fails:
+            raise DomainViolationError("apply rejects row j + 1")
+        return basis_vector(1, 2.0) if x == escapes else T.apply(x)
+
+    def rows(x):
+        if any(x.vec(i) == fails for i in range(len(x.tail))):
+            raise ArithmeticError("the batch form rejects the block")
+        return T.apply.rows(x)
+
+    if batched:
+        apply.rows = rows
+    rec = run_check(dataclasses.replace(T, apply=apply),
+                    CheckRequest("invariance", samples=samples), seed)
+    assert rec.verdict == "fail"
+    assert rec.witness == format_vec(escapes)
+    assert rec.details["checked"] == len(T.domain.canonical_points()) + j + 1
 
 
 def test_orbit_rejects_bad_start_and_depth():
