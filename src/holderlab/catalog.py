@@ -207,7 +207,7 @@ def _batched(apply: Callable[[SeqVec], SeqVec],
 def _support_values(x: Rows) -> np.ndarray:
     """Each row's values with 0 wherever a coordinate reads the tail: what a
     scalar form that reads only x.support and drops the tail sees."""
-    if not x.tail.any():
+    if not np.count_nonzero(x.tail):
         return x.vals
     return np.where(x.vals == x.tail[:, None], 0.0, x.vals)
 
@@ -546,7 +546,7 @@ def goebel_kirk_map(alpha: float = 0.5) -> MapInstance:
         return radial_retract(y, 1.0, L2)
 
     def apply_rows(x: Rows) -> Rows:
-        if (x.tail != 0.0).any():
+        if np.count_nonzero(x.tail):
             raise NotInSpaceError("goebel_kirk is defined on l2 (tail 0)")
         v = np.where(x.vals <= 0.0, 0.0, x.vals)  # projection onto the cone
         i = np.arange(2, x.width + 1)
@@ -604,7 +604,7 @@ def hyperconvex_map(N: int = 4, alpha: float = 0.5) -> MapInstance:
 
     def apply_rows(x: Rows) -> Rows:
         t1, t2 = x.column(1), x.column(2)
-        if (t1 < 0.0).any():
+        if np.count_nonzero(t1 < 0.0):
             raise DomainViolationError("hyperconvex needs t1 >= 0")
         return shift_rows([cap, t2 * pow_each(t1, alpha)], x.vals, x.tail)
 
@@ -666,7 +666,7 @@ def c0_family_map(delta: float = 0.5, q: float = 0.25, alpha: float = 0.9,
         return shifted([top], x, 0.0, coordinate_rule)
 
     def apply_rows(x: Rows) -> Rows:
-        if (x.tail != 0.0).any() or (x.vals < 0.0).any():
+        if np.count_nonzero(x.tail) or np.count_nonzero(x.vals < 0.0):
             raise DomainViolationError(
                 "c0_family needs nonnegative coords and tail 0")
         return shift_rows([top], top * pow_each(x.vals, alpha), x.tail)
@@ -724,7 +724,7 @@ def affine_cube_map(r: float = 0.125, alpha: float = 0.5, lam: float = 0.5,
     beta_row = 1.0 / np.arange(2, breadth + 2)
 
     def apply_rows(x: Rows) -> Rows:
-        if (x.tail != 0.0).any():
+        if np.count_nonzero(x.tail):
             raise NotInSpaceError("affine_cube is defined on c0 (tail 0)")
         x = x.widen(breadth)
         head = (1.0 - beta_row) * x.vals[:, :breadth] + r * beta_row
@@ -773,7 +773,7 @@ def renormed_l1_map() -> MapInstance:
         return shifted([1.0 - s], x, 0.0)
 
     def apply_rows(x: Rows) -> Rows:
-        if (x.tail != 0.0).any():
+        if np.count_nonzero(x.tail):
             raise NotInSpaceError("renormed_l1 is defined on l1 (tail 0)")
         return shift_rows([1.0 - fsum_rows(x.vals)], x.vals, x.tail)
 

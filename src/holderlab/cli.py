@@ -15,9 +15,11 @@ because a silent typo would invalidate a verification run.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
+import os
 import sys
 from dataclasses import replace
 
@@ -274,6 +276,34 @@ def _load_config(path: str) -> dict:
     return _parse_config(obj)
 
 
+def _make_out_dir(name: str, out_dir: str) -> list[str]:
+    """Make the report directory, as writing the report would, and reject
+    a report it cannot take: a NUL in its name or directory, a directory
+    that cannot be made (a file stands there), or a file name longer than
+    the directory allows (255 bytes where that cannot be read).  Returns
+    the directories it made, deepest first."""
+    where = f"cannot write report {name!r} under {out_dir!r}"
+    _require("\0" not in name and "\0" not in out_dir,
+             f"{where}: a path holds a NUL")
+    made, missing = [], os.path.abspath(out_dir)
+    while not os.path.exists(missing):
+        made.append(missing)
+        missing = os.path.dirname(missing)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        size = len(os.fsencode(f"{name}.summary.txt"))
+    except (OSError, ValueError) as exc:  # ValueError: a lone surrogate
+        raise ConfigError(f"{where}: {exc}") from exc
+    try:
+        limit = os.pathconf(out_dir, "PC_NAME_MAX")
+    except (OSError, ValueError):
+        limit = 255
+    _require(size <= limit,
+             f"{where}: a file name of {size} bytes, past the {limit} the "
+             f"directory allows")
+    return made
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     seed = (cfg["seed"] if args.seed is None
@@ -300,11 +330,21 @@ def _cmd_run(args: argparse.Namespace) -> int:
                     f"({exc})") from exc
         T = replace(T, domain=domain)
 
+    # before a check spends its budget; a run that stops in a check leaves
+    # no directory behind
+    made = _make_out_dir(cfg["name"], out_dir)
     records = []
-    for index, req in enumerate(cfg["checks"]):
-        if req.tolerance is None and "tolerance" in CHECKS[req.kind].fields:
-            req = replace(req, tolerance=cfg["tolerance"])
-        records.append(run_check(T, req, _derive_seed(seed, index)))
+    try:
+        for index, req in enumerate(cfg["checks"]):
+            if (req.tolerance is None
+                    and "tolerance" in CHECKS[req.kind].fields):
+                req = replace(req, tolerance=cfg["tolerance"])
+            records.append(run_check(T, req, _derive_seed(seed, index)))
+    except BaseException:
+        for path in made:
+            with contextlib.suppress(OSError):
+                os.rmdir(path)
+        raise
 
     report = VerificationReport(
         name=cfg["name"],
@@ -316,7 +356,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     )
     try:
         json_path, summary_path = write_report(report, out_dir)
-    except (OSError, ValueError) as exc:  # a name too long, a NUL, a file
+    except (OSError, ValueError) as exc:  # say, a directory it may not write
         raise ConfigError(f"cannot write report {report.name!r} under "
                           f"{out_dir!r}: {exc}") from exc
     sys.stdout.write(report.summary)

@@ -46,7 +46,7 @@ def radial_rows(x: Rows, r: float, kind: NormKind) -> Rows:
     """radial_retract of every row of a block."""
     n = rows_norm(x, kind)
     outside = ~(n <= r)
-    if not outside.any():
+    if not np.count_nonzero(outside):
         return x
     with np.errstate(divide="ignore", invalid="ignore"):
         a = np.where(outside, r / n, 1.0)
@@ -86,7 +86,8 @@ def clamp_retract(x: SeqVec, r: float) -> SeqVec:
 
 def clamp_rows(x: Rows, r: float) -> Rows:
     """clamp_retract of every row of a block."""
-    if (x.tail < -CLAMP_NEG_TOL).any() or (x.vals < -CLAMP_NEG_TOL).any():
+    if (np.count_nonzero(x.tail < -CLAMP_NEG_TOL)
+            or np.count_nonzero(x.vals < -CLAMP_NEG_TOL)):
         raise DomainViolationError("clamp_retract needs nonnegative coordinates")
     return Rows(np.where(x.vals < r, x.vals, r), np.where(x.tail < r, x.tail, r))
 
@@ -186,7 +187,8 @@ def l1_sphere_rows(x: Rows, r: float) -> Rows:
     vals = x.vals
     a = np.abs(vals)
     nx = rows_norm(Rows(vals, np.zeros(len(vals))), L1)
-    if (x.tail != 0.0).any() or not (nx <= r * (1.0 + 1e-9)).all():
+    if (np.count_nonzero(x.tail)
+            or np.count_nonzero(~(nx <= r * (1.0 + 1e-9)))):
         raise DomainViolationError(
             f"l1_sphere_retract needs ||x||_1 <= r = {r!r} in every row")
     count, width = vals.shape

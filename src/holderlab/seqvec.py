@@ -148,11 +148,10 @@ class Rows(NamedTuple):
     def trimmed(self) -> "Rows":
         """The same sequences without the trailing columns in which every
         row stores its own tail."""
-        width = self.width
-        while width and (self.vals[:, width - 1] == self.tail).all():
+        vals, tail, width = self.vals, self.tail, self.width
+        while width and not np.count_nonzero(vals[:, width - 1] != tail):
             width -= 1
-        return self if width == self.width else Rows(self.vals[:, :width],
-                                                     self.tail)
+        return self if width == self.width else Rows(vals[:, :width], tail)
 
     def vec(self, i: int) -> SeqVec:
         """Row i as a canonical SeqVec."""
@@ -391,7 +390,11 @@ def _measure_rows(vals: np.ndarray, tail: np.ndarray, kind: NormKind,
     overflow and the tail error keep one definition."""
     spec = NORM_VARIANTS[kind.variant]
     result = spec.evaluate_rows(vals, tail, kind.p)
-    redo = ~np.isfinite(result)
+    finite = np.isfinite(result)
+    if (np.count_nonzero(finite) == len(result)
+            and (spec.allows_tail or not np.count_nonzero(tail))):
+        return result
+    redo = ~finite
     if not spec.allows_tail:
         redo |= tail != 0.0
     for i in redo.nonzero()[0].tolist():

@@ -17,7 +17,9 @@ reads beyond the budget.  Every orbit-style walk (the orbit check,
 oracle_compare and the orbit strategies) is one call of the orbit kernel.
 Each kernel is written once over an _Ops table, which holds its points as
 Rows or as SeqVecs; the sampled kernels (pairs, displacements, escapes,
-one step) run under the one fallback rule of _sampled.
+one step) run under the one fallback rule of _sampled.  The orbit kernel
+steps one iterate at a time and measures the iterates in chunks, each
+stacked into one block.
 
 Every check is deterministic given its seed; identical requests produce
 identical results bit for bit.
@@ -78,6 +80,9 @@ DISPLACEMENT_TOL = 1e-12
 # under twice this, so it bounds a check's memory for any sample count and
 # breadth.
 BLOCK_ELEMENTS = 2 ** 14
+# What a row kept in a chunk of orbit iterates costs beyond its values (two
+# array headers and a tuple, ~500 bytes), in array elements.
+_ROW_COST = 64
 # Rows a block goes by at a time as SeqVecs: a whole block of SeqVecs and
 # their iterates kept alive at once busies the garbage collector.
 _POINT_ROWS = 8
@@ -175,20 +180,68 @@ class _Ops(NamedTuple):
     point: Callable     # SeqVec -> a one-point block
     vec: Callable       # (a block, j) -> its point j as a SeqVec
     take: Callable      # (a block, a mask) -> the points the mask keeps
+    #                     (a slice too, for Rows)
+    stack: Callable     # a list of blocks -> their points as one block
     apply: Callable     # (T, a block) -> T of each point
     scale: Callable     # (a, x) -> a x
-    add: Callable       # (x, y) -> x + y
+    means: Callable     # (total, x, ks) -> (the last sum, the means)
     distance: Callable  # (x, y, kind) -> ||x - y|| per point
     norm: Callable      # (x, kind) -> ||x|| per point
     contains: Callable  # (domain, a block) -> membership per point
     width: Callable     # a block -> the columns it stores (0 for SeqVecs)
+    stacks: bool        # an orbit's iterates are measured in stacked chunks
 
 
-def _row_sum(x: Rows, y: Rows) -> Rows:
-    width = max(x.width, y.width)
-    x, y = x.widen(width), y.widen(width)
+def _pair(x, j: int) -> tuple:
+    """(x, j), for a point made a SeqVec once, when the walk ends."""
+    return x, j
+
+
+# all points but the last, and all but the first
+_FRONT, _BACK = slice(0, -1), slice(1, None)
+
+
+def _stack_rows(blocks: list[Rows]) -> Rows:
+    """The rows of the blocks as one block, as wide as the widest: each
+    row's stored values, then its tail."""
+    tail = np.concatenate([b.tail for b in blocks])
+    widths = np.repeat([b.vals.shape[1] for b in blocks],
+                       [len(b.tail) for b in blocks])
+    width = int(widths.max())
+    if widths.min() == width:
+        return Rows(np.concatenate([b.vals for b in blocks]), tail)
+    vals = np.empty((len(tail), width))
+    vals[:] = tail[:, None]
+    vals[np.arange(width) < widths[:, None]] = np.concatenate(
+        [b.vals.ravel() for b in blocks])
+    return Rows(vals, tail)
+
+
+def _row_means(total: Rows | None, x: Rows, ks: list[int]):
+    """The running sums total + x[0] + ... + x[j] (from x[0] when total is
+    None) and the Cesaro means, sum j times 1/(ks[j] + 1); returns the last
+    sum as a one-row block, and the means.  np.add.accumulate adds one row
+    after another, the additions an orbit that summed its iterates one at
+    a time would make."""
+    if total is not None:
+        x = _stack_rows([total, x])
     with np.errstate(over="ignore", invalid="ignore"):
-        return Rows(x.vals + y.vals, x.tail + y.tail).trimmed()
+        vals = np.add.accumulate(x.vals, axis=0)
+        tail = np.add.accumulate(x.tail)
+    if total is not None:
+        vals, tail = vals[1:], tail[1:]
+    a = 1.0 / (np.array(ks) + 1)
+    return (Rows(vals[-1:].copy(), tail[-1:].copy()),
+            Rows(a[:, None] * vals, a * tail))
+
+
+def _point_means(total: list | None, x: list, ks: list[int]):
+    """_row_means on SeqVecs."""
+    means = []
+    for k, v in zip(ks, x):
+        total = [v if total is None else axpy(1.0, total[0], 1.0, v)]
+        means.append(scale(1.0 / (k + 1), total[0]))
+    return total, means
 
 
 def _apply_rows(T: MapInstance, x: Rows) -> Rows:
@@ -201,22 +254,22 @@ def _apply_rows(T: MapInstance, x: Rows) -> Rows:
 
 
 # Rows through the batch form.  Block norms are the scalar ones bit for bit,
-# and scale and add round as `scale` and `axpy` do.  The growth rule bounds
-# the width of each iterate.
-_ROWS = _Ops(Rows.of, Rows.vec, Rows.take, _apply_rows,
-             lambda a, x: Rows(a * x.vals, a * x.tail), _row_sum,
+# and scale and means round as `scale` and `axpy` do.  The growth rule
+# bounds the width of each iterate.
+_ROWS = _Ops(Rows.of, Rows.vec, Rows.take, _stack_rows, _apply_rows,
+             lambda a, x: Rows(a * x.vals, a * x.tail), _row_means,
              rows_distance, rows_norm, lambda K, x: K.contains_rows(x),
-             lambda x: x.vals.shape[1])
+             lambda x: x.vals.shape[1], True)
 # Lists of SeqVecs.  The seqvec functions are looked up when called, so a
 # wrapper set on this module's names (the benchmark's tracer) sees them.
 _POINTS = _Ops(lambda x: [x], lambda x, j: x[j],
                lambda x, keep: list(compress(x, keep)),
+               lambda blocks: [p for b in blocks for p in b],
                lambda T, x: list(map(T.apply, x)),
-               lambda a, x: list(map(scale, repeat(a), x)),
-               lambda x, y: list(map(axpy, repeat(1.0), x, repeat(1.0), y)),
+               lambda a, x: list(map(scale, repeat(a), x)), _point_means,
                lambda x, y, kind: list(map(distance, x, y, repeat(kind))),
                lambda x, kind: list(map(norm, x, repeat(kind))),
-               lambda K, x: list(map(K.contains, x)), lambda x: 0)
+               lambda K, x: list(map(K.contains, x)), lambda x: 0, False)
 
 
 def _by_points(T: MapInstance, kernel: Callable, blocks: tuple[Rows, ...],
@@ -323,6 +376,11 @@ def pair_ratios(T: MapInstance, ns: tuple[int, ...], pairs: int, seed: int,
     return PairRatios(sups, (witness[0].vec(0), witness[1].vec(0)), used)
 
 
+def _floats(d) -> list[float]:
+    """A measurement's entries as a list of floats."""
+    return d.tolist() if isinstance(d, np.ndarray) else d
+
+
 class _Least:
     """The least of a stream of displacements, NaN counting as +inf, and
     the first point that reached it (the first point considered when every
@@ -338,13 +396,16 @@ class _Least:
         if self.witness is None or d < self.value:
             self.value, self.witness = (math.inf if d != d else d), x
 
-    def consider_rows(self, d: np.ndarray, x: Rows) -> None:
-        """consider(d[j], x[j]) for each row j in turn."""
-        d = np.where(np.isnan(d), math.inf, d)
-        j = int(np.argmin(d))
+    def consider_rows(self, d, x, vec: Callable = Rows.vec) -> None:
+        """consider(d[j], vec(x, j)) for each j in turn; only the point
+        kept as the witness is made a SeqVec."""
+        kept, value = None, self.value
+        for j, dj in enumerate(_floats(d)):
+            if dj < value or (kept is None and self.witness is None):
+                value, kept = (math.inf if dj != dj else dj), j
         self.evaluations += len(d)
-        if self.witness is None or d[j] < self.value:
-            self.value, self.witness = float(d[j]), x.vec(j)
+        if kept is not None:
+            self.value, self.witness = value, vec(x, kept)
 
     def merge(self, other: "_Least") -> None:
         """Fold in a stream considered after this one."""
@@ -370,51 +431,122 @@ def _orbit_kernel(ops: _Ops, T: MapInstance, x0: SeqVec, steps: int,
     mean, the Cesaro mean of x_0..x_k: ||p_k - T p_k||, or with an oracle
     ||p_k - oracle(x0, k)||.  The walk ends early after a measurement
     <= stop; with norms it tracks the largest norm of an iterate, a NaN
-    norm counting as +inf."""
+    norm counting as +inf.  Without lam, mean or oracle, T x_k is x_k+1:
+    such a walk measures x_k against x_k+1, at k < steps only, and takes no
+    stop.
 
-    def size(x) -> float:
-        n = float(ops.norm(x, T.norm)[0])
-        return math.inf if n != n else n
-
-    x = total = ops.point(x0)
+    Only the step runs one iterate at a time.  The iterates a measurement
+    reads wait in a chunk, and each measurement is taken once per chunk on
+    the chunk stacked into one block.  A chunk ends where one more iterate
+    would take it past half a block, at each point a walk with
+    a stop measures (so it never steps past its stop) and, for SeqVecs,
+    after every iterate, so that a point walk raises its first error where
+    a walk that measured each iterate as it came would."""
+    follows = lam is None and not mean and oracle is None
+    x = ops.point(x0)
     breadth = max(ops.width(x), T.domain.breadth)
     allowed = 0  # by the growth rule, as of the last step that checked it
-    max_norm = size(x) if norms else None
     least, values = _Least(), []
-    for k in range(steps + 1):
-        nxt = None
-        if at(k):
-            p = ops.scale(1.0 / (k + 1), total) if mean else x
-            if oracle is not None:
-                q = ops.point(oracle(x0, k))
+    top = -math.inf if norms else None
+    total = None  # the sum of the iterates of the chunks before
+
+    # The chunk: the iterates x_k the next measurement reads, for k in ks
+    # (every iterate, or only those at() picks), and at(k) for each.
+    # Walking x_k against x_k+1, the last stays as the first of the next
+    # chunk, so a measurement needs len(chunk) > follows.
+    every = follows or mean or norms
+    chunk, ks, picks = ([x], [0], [at(0)]) if every or at(0) else ([], [], [])
+    width = ops.width(x)  # of the widest iterate in the chunk
+
+    def fold_norms(block) -> None:
+        nonlocal top
+        top = max(top, *[math.inf if v != v else v
+                         for v in _floats(ops.norm(block, T.norm))])
+
+    if norms and follows:
+        fold_norms(x)  # the chunks norm the iterates after their first
+
+    def finish() -> _Walked:
+        if least.witness is not None:
+            least.witness = ops.vec(*least.witness)
+        return _Walked(values, least, top, ops.vec(x, 0))
+
+    def measure() -> bool:
+        """Fold in the chunk; True after a measurement <= stop."""
+        nonlocal chunk, ks, picks, total
+        if follows:  # x_k against x_k+1
+            keep = picks[:-1]
+            if len(chunk) == 2:  # one pair, as every chunk of SeqVecs
+                p, q = chunk
             else:
+                block = ops.stack(chunk)
+                p, q = ops.take(block, _FRONT), ops.take(block, _BACK)
+            new = q
+            if False in keep:
+                p, q = ops.take(p, keep), ops.take(q, keep)
+        else:
+            keep = picks
+            new = p = chunk[0] if len(chunk) == 1 else ops.stack(chunk)
+            if mean:
+                total, p = ops.means(total, p, ks)
+            if False in keep:
+                p = ops.take(p, keep)
+        stopped = False
+        if True in keep:
+            if oracle is not None:
+                q = ops.stack([ops.point(oracle(x0, k))
+                               for k in compress(ks, keep)])
+            elif not follows:
                 q = ops.apply(T, p)
-                if not mean and lam is None:
-                    nxt = q  # T x_k is the next iterate
-            d = float(ops.distance(p, q, T.norm)[0])
-            values.append(d)
-            least.consider(d, p)
-            if stop is not None and d <= stop:
-                break
+            d = _floats(ops.distance(p, q, T.norm))
+            values.extend(d)
+            # the witness is made a SeqVec once, by finish
+            if len(d) == 1:
+                least.consider(d[0], (p, 0))
+            else:
+                least.consider_rows(d, p, _pair)
+            stopped = stop is not None and any(v <= stop for v in d)
+        if norms:
+            fold_norms(new)
+        if follows:
+            chunk, ks, picks = chunk[-1:], ks[-1:], picks[-1:]
+        else:
+            chunk, ks, picks = [], [], []
+        return stopped
+
+    for k in range(steps + 1):
+        # picks[-1] is at(k) here, as the chunk ends in x_k if not empty
+        if len(chunk) > follows and (not ops.stacks
+                                     or (stop is not None and picks[-1])):
+            if measure():
+                return finish()
         if k == steps:
             break
-        if nxt is None:
-            nxt = ops.apply(T, x if lam is None else ops.scale(lam, x))
-        x = nxt
-        if ops.width(x) > allowed:
-            allowed = _require_fit(ops.width(x), breadth, k + 1)
-        if mean:
-            total = ops.add(total, x)
-        if norms:
-            max_norm = max(max_norm, size(x))
-    if least.witness is not None:
-        least.witness = ops.vec(least.witness, 0)
-    return _Walked(values, least, max_norm, ops.vec(x, 0))
+        x = ops.apply(T, x if lam is None else ops.scale(lam, x))
+        w = ops.width(x)
+        if w > allowed:
+            allowed = _require_fit(w, breadth, k + 1)
+        pick = at(k + 1)
+        if every or pick:
+            if ops.stacks:
+                width = max(width, w) if chunk else w
+                # measuring holds a few arrays the chunk's size at once:
+                # half a block each
+                if (len(chunk) > follows and 2 * (len(chunk) + 1)
+                        * (width + _ROW_COST) > BLOCK_ELEMENTS):
+                    measure()  # no point a walk with a stop measures is in it
+                    width = max(ops.width(chunk[0]), w) if chunk else w
+            chunk.append(x)
+            ks.append(k + 1)
+            picks.append(pick)
+    if len(chunk) > follows:
+        measure()
+    return finish()
 
 
 def _walk(T: MapInstance, x0: SeqVec, steps: int, at: Callable[[int], bool],
           **how) -> _Walked:
-    """The orbit kernel on a one-row block through T's batch form, and by
+    """The orbit kernel on one-row blocks through T's batch form, and by
     points when T has none.  A sparse start with a far index (x0 = {10^9:
     t}) would make a row of that width, so it walks by points, as does a row
     walk that raises a ValueError or an ArithmeticError or breaks the growth

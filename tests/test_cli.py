@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import re
 
 import pytest
@@ -124,6 +125,48 @@ def test_a_nul_in_the_report_path_exits_2(tmp_path, capsys, field):
     assert main(["run", write_config(tmp_path, cfg)]) == 2
     assert repr(cfg[field]) in capsys.readouterr().err
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("case", ["nul-name", "nul-out", "nul-flag",
+                                  "long-name", "long-utf8-name", "out-file"])
+def test_an_unwritable_report_exits_2_before_any_check(tmp_path, monkeypatch,
+                                                       capsys, case):
+    """A report no file system could take is a config error found before
+    the checks run, not after a whole budget is spent."""
+    ran = []
+    monkeypatch.setattr(cli, "run_check", lambda *args: ran.append(args))
+    out, taken = tmp_path / "out", tmp_path / "taken"
+    taken.write_text("kept", encoding="utf-8")
+    cfg = base_config(out, map={"name": "affine_cube"},
+                      checks=[{"kind": "displacement",
+                               "strategy": "cesaro_affine", "budget": 3000}])
+    flags = []
+    if case == "nul-name":
+        cfg["name"] += "\0x"
+    elif case == "nul-out":
+        cfg["out"] += "\0x"
+    elif case == "nul-flag":
+        flags = ["--out", str(out) + "\0x"]
+    elif case == "long-name":
+        cfg["name"] = "n" * 300
+    elif case == "long-utf8-name":  # 244 bytes, and 12 more for the suffix
+        cfg["name"] = "\u00e9" * 122
+    else:
+        cfg["out"] = str(taken)
+    assert main(["run", write_config(tmp_path, cfg), *flags]) == 2
+    assert "cannot write report" in capsys.readouterr().err
+    assert ran == []
+    assert not out.exists() or list(out.iterdir()) == []
+    assert taken.read_text(encoding="utf-8") == "kept"
+
+
+def test_the_longest_name_the_directory_allows_is_written(tmp_path):
+    limit = os.pathconf(tmp_path, "PC_NAME_MAX")
+    name = "n" * (limit - len(".summary.txt"))
+    path = write_config(tmp_path, base_config(tmp_path, name=name))
+    assert main(["run", path]) == 0
+    assert (tmp_path / f"{name}.summary.txt").exists()
+    assert (tmp_path / f"{name}.report.json").exists()
 
 
 def test_one_parser_serves_every_call(tmp_path):
@@ -670,11 +713,38 @@ GOLDEN_REPORTS = [
      "54bae5c9a9d31eac13a86d001dd162ea3188e7dce1e2597f46712fb5647fbcf8"),
     ("deficiency", {"kind": "holder_ratio", "pairs": 60, "iterate": 3},
      "88b71d278854d9eb5101b651a7a38ff2b66df3ad0dffa2da3cbace9e715266d8"),
+    # Long walks, recorded before their measurements went in chunks: each
+    # crosses at least three chunk boundaries.
+    ("affine_mixing", {"kind": "displacement", "strategy": "cesaro_affine",
+                       "budget": 1000},
+     "63a46fe37bf306e66aaec62a88d79a463a0cce75c9bdf1332464b8eb7b9e73e5"),
+    ("affine_cube", {"kind": "displacement", "strategy": "cesaro_affine",
+                     "budget": 800},
+     "d3ca478cd5328bd88ea6017126725aaedf922ca435eafa9bec737aa99bc585f5"),
+    ("c0_family", {"kind": "displacement", "strategy": "orbit_min",
+                   "budget": 900},
+     "9e0d89ec0cfb2b32fa118429b4ae67cfbe59358e028d73629b2e1bdcb6fe6e8e"),
+    ("shift_simplex", {"kind": "orbit", "x0": "{1:0.0625, 2:0.0625}",
+                       "depth": 600},
+     "95968b9eccd5e847c701ef2b670e1662f3e762c5ab4e4b9aebd12c714b629e8e"),
+    ("norming", {"kind": "oracle_compare", "n_max": 600},
+     "7fddd7813a07ebc2e4408b87b750cdcc85df5cd17ce56cbf1637229405b47ede"),
 ]
 
 
+def _golden_ids(entries):
+    """kind-map for each entry; a repeat of a kind and map gets -2, -3..."""
+    seen: dict[str, int] = {}
+    ids = []
+    for map_name, check, _ in entries:
+        key = f"{check['kind']}-{map_name}"
+        seen[key] = seen.get(key, 0) + 1
+        ids.append(key if seen[key] == 1 else f"{key}-{seen[key]}")
+    return ids
+
+
 @pytest.mark.parametrize("map_name, check, digest", GOLDEN_REPORTS,
-                         ids=[f"{c['kind']}-{m}" for m, c, _ in GOLDEN_REPORTS])
+                         ids=_golden_ids(GOLDEN_REPORTS))
 def test_report_bytes_are_pinned(tmp_path, map_name, check, digest):
     cfg = base_config(tmp_path, map={"name": map_name}, seed=11,
                       checks=[check])

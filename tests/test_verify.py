@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from holderlab.catalog import (
     affine_mixing_map,
@@ -32,9 +34,11 @@ from holderlab.errors import (
     InvalidStrategyError,
     NotInSpaceError,
 )
+from holderlab import verify
 from holderlab.seqvec import (
     ZERO,
     NormKind,
+    Rows,
     SeqVec,
     basis_vector,
     distance,
@@ -49,6 +53,7 @@ from holderlab.verify import (
     STRATEGIES,
     BLOCK_ELEMENTS,
     CheckRequest,
+    _Least,
     _Outgrown,
     _require_fit,
     estimate_displacement,
@@ -223,6 +228,97 @@ def test_row_walks_equal_point_walks(T):
     assert fell_back is None or fell_back
 
 
+@pytest.mark.parametrize("T", _batched_maps(), ids=lambda T: T.name)
+def test_row_walks_equal_point_walks_across_chunks(T, monkeypatch):
+    """With blocks of 2^10 elements a walk crosses a chunk boundary every
+    few iterates; the row walk still measures what the point walk
+    measures, bit for bit: each value, the witness and the count, the
+    largest norm and the last iterate."""
+    monkeypatch.setattr(verify, "BLOCK_ELEMENTS", 2 ** 10)
+    fell_back = [] if T.name in OUTGROWN else None
+    R, P = _row_walk(T, fell_back), _point_walk(T)
+    for strategy in _accepted_strategies(T):
+        budget = 300 if strategy == "lambda_scaling" else 150
+        rows = estimate_displacement(R, strategy, budget=budget, seed=3)
+        points = estimate_displacement(P, strategy, budget=budget, seed=3)
+        assert rows == points, (T.name, strategy)
+    for x0 in T.domain.canonical_points():
+        assert orbit(R, x0, 60) == orbit(P, x0, 60), (T.name, str(x0))
+    if T.iterate_oracle is not None:
+        req = CheckRequest("oracle_compare", n_max=60)
+        assert (_comparable(run_check(R, req, 1))
+                == _comparable(run_check(P, req, 1)))
+    assert fell_back is None or fell_back
+
+
+def _walked(w):
+    return w.values, w.least.value, w.least.witness, w.least.evaluations, \
+        w.max_norm, w.final
+
+
+@pytest.mark.parametrize("stop_at", [40, 64, 128, 192])
+def test_a_lambda_walk_takes_no_step_past_its_stop(monkeypatch, stop_at):
+    """A walk with a stop ends its chunk at each checkpoint, so stopping at
+    checkpoint k it makes the k steps to x_k and one measurement per
+    checkpoint, and no more: a map that raises on any later call walks as
+    the plain map does, by rows and by points."""
+    monkeypatch.setattr(verify, "BLOCK_ELEMENTS", 2 ** 10)
+    T = hyperconvex_map()
+    x0, lam, n = T.domain.canonical_points()[0], 0.99, 1000
+    at = verify._lambda_checkpoints(n)
+    full = verify._walk(T, x0, n, at, lam=lam)
+    checkpoints = [k for k in range(n + 1) if at(k)]
+    j = checkpoints.index(stop_at)
+    target = full.values[j]
+    assert min(full.values[:j]) > target  # the walk stops at stop_at
+    calls = stop_at + j + 1  # the steps, then a measurement per checkpoint
+    made = []
+
+    def apply(x):
+        if len(made) == calls:
+            raise RuntimeError("a call past the stop")
+        made.append(x)
+        return T.apply(x)
+
+    def rows(x):
+        if len(made) == calls:
+            raise RuntimeError("a call past the stop")
+        made.append(x)
+        return T.apply.rows(x)
+
+    apply.rows = rows
+    want = verify._walk(T, x0, n, at, lam=lam, stop=target)
+    assert want.values == full.values[:j + 1]
+    assert want.final == verify._walk(T, x0, stop_at, at, lam=lam).final
+    for walker in (dataclasses.replace(T, apply=apply),
+                   _point_walk(dataclasses.replace(T, apply=apply))):
+        made.clear()
+        got = verify._walk(walker, x0, n, at, lam=lam, stop=target)
+        assert _walked(got) == _walked(want)
+        assert len(made) == calls
+
+
+_SPECIAL = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 0.5,
+                            1.0, 2.0])
+_DISPLACEMENTS = st.lists(st.one_of(_SPECIAL, st.floats()), max_size=12)
+
+
+@given(_DISPLACEMENTS, _DISPLACEMENTS.filter(bool))
+def test_consider_rows_is_consider_in_turn(before, d):
+    """_Least.consider_rows(d, x) is consider(d[j], x[j]) for each j in
+    turn, after any stream before it, on NaN, infinities and ties."""
+    x = Rows(np.arange(1.0, len(d) + 1)[:, None], np.zeros(len(d)))
+    a, b = _Least(), _Least()
+    for v in before:
+        a.consider(v, ZERO)
+        b.consider(v, ZERO)
+    a.consider_rows(np.array(d), x)
+    for j, v in enumerate(d):
+        b.consider(v, x.vec(j))
+    assert (a.value, a.witness, a.evaluations) == (b.value, b.witness,
+                                                   b.evaluations)
+
+
 def test_the_growth_rule_admits_linear_growth_at_any_depth():
     """Two columns a step never break the rule, from any start width and
     far past BLOCK_ELEMENTS steps; doubling breaks it within a few steps."""
@@ -281,7 +377,10 @@ def test_cesaro_rows_stay_narrow():
                                 "cesaro_affine", budget=1500, seed=0)
     assert est == estimate_displacement(T, "cesaro_affine", budget=1500,
                                         seed=0)
-    assert len(widths) == 2 * 1500 - 1
+    # one call a step, and one per chunk of Cesaro means, a chunk holding
+    # as many rows as half a block takes at the widest row
+    assert len(widths) == (1500 - 1) + math.ceil(
+        1500 / (BLOCK_ELEMENTS // (2 * (max(widths) + verify._ROW_COST))))
     assert max(widths) <= 64
 
 
