@@ -19,7 +19,7 @@ Each kernel is written once over an _Ops table, which holds its points as
 Rows or as SeqVecs; the sampled kernels (pairs, displacements, escapes,
 one step) run under the one fallback rule of _sampled.  The orbit kernel
 steps one iterate at a time and measures the iterates in chunks, each
-stacked into one block.
+stacked into one block and measured one way, whatever its size.
 
 Every check is deterministic given its seed; identical requests produce
 identical results bit for bit.
@@ -179,8 +179,7 @@ class _Ops(NamedTuple):
 
     point: Callable     # SeqVec -> a one-point block
     vec: Callable       # (a block, j) -> its point j as a SeqVec
-    take: Callable      # (a block, a mask) -> the points the mask keeps
-    #                     (a slice too, for Rows)
+    take: Callable      # (a block, a mask or a slice) -> the points kept
     stack: Callable     # a list of blocks -> their points as one block
     apply: Callable     # (T, a block) -> T of each point
     scale: Callable     # (a, x) -> a x
@@ -192,18 +191,15 @@ class _Ops(NamedTuple):
     stacks: bool        # an orbit's iterates are measured in stacked chunks
 
 
-def _pair(x, j: int) -> tuple:
-    """(x, j), for a point made a SeqVec once, when the walk ends."""
-    return x, j
-
-
 # all points but the last, and all but the first
 _FRONT, _BACK = slice(0, -1), slice(1, None)
 
 
 def _stack_rows(blocks: list[Rows]) -> Rows:
     """The rows of the blocks as one block, as wide as the widest: each
-    row's stored values, then its tail."""
+    row's stored values, then its tail.  One block is returned as it is."""
+    if len(blocks) == 1:
+        return blocks[0]
     tail = np.concatenate([b.tail for b in blocks])
     widths = np.repeat([b.vals.shape[1] for b in blocks],
                        [len(b.tail) for b in blocks])
@@ -263,7 +259,8 @@ _ROWS = _Ops(Rows.of, Rows.vec, Rows.take, _stack_rows, _apply_rows,
 # Lists of SeqVecs.  The seqvec functions are looked up when called, so a
 # wrapper set on this module's names (the benchmark's tracer) sees them.
 _POINTS = _Ops(lambda x: [x], lambda x, j: x[j],
-               lambda x, keep: list(compress(x, keep)),
+               lambda x, keep: (x[keep] if isinstance(keep, slice)
+                                else list(compress(x, keep))),
                lambda blocks: [p for b in blocks for p in b],
                lambda T, x: list(map(T.apply, x)),
                lambda a, x: list(map(scale, repeat(a), x)), _point_means,
@@ -436,12 +433,12 @@ def _orbit_kernel(ops: _Ops, T: MapInstance, x0: SeqVec, steps: int,
     stop.
 
     Only the step runs one iterate at a time.  The iterates a measurement
-    reads wait in a chunk, and each measurement is taken once per chunk on
-    the chunk stacked into one block.  A chunk ends where one more iterate
-    would take it past half a block, at each point a walk with
-    a stop measures (so it never steps past its stop) and, for SeqVecs,
-    after every iterate, so that a point walk raises its first error where
-    a walk that measured each iterate as it came would."""
+    reads wait in a chunk, and each chunk is stacked into one block and
+    measured one way, whatever its size.  A chunk ends where one more
+    iterate would take it past half a block, at each point a walk with a
+    stop measures (so it never steps past its stop), at x_steps and, for
+    SeqVecs, after every iterate, so that a point walk raises its first
+    error where a walk that measured each iterate as it came would."""
     follows = lam is None and not mean and oracle is None
     x = ops.point(x0)
     breadth = max(ops.width(x), T.domain.breadth)
@@ -451,11 +448,11 @@ def _orbit_kernel(ops: _Ops, T: MapInstance, x0: SeqVec, steps: int,
     total = None  # the sum of the iterates of the chunks before
 
     # The chunk: the iterates x_k the next measurement reads, for k in ks
-    # (every iterate, or only those at() picks), and at(k) for each.
-    # Walking x_k against x_k+1, the last stays as the first of the next
-    # chunk, so a measurement needs len(chunk) > follows.
+    # (every iterate, or only those at() picks).  Walking x_k against
+    # x_k+1, the last stays as the first of the next chunk, so a
+    # measurement needs len(chunk) > follows.
     every = follows or mean or norms
-    chunk, ks, picks = ([x], [0], [at(0)]) if every or at(0) else ([], [], [])
+    chunk, ks = ([x], [0]) if every or at(0) else ([], [])
     width = ops.width(x)  # of the widest iterate in the chunk
 
     def fold_norms(block) -> None:
@@ -466,31 +463,22 @@ def _orbit_kernel(ops: _Ops, T: MapInstance, x0: SeqVec, steps: int,
     if norms and follows:
         fold_norms(x)  # the chunks norm the iterates after their first
 
-    def finish() -> _Walked:
-        if least.witness is not None:
-            least.witness = ops.vec(*least.witness)
-        return _Walked(values, least, top, ops.vec(x, 0))
-
     def measure() -> bool:
         """Fold in the chunk; True after a measurement <= stop."""
-        nonlocal chunk, ks, picks, total
+        nonlocal chunk, ks, total
+        block = ops.stack(chunk)
         if follows:  # x_k against x_k+1
-            keep = picks[:-1]
-            if len(chunk) == 2:  # one pair, as every chunk of SeqVecs
-                p, q = chunk
-            else:
-                block = ops.stack(chunk)
-                p, q = ops.take(block, _FRONT), ops.take(block, _BACK)
-            new = q
-            if False in keep:
-                p, q = ops.take(p, keep), ops.take(q, keep)
+            p, q = ops.take(block, _FRONT), ops.take(block, _BACK)
+            new, keep = q, [at(k) for k in ks[:-1]]
         else:
-            keep = picks
-            new = p = chunk[0] if len(chunk) == 1 else ops.stack(chunk)
+            new = p = block
             if mean:
                 total, p = ops.means(total, p, ks)
-            if False in keep:
-                p = ops.take(p, keep)
+            keep = [at(k) for k in ks]
+        if False in keep:
+            p = ops.take(p, keep)
+            if follows:
+                q = ops.take(q, keep)
         stopped = False
         if True in keep:
             if oracle is not None:
@@ -500,48 +488,38 @@ def _orbit_kernel(ops: _Ops, T: MapInstance, x0: SeqVec, steps: int,
                 q = ops.apply(T, p)
             d = _floats(ops.distance(p, q, T.norm))
             values.extend(d)
-            # the witness is made a SeqVec once, by finish
-            if len(d) == 1:
-                least.consider(d[0], (p, 0))
-            else:
-                least.consider_rows(d, p, _pair)
+            # the witness is made a SeqVec once, when the walk ends
+            least.consider_rows(d, p, lambda b, j: (b, j))
             stopped = stop is not None and any(v <= stop for v in d)
         if norms:
             fold_norms(new)
-        if follows:
-            chunk, ks, picks = chunk[-1:], ks[-1:], picks[-1:]
-        else:
-            chunk, ks, picks = [], [], []
+        chunk, ks = (chunk[-1:], ks[-1:]) if follows else ([], [])
         return stopped
 
     for k in range(steps + 1):
-        # picks[-1] is at(k) here, as the chunk ends in x_k if not empty
-        if len(chunk) > follows and (not ops.stacks
-                                     or (stop is not None and picks[-1])):
+        if k:  # the step to x_k
+            x = ops.apply(T, x if lam is None else ops.scale(lam, x))
+            w = ops.width(x)
+            if w > allowed:
+                allowed = _require_fit(w, breadth, k)
+            if every or at(k):
+                if ops.stacks:
+                    width = max(width, w) if chunk else w
+                    # measuring holds a few arrays the chunk's size at
+                    # once: half a block each
+                    if (len(chunk) > follows and 2 * (len(chunk) + 1)
+                            * (width + _ROW_COST) > BLOCK_ELEMENTS):
+                        measure()  # holds no point a walk with a stop measures
+                        width = max(ops.width(chunk[0]), w) if chunk else w
+                chunk.append(x)
+                ks.append(k)
+        if len(chunk) > follows and (k == steps or not ops.stacks
+                                     or (stop is not None and at(k))):
             if measure():
-                return finish()
-        if k == steps:
-            break
-        x = ops.apply(T, x if lam is None else ops.scale(lam, x))
-        w = ops.width(x)
-        if w > allowed:
-            allowed = _require_fit(w, breadth, k + 1)
-        pick = at(k + 1)
-        if every or pick:
-            if ops.stacks:
-                width = max(width, w) if chunk else w
-                # measuring holds a few arrays the chunk's size at once:
-                # half a block each
-                if (len(chunk) > follows and 2 * (len(chunk) + 1)
-                        * (width + _ROW_COST) > BLOCK_ELEMENTS):
-                    measure()  # no point a walk with a stop measures is in it
-                    width = max(ops.width(chunk[0]), w) if chunk else w
-            chunk.append(x)
-            ks.append(k + 1)
-            picks.append(pick)
-    if len(chunk) > follows:
-        measure()
-    return finish()
+                break
+    if least.witness is not None:
+        least.witness = ops.vec(*least.witness)
+    return _Walked(values, least, top, ops.vec(x, 0))
 
 
 def _walk(T: MapInstance, x0: SeqVec, steps: int, at: Callable[[int], bool],

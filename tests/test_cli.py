@@ -729,6 +729,21 @@ GOLDEN_REPORTS = [
      "95968b9eccd5e847c701ef2b670e1662f3e762c5ab4e4b9aebd12c714b629e8e"),
     ("norming", {"kind": "oracle_compare", "n_max": 600},
      "7fddd7813a07ebc2e4408b87b750cdcc85df5cd17ce56cbf1637229405b47ede"),
+    # Walk shapes recorded before the orbit kernel measured every chunk one
+    # way: deficiency's rows outgrow the growth rule and its walks go by
+    # points, l1_ball_composite walks SeqVecs and norms them, and the lambda
+    # walks end a chunk at each checkpoint (hyperconvex's stops at 0.01).
+    ("deficiency", {"kind": "displacement", "strategy": "orbit_min",
+                    "budget": 300},
+     "f30aa5695c94756ff784108f947874b2b049531e05cb7aed1be4f246f37a1752"),
+    ("l1_ball_composite", {"kind": "orbit", "depth": 200},
+     "2786bfa1c7b5cf8112dd9943de6d241c9078489a37351586738c88ac92c1396d"),
+    ("prus", {"kind": "displacement", "strategy": "lambda_scaling",
+              "budget": 1000},
+     "51722b622a10e1fa7f3c1d1c4ed019e0a5b62ed8865644491afcda48ea861f7c"),
+    ("hyperconvex", {"kind": "displacement", "strategy": "lambda_scaling",
+                     "budget": 1000, "target": 0.01},
+     "c9f493aaaef5f9c142732354f786c5b3ade14b7bca38b63fedb7308ac7138580"),
 ]
 
 

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from holderlab.catalog import (
+    affine_cube_map,
     affine_mixing_map,
     baseline_c_map,
     build_map,
@@ -53,6 +54,7 @@ from holderlab.verify import (
     STRATEGIES,
     BLOCK_ELEMENTS,
     CheckRequest,
+    OrbitResult,
     _Least,
     _Outgrown,
     _require_fit,
@@ -296,6 +298,58 @@ def test_a_lambda_walk_takes_no_step_past_its_stop(monkeypatch, stop_at):
         got = verify._walk(walker, x0, n, at, lam=lam, stop=target)
         assert _walked(got) == _walked(want)
         assert len(made) == calls
+
+
+def test_walks_measure_both_ends_of_their_loop():
+    """By rows and by points, a walk measures its first iterate and its
+    last: an orbit of depth 0, oracle_compare to n_max 0, a Cesaro walk of
+    its start alone and lambda walks of one step each."""
+    A = affine_cube_map()
+    x0 = A.domain.canonical_points()[0]
+    for by in (_row_walk, _point_walk):
+        assert orbit(by(prus_map()), ZERO, 0) == OrbitResult(ZERO, (), 0.0)
+        rec = run_check(by(hyperconvex_map()),
+                        CheckRequest("oracle_compare", n_max=0), 1)
+        assert (rec.measured, rec.verdict) == (0.0, "pass")
+        est = estimate_displacement(by(A), "cesaro_affine", budget=1, seed=0)
+        assert (est.value, est.witness, est.evaluations) == (
+            A.displacement(x0), x0, 1)
+        est = estimate_displacement(by(hyperconvex_map()), "lambda_scaling",
+                                    budget=1, seed=0, target=2.0)
+        assert (est.value, est.evaluations) == (0.25, 4)
+
+
+def test_a_walk_raises_its_first_error_in_walk_order():
+    """hyperconvex's oracle raises at k = 2 and its step to x_4 raises:
+    the point walk, and the row walk that the failing step sends to
+    points, both raise the oracle's error, as a walk that measured each
+    iterate as it came would."""
+    T = hyperconvex_map()
+    x3 = T.iterate(T.domain.canonical_points()[0], 3)
+
+    def oracle(x, k):
+        if k == 2:
+            raise NotInSpaceError("the oracle at k = 2")
+        return T.iterate_oracle(x, k)
+
+    def apply(x):
+        if x == x3:
+            raise NotInSpaceError("the step to x_4")
+        return T.apply(x)
+
+    def rows(x):
+        if x.vec(0) == x3:
+            raise NotInSpaceError("the step to x_4")
+        return T.apply.rows(x)
+
+    apply.rows = rows
+    req = CheckRequest("oracle_compare", n_max=6)
+    for S in (dataclasses.replace(T, apply=apply),
+              _point_walk(dataclasses.replace(T, apply=apply))):
+        with pytest.raises(NotInSpaceError, match="^the step to x_4$"):
+            run_check(S, req, 1)
+        with pytest.raises(NotInSpaceError, match="^the oracle at k = 2$"):
+            run_check(dataclasses.replace(S, iterate_oracle=oracle), req, 1)
 
 
 _SPECIAL = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 0.5,
