@@ -260,20 +260,21 @@ class DomainSpec:
         # per row: the support size, b support keys, b values, two extras
         u = rng.random((count, 2 * b + 3))
         size = np.minimum((u[:, 0] * b).astype(np.int64), b - 1) + 1
-        # the support: the coordinates holding the `size` smallest keys,
-        # the first `size` in each row's key order
-        leading = np.arange(b) < size[:, None]
-        order = u[:, 1:b + 1].argsort(axis=1)
-        order += np.arange(0, count * b, b)[:, None]  # flat indices
-        support = np.empty(count * b, dtype=bool)
-        support[order] = leading
-        support = support.reshape(count, b)
+        # the support: the coordinates holding each row's `size` smallest keys
+        keys = u[:, 1:b + 1]
+        cut = np.sort(keys, axis=1)[np.arange(count), size - 1]
+        support = keys <= cut[:, None]
+        if np.count_nonzero(support) != size.sum():
+            # a key ties some row's cut: each row's first `size` in key order
+            np.put_along_axis(support, keys.argsort(axis=1),
+                              np.arange(b) < size[:, None], axis=1)
         w = u[:, b + 1:2 * b + 1]
         extra, extra2 = u[:, 2 * b + 1], u[:, 2 * b + 2]
 
         if k in ("simplex", "sub_simplex"):
             # Dirichlet(1,...,1) weights: the gaps between 0, size - 1 sorted
             # uniforms and 1, put on the support in index order
+            leading = np.arange(b) < size[:, None]
             edges = np.ones((count, b + 1))
             edges[:, 0] = 0.0
             edges[:, 1:b] = np.sort(np.where(leading[:, 1:], w[:, 1:], 1.0),
@@ -289,15 +290,18 @@ class DomainSpec:
             vals[exact] *= (mass[exact] / total[exact])[:, None]
             return Rows(vals, zeros)
 
+        # values lo + (1 - lo) * w on the support, +0.0 off it
         lo = -1.0 if k == "ball" else 0.0
-        raw = lo + (1.0 - lo) * w
+        vals = w * (1.0 - lo)
+        vals += lo
+        vals *= support  # -0.0 where a negative value is dropped
         if k in ("ball", "positive_ball") and not self.carries_tail:
             # tail 0 members; rescale to a random radius
-            x = Rows(np.where(support, raw, 0.0), zeros)
-            n = rows_norm(x, self.norm)
+            vals += 0.0  # turns those -0.0 into +0.0
+            n = rows_norm(Rows(vals, zeros), self.norm)
             rho = self.r * pow_each(extra, 1.0 / size)
             with np.errstate(divide="ignore", invalid="ignore"):
-                vals = x.vals * (rho / n)[:, None]
+                vals *= (rho / n)[:, None]
             flat = n == 0.0
             if flat.any():  # no direction to scale: a point on axis 1
                 vals[flat] = 0.0
@@ -305,10 +309,12 @@ class DomainSpec:
             return Rows(vals, zeros)
         # coordinates in [lo * hi, hi]; half the draws get a tail there too
         hi = self.cap if k == "c_interval" else self.r
+        vals *= hi
         tail = zeros
         if self.carries_tail:
             tail = np.where(extra < 0.5, hi * (lo + (1.0 - lo) * extra2), 0.0)
-        return Rows(np.where(support, hi * raw, tail[:, None]), tail)
+            vals += tail[:, None] * ~support  # and a -0.0 into +0.0
+        return Rows(vals, tail)
 
     # -- canonical points ----------------------------------------------------
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 import numpy as np
@@ -210,14 +211,62 @@ def pow_each(base: np.ndarray, exponent) -> np.ndarray:
         return np.float_power(base, exponent)
 
 
+# Blocks of fewer rows keep the row code of fsum_rows and _row_sums.  On 2
+# Xeon vCPUs their block code broke even at 48-64 rows of width 64 (16 at
+# 257, over 64 at 8) and about 16 rows; orbit chunks stay on the row code.
+FEW_ROWS = 64
+
+
+def _two_sum(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """s = x + y rounded and e with x + y == s + e exactly (Knuth)."""
+    s = x + y
+    b = s - x
+    e = s - b
+    np.subtract(x, e, out=e)
+    np.subtract(y, b, out=b)
+    e += b
+    return s, e
+
+
 def fsum_rows(vals: np.ndarray) -> np.ndarray:
-    """math.fsum of each row, fed only the nonzero entries (zeros change
-    neither the sum nor what fsum raises)."""
-    nonzero = vals != 0.0
-    flat = vals[nonzero].tolist()
+    """math.fsum of each row, bit for bit.  From FEW_ROWS rows on, a TwoSum
+    tree adds each row with its errors summed aside (Ogita, Rump & Oishi's
+    Sum2), kept where the exact total is provably inside its rounding
+    interval; other rows (not finite, near overflow, zero, near a tie) go to
+    math.fsum in row order, fed their nonzeros (zeros change no result)."""
+    rows, n = vals.shape
+    r, redo = np.zeros(rows), slice(None)
+    if rows >= FEW_ROWS and n > 1:
+        x = np.array(vals.T, order="C")
+        levels = (n - 1).bit_length()
+        half = 1 << (levels - 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            big = np.maximum.reduce(np.abs(x), axis=0)
+            # level 1 pairs the columns past the largest power of two below
+            # n with as many leading ones; the rest go up unpaired
+            a, err = _two_sum(x[:n - half], x[half:])
+            if n < 2 * half:
+                a = np.concatenate([a, x[n - half:half]])
+                err = np.concatenate([err, np.zeros((2 * half - n, rows))])
+            while half > 1:
+                half //= 2
+                a, e = _two_sum(a[:half], a[half:])
+                err = e + err[:half] + err[half:]
+            r, t = _two_sum(a[0], err[0])
+            # each error term meets at most 2 levels roundings on the side
+            # and a level's terms add up to at most u sum|x| (u = 2^-53):
+            # the side sum is off by under 2 levels^2 u^2 n max|x|, doubled
+            bound = (levels * levels * 2.0 ** -104) * n * big + 5e-324
+            half_gap = 0.5 * np.minimum(np.nextafter(r, np.inf) - r,
+                                        r - np.nextafter(r, -np.inf))
+            ok = (n * big <= 2.0 ** 1021) & (np.abs(t) + bound < half_gap)
+        redo = np.flatnonzero(~ok)
+    nonzero = (part := vals[redo]) != 0.0
+    flat = part[nonzero].tolist()
     ends = np.cumsum(nonzero.sum(axis=1)).tolist()
-    return np.array([math.fsum(flat[start:end])
-                     for start, end in zip([0] + ends, ends)], dtype=float)
+    r[redo] = [math.fsum(flat[start:end])
+               for start, end in zip([0] + ends, ends)]
+    return r
 
 
 # The block evaluators: one entry per row, NaN propagating.  Sums run left
@@ -226,6 +275,9 @@ def fsum_rows(vals: np.ndarray) -> np.ndarray:
 # the same way on every CPU.
 
 def _row_sums(a: np.ndarray) -> np.ndarray:
+    if len(a) >= FEW_ROWS:
+        # reducing a C-contiguous copy's outer axis adds a's columns in order
+        return np.add.reduce(np.ascontiguousarray(a.T), axis=0)
     if a.shape[1] == 0:
         return np.zeros(a.shape[0])
     return np.add.accumulate(a, axis=1)[:, -1]
@@ -323,10 +375,11 @@ def tail_limit(x: SeqVec) -> float:
     return x.tail
 
 
-def _measure(values: list[float], tail: float, kind: NormKind,
-             what: str) -> float:
+def _measure(values: Iterable[float], tail: float, kind: NormKind,
+             what: str, support: tuple | None = None) -> float:
     """The kind-norm of the sequence with these support values and tail, or
-    NaN if one is NaN; `what` words the error for a tail it does not allow."""
+    NaN if one is NaN; `what` words the error for a tail it does not allow.
+    `values` is read once, unless it can be read again off `support`."""
     if tail != tail:
         return math.nan
     spec = NORM_VARIANTS[kind.variant]
@@ -338,6 +391,7 @@ def _measure(values: list[float], tail: float, kind: NormKind,
         result = math.inf
     if result != math.inf:
         return result
+    values = values if support is None else [v for _, v in support]
     if any(map(math.isnan, values)):
         return math.nan  # the sum overflowed before it reached the NaN
     if math.isinf(tail) or not all(map(math.isfinite, values)):
@@ -354,8 +408,8 @@ def _measure(values: list[float], tail: float, kind: NormKind,
 
 
 def norm(x: SeqVec, kind: NormKind) -> float:
-    return _measure([v for _, v in x.support], x.tail, kind,
-                    "norm needs tail 0, got tail")
+    return _measure(map(itemgetter(1), x.support), x.tail, kind,
+                    "norm needs tail 0, got tail", x.support)
 
 
 def distance(x: SeqVec, y: SeqVec, kind: NormKind) -> float:

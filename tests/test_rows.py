@@ -2,6 +2,7 @@
 the catalog maps, each against its scalar definition."""
 
 import dataclasses
+import hashlib
 import math
 import tracemalloc
 
@@ -10,6 +11,7 @@ import pytest
 
 from holderlab.catalog import build_map, catalog_names, retraction_names
 from holderlab.domains import (
+    DOMAIN_KINDS,
     as_rng,
     ball,
     c_interval,
@@ -20,6 +22,7 @@ from holderlab.domains import (
     sub_simplex,
 )
 from holderlab.seqvec import (
+    FEW_ROWS,
     NORM_VARIANTS,
     NormKind,
     Rows,
@@ -34,6 +37,7 @@ from holderlab.seqvec import (
     shift_right,
     shift_rows,
     shifted,
+    _row_sums,
 )
 from holderlab.verify import (CheckRequest, estimate_displacement,
                               pair_ratios, run_check)
@@ -100,6 +104,81 @@ def test_pow_each_and_fsum_rows_round_as_the_scalar_code():
     rows = rng.normal(size=(50, 30)) * 10.0 ** rng.integers(-8, 8, (50, 30))
     rows[rng.random((50, 30)) < 0.4] = 0.0
     assert fsum_rows(rows).tolist() == [math.fsum(r) for r in rows.tolist()]
+
+
+def _bits(values):
+    return np.array(values, dtype=float).tobytes()
+
+
+def _fsum_each(rows):
+    return _bits([math.fsum(r) for r in rows.tolist()])
+
+
+def test_fsum_rows_is_fsum_bit_for_bit():
+    """Row by row, on blocks on both sides of FEW_ROWS: random values
+    spread over many binades, and rows that only exact rounding settles."""
+    rng = np.random.default_rng(19)
+    fixed = [[1.0, 2.0 ** -53], [1.0, 2.0 ** -53, 2.0 ** -105],
+             [1.0, -2.0 ** -54], [3.0, 2.0 ** -52], [1e16, 1.0, -1e16],
+             [1e-16, 1.0, 1e16], [5e-324, 5e-324, 2.0 ** -1022, -5e-324],
+             [2.0 ** -1070, 3 * 2.0 ** -1074], [0.0, -0.0], [-0.0, -0.0],
+             [1.0, -1.0], [2.0 ** 1000, 2.0 ** 1000, -2.0 ** 1000]]
+    for rows in (1, FEW_ROWS - 1, FEW_ROWS, 3 * FEW_ROWS + 5):
+        for width in (0, 1, 2, 4, 7, 63, 64, 65, 257):
+            vals = (rng.normal(size=(rows, width))
+                    * 2.0 ** rng.integers(-60, 60, (rows, width)))
+            vals[rng.random((rows, width)) < 0.3] = 0.0
+            if width >= 4:
+                for i, row in enumerate(fixed[:rows]):
+                    vals[i * rows // len(fixed)] = 0.0
+                    vals[i * rows // len(fixed), :len(row)] = row
+            assert _bits(fsum_rows(vals)) == _fsum_each(vals), (rows, width)
+    # multiples of 2^-53, whose sums often fall on a tie
+    ties = rng.integers(0, 2 ** 53, (4 * FEW_ROWS, 8)) * 2.0 ** -53
+    assert _bits(fsum_rows(ties)) == _fsum_each(ties)
+    # large values that cancel only high up the tree, leaving errors the
+    # side sum cannot add exactly
+    big = rng.normal(size=(2 * FEW_ROWS, 8)) * 2.0 ** 60
+    vals = np.hstack([big, -big, rng.normal(size=(2 * FEW_ROWS, 8))])
+    vals = np.take_along_axis(vals, rng.random(vals.shape).argsort(axis=1),
+                              axis=1)
+    assert _bits(fsum_rows(vals)) == _fsum_each(vals)
+
+
+def test_fsum_rows_raises_what_the_first_failing_row_raises():
+    rng = np.random.default_rng(7)
+    clean = rng.random((FEW_ROWS + 3, 64))
+    bad = {"inf": [math.inf], "both infs": [math.inf, 1.0, -math.inf],
+           "overflow": [1e308, 1e308, -1e308], "nan": [math.nan, 1.0]}
+    for first in bad:
+        for second in bad:
+            vals = np.vstack([clean, clean[:2], clean])
+            vals[FEW_ROWS + 3, :3] = 0.0
+            vals[FEW_ROWS + 4, :3] = 0.0
+            vals[FEW_ROWS + 3, :len(bad[first])] = bad[first]
+            vals[FEW_ROWS + 4, :len(bad[second])] = bad[second]
+            for block in (vals, vals[FEW_ROWS:]):
+                got = _outcome(lambda v: _bits(fsum_rows(v)), block)
+                assert got == _outcome(_fsum_each, block), (first, second)
+
+
+def test_row_sums_add_left_to_right():
+    """The block code reduces a transposed copy; each row must still be
+    added left to right, which these spreads tell from a pairwise sum."""
+    rng = np.random.default_rng(3)
+    shapes = [(rows, width) for rows in range(1, 41)
+              for width in (0, 1, 2, 9, 64, 300)]
+    shapes += [(int(rng.integers(FEW_ROWS - 2, 3 * FEW_ROWS)),
+                int(rng.integers(0, 301))) for _ in range(300)]
+    pairwise_differs = False
+    for rows, width in shapes:
+        a = (rng.normal(size=(rows, width))
+             * 2.0 ** rng.integers(-60, 60, (rows, width)))
+        want = (np.add.accumulate(a, axis=1)[:, -1] if width
+                else np.zeros(rows))
+        assert _row_sums(a).tobytes() == want.tobytes(), (rows, width)
+        pairwise_differs |= (a.sum(axis=1) != want).any()
+    assert pairwise_differs
 
 
 def test_vec_gives_canonical_rows():
@@ -327,6 +406,56 @@ def test_sample_rows_do_not_depend_on_block_sizes(K):
     assert (np.concatenate([p.vals for p in parts]) == one.vals).all()
     assert (np.concatenate([p.tail for p in parts]) == one.tail).all()
     assert K.sample(5) == one.vec(0)
+
+
+def _pinned_domains():
+    return [ball(1.0, SUP), ball(1.0, L1), ball(0.7, L2),
+            ball(2.0, NormKind.lp(1.5)), ball(1.0, MPN),
+            positive_ball(0.9, L1), positive_ball(0.9, SUP), simplex(0.5),
+            sub_simplex(0.5), coefficient_box(1.0), sigma_band(0.125, 0.5),
+            c_interval(0.25)]
+
+
+def _sample_digest(make_rng):
+    digest = hashlib.sha256()
+    for K in _pinned_domains():
+        rng = make_rng()
+        for breadth in (1, 2, 8, 64, 384):
+            for count in (1, 3, 17, 256):
+                x = K.with_breadth(breadth).sample_rows(rng, count)
+                digest.update(x.vals.tobytes())
+                digest.update(x.tail.tobytes())
+    return digest.hexdigest()
+
+
+class _TiedKeys(np.random.Generator):
+    """A Generator whose support keys take three values, so most rows of
+    a block tie at their support cut."""
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        u = super().random(size)
+        if isinstance(size, tuple) and size[1] >= 5:
+            b = (size[1] - 3) // 2
+            u[:, 1:b + 1] = np.floor(u[:, 1:b + 1] * 3.0) / 3.0
+        return u
+
+
+def test_sample_rows_blocks_are_pinned():
+    """Every bit of the drawn blocks, for every kind, as first recorded;
+    a faster sampler must draw the same blocks."""
+    assert {K.kind for K in _pinned_domains()} == set(DOMAIN_KINDS)
+    assert _sample_digest(lambda: np.random.default_rng(19)) == (
+        "79f6a3eaf98c043d0b4f7cf76e6c13a5db58d066c77a7a860397e869f46332f0")
+
+
+def test_a_tie_at_the_support_cut_keeps_the_key_order_support():
+    u = _TiedKeys(np.random.PCG64(19)).random((256, 19))
+    size = np.minimum((u[:, 0] * 8).astype(np.int64), 7) + 1
+    keys = np.sort(u[:, 1:9], axis=1)
+    at_cut = keys[np.arange(256), size - 1]
+    assert (at_cut[size < 8] == keys[size < 8, size[size < 8]]).any()
+    assert _sample_digest(lambda: _TiedKeys(np.random.PCG64(19))) == (
+        "58f64c095bf8e147f51224380173fb124057ab74927a38b16f595087ec49d62f")
 
 
 def _peak_mb(fn):
