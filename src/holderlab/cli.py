@@ -41,7 +41,7 @@ from .errors import (
     NotInSpaceError,
     UnknownNameError,
 )
-from .report import VerificationReport, write_report
+from .report import VerificationReport, report_paths, write_report
 from .seqvec import NORM_VARIANTS, NormKind, format_vec, parse_vec
 from .verify import CHECKS, FIELDS, CheckRequest, run_check, unread_fields
 
@@ -182,7 +182,8 @@ def _domain_from_obj(obj: object, breadth: int | None) -> DomainSpec:
     return DomainSpec(kind, **kwargs)
 
 
-def _check_from_obj(obj: object, index: int) -> CheckRequest:
+def _check_from_obj(obj: object, index: int) -> tuple[str, dict]:
+    """A check's kind and its parsed fields."""
     where = f"checks[{index}]: "
     _require(isinstance(obj, dict), f"checks[{index}] must be an object")
     kind = obj.get("kind")
@@ -205,7 +206,7 @@ def _check_from_obj(obj: object, index: int) -> CheckRequest:
     unread = unread_fields(kind, fields, strategy)
     _require(not unread,
              f"{where}strategy {strategy!r} does not read {unread}")
-    return CheckRequest(kind, **fields)
+    return kind, fields
 
 
 def _parse_config(obj: object) -> dict:
@@ -245,17 +246,19 @@ def _parse_config(obj: object) -> dict:
     tolerance = obj.get("tolerance")
     if tolerance is not None:
         tolerance = _number(tolerance, "tolerance")
+    for kind, fields in checks:  # the top-level tolerance, where none is set
+        if "tolerance" in CHECKS[kind].fields:
+            fields.setdefault("tolerance", tolerance)
     return {
         "name": name,
         "map_name": map_obj["name"],
         "map_params": params,
         "domain": obj.get("domain"),
         "seed": seed,
-        "checks": checks,
+        "checks": [CheckRequest(kind, **fields) for kind, fields in checks],
         "strict": strict,
         "out": out,
         "breadth": breadth,
-        "tolerance": tolerance,
     }
 
 
@@ -291,7 +294,8 @@ def _make_out_dir(name: str, out_dir: str) -> list[str]:
         missing = os.path.dirname(missing)
     try:
         os.makedirs(out_dir, exist_ok=True)
-        size = len(os.fsencode(f"{name}.summary.txt"))
+        size = max(len(os.fsencode(os.path.basename(path)))
+                   for path in report_paths(name, out_dir))
     except (OSError, ValueError) as exc:  # ValueError: a lone surrogate
         raise ConfigError(f"{where}: {exc}") from exc
     try:
@@ -333,13 +337,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     # before a check spends its budget; a run that stops in a check leaves
     # no directory behind
     made = _make_out_dir(cfg["name"], out_dir)
-    records = []
     try:
-        for index, req in enumerate(cfg["checks"]):
-            if (req.tolerance is None
-                    and "tolerance" in CHECKS[req.kind].fields):
-                req = replace(req, tolerance=cfg["tolerance"])
-            records.append(run_check(T, req, _derive_seed(seed, index)))
+        records = [run_check(T, req, _derive_seed(seed, index))
+                   for index, req in enumerate(cfg["checks"])]
     except BaseException:
         for path in made:
             with contextlib.suppress(OSError):

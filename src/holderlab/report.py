@@ -20,6 +20,7 @@ __all__ = [
     "SCHEMA_VERSION",
     "VerificationReport",
     "canonical_bytes",
+    "report_paths",
     "write_report",
 ]
 
@@ -130,11 +131,17 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
+def report_paths(name: str, out_dir: str) -> tuple[str, str]:
+    """The paths of <name>.report.json and <name>.summary.txt under
+    out_dir."""
+    return (os.path.join(out_dir, f"{name}.report.json"),
+            os.path.join(out_dir, f"{name}.summary.txt"))
+
+
 def write_report(report: VerificationReport, out_dir: str) -> tuple[str, str]:
-    """Write <name>.report.json and <name>.summary.txt under out_dir."""
+    """Write the report and its summary at report_paths."""
     os.makedirs(out_dir, exist_ok=True)
-    json_path = os.path.join(out_dir, f"{report.name}.report.json")
-    summary_path = os.path.join(out_dir, f"{report.name}.summary.txt")
+    json_path, summary_path = report_paths(report.name, out_dir)
     _atomic_write(json_path, report.to_json())
     _atomic_write(summary_path, report.summary)
     return json_path, summary_path

@@ -18,8 +18,14 @@ oracle_compare and the orbit strategies) is one call of the orbit kernel.
 Each kernel is written once over an _Ops table, which holds its points as
 Rows or as SeqVecs; the sampled kernels (pairs, displacements, escapes,
 one step) run under the one fallback rule of _sampled.  The orbit kernel
-steps one iterate at a time and measures the iterates in chunks, each
-stacked into one block and measured one way, whatever its size.
+steps one iterate at a time.  A walk of x_k against x_k+1 (orbit,
+orbit_min) measures every iterate; a walk with lam or an oracle measures
+the iterates its `at` picks (every one without it), and a mean walk every
+iterate, as its sums need them all.  A chunk holds exactly the iterates
+its measurement reads, and is stacked into one block and measured whole.
+One fold, _Least, picks every witness that is the first in draw order to
+reach an extreme: the least displacement, the largest pair ratio and the
+largest second step.
 
 Every check is deterministic given its seed; identical requests produce
 identical results bit for bit.
@@ -344,9 +350,7 @@ def pair_ratios(T: MapInstance, ns: tuple[int, ...], pairs: int, seed: int,
     rng = as_rng(seed)
     steps = sorted(set(ns))
     sups = dict.fromkeys(ns, -1.0)
-    best = -1.0
-    witness: tuple[Rows, Rows] | None = None  # made SeqVecs once, at the end
-    used = 0
+    best = _Least()  # of the negated largest ratio of each pair used
     # two rows per pair
     for k in _block_sizes(pairs, 2 * _row_width(T.domain.breadth, steps[-1])):
         rows = T.domain.sample_rows(rng, 2 * k)
@@ -355,22 +359,18 @@ def pair_ratios(T: MapInstance, ns: tuple[int, ...], pairs: int, seed: int,
         kept = np.flatnonzero(~(d < PAIR_CUTOFF))
         if not len(kept):
             continue
-        used += len(kept)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             ratios = dists[kept] / pow_each(d[kept], a)[:, None]
         ratios[np.isnan(ratios)] = math.inf  # a NaN distance is unbounded
         for n, top in zip(steps, ratios.max(axis=0).tolist()):
             sups[n] = max(sups[n], top)
-        per_pair = ratios.max(axis=1)
-        j = int(np.argmax(per_pair))
-        if per_pair[j] > best:
-            best = float(per_pair[j])
-            witness = (x.take([kept[j]]), y.take([kept[j]]))
-    if witness is None:
+        best.consider_rows(-ratios.max(axis=1), kept,
+                           lambda ks, j: (x.vec(ks[j]), y.vec(ks[j])))
+    if best.witness is None:
         raise InsufficientSamplesError(
             f"all {pairs} sampled pairs were degenerate"
         )
-    return PairRatios(sups, (witness[0].vec(0), witness[1].vec(0)), used)
+    return PairRatios(sups, best.witness, best.evaluations)
 
 
 def _floats(d) -> list[float]:
@@ -379,9 +379,10 @@ def _floats(d) -> list[float]:
 
 
 class _Least:
-    """The least of a stream of displacements, NaN counting as +inf, and
-    the first point that reached it (the first point considered when every
-    displacement is +inf)."""
+    """The least of a stream of values, NaN counting as +inf, and the first
+    point that reached it (the first point considered when every value is
+    +inf).  Fed negated values, it keeps the first point that reached the
+    largest."""
 
     def __init__(self) -> None:
         self.value = math.inf
@@ -420,47 +421,50 @@ class _Walked(NamedTuple):
 
 
 def _orbit_kernel(ops: _Ops, T: MapInstance, x0: SeqVec, steps: int,
-                  at: Callable[[int], bool], lam: float | None = None,
-                  mean: bool = False, oracle: Callable | None = None,
-                  stop: float | None = None, norms: bool = False) -> _Walked:
+                  at: Callable[[int], bool] | None = None,
+                  lam: float | None = None, mean: bool = False,
+                  oracle: Callable | None = None, stop: float | None = None,
+                  norms: bool = False) -> _Walked:
     """Walk x_0 = x0, x_k+1 = T(lam x_k) (T x_k without lam) up to x_steps,
-    and at each k with at(k) measure one point p_k, which is x_k or, with
-    mean, the Cesaro mean of x_0..x_k: ||p_k - T p_k||, or with an oracle
-    ||p_k - oracle(x0, k)||.  The walk ends early after a measurement
-    <= stop; with norms it tracks the largest norm of an iterate, a NaN
-    norm counting as +inf.  Without lam, mean or oracle, T x_k is x_k+1:
-    such a walk measures x_k against x_k+1, at k < steps only, and takes no
-    stop.
+    and measure points p_k.  Without lam, mean or oracle, T x_k is x_k+1:
+    such a walk measures ||x_k - x_k+1|| at every k < steps, takes no stop
+    and reads no `at`; with norms it also tracks the largest norm of an
+    iterate, a NaN norm counting as +inf.  Otherwise the walk measures at
+    each k that at(k) picks (every k when `at` is None) one point p_k,
+    which is x_k or, with mean, the Cesaro mean of x_0..x_k (whose sums
+    need every iterate, so a mean walk takes no `at`): ||p_k - T p_k||, or
+    with an oracle ||p_k - oracle(x0, k)||.  It ends early after a
+    measurement <= stop.
 
-    Only the step runs one iterate at a time.  The iterates a measurement
-    reads wait in a chunk, and each chunk is stacked into one block and
-    measured one way, whatever its size.  A chunk ends where one more
-    iterate would take it past half a block, at each point a walk with a
-    stop measures (so it never steps past its stop), at x_steps and, for
-    SeqVecs, after every iterate, so that a point walk raises its first
-    error where a walk that measured each iterate as it came would."""
+    Only the step runs one iterate at a time.  A chunk holds exactly the
+    iterates its measurement reads, and each chunk is stacked into one
+    block and measured whole.  A chunk ends where one more iterate would
+    take it past half a block, at each point a walk with a stop measures
+    (so it never steps past its stop), at x_steps and, for SeqVecs, after
+    every iterate, so that a point walk raises its first error where a walk
+    that measured each iterate as it came would."""
     follows = lam is None and not mean and oracle is None
+    if mean and at is not None:
+        raise TypeError("a mean walk measures every iterate")
     x = ops.point(x0)
-    breadth = max(ops.width(x), T.domain.breadth)
+    w = ops.width(x)  # of x_k
+    breadth = max(w, T.domain.breadth)
     allowed = 0  # by the growth rule, as of the last step that checked it
     least, values = _Least(), []
     top = -math.inf if norms else None
     total = None  # the sum of the iterates of the chunks before
 
-    # The chunk: the iterates x_k the next measurement reads, for k in ks
-    # (every iterate, or only those at() picks).  Walking x_k against
-    # x_k+1, the last stays as the first of the next chunk, so a
-    # measurement needs len(chunk) > follows.
-    every = follows or mean or norms
-    chunk, ks = ([x], [0]) if every or at(0) else ([], [])
-    width = ops.width(x)  # of the widest iterate in the chunk
+    # The chunk: the iterates x_k the next measurement reads, for k in ks.
+    # Walking x_k against x_k+1, the last stays as the first of the next
+    # chunk, so a measurement needs len(chunk) > follows.
+    chunk, ks = [], []
 
     def fold_norms(block) -> None:
         nonlocal top
         top = max(top, *[math.inf if v != v else v
                          for v in _floats(ops.norm(block, T.norm))])
 
-    if norms and follows:
+    if norms:
         fold_norms(x)  # the chunks norm the iterates after their first
 
     def measure() -> bool:
@@ -469,32 +473,20 @@ def _orbit_kernel(ops: _Ops, T: MapInstance, x0: SeqVec, steps: int,
         block = ops.stack(chunk)
         if follows:  # x_k against x_k+1
             p, q = ops.take(block, _FRONT), ops.take(block, _BACK)
-            new, keep = q, [at(k) for k in ks[:-1]]
+            if norms:
+                fold_norms(q)
         else:
-            new = p = block
+            p = block
             if mean:
                 total, p = ops.means(total, p, ks)
-            keep = [at(k) for k in ks]
-        if False in keep:
-            p = ops.take(p, keep)
-            if follows:
-                q = ops.take(q, keep)
-        stopped = False
-        if True in keep:
-            if oracle is not None:
-                q = ops.stack([ops.point(oracle(x0, k))
-                               for k in compress(ks, keep)])
-            elif not follows:
-                q = ops.apply(T, p)
-            d = _floats(ops.distance(p, q, T.norm))
-            values.extend(d)
-            # the witness is made a SeqVec once, when the walk ends
-            least.consider_rows(d, p, lambda b, j: (b, j))
-            stopped = stop is not None and any(v <= stop for v in d)
-        if norms:
-            fold_norms(new)
+            q = (ops.apply(T, p) if oracle is None else
+                 ops.stack([ops.point(oracle(x0, k)) for k in ks]))
+        d = _floats(ops.distance(p, q, T.norm))
+        values.extend(d)
+        # the witness is made a SeqVec once, when the walk ends
+        least.consider_rows(d, p, lambda b, j: (b, j))
         chunk, ks = (chunk[-1:], ks[-1:]) if follows else ([], [])
-        return stopped
+        return stop is not None and any(v <= stop for v in d)
 
     for k in range(steps + 1):
         if k:  # the step to x_k
@@ -502,19 +494,19 @@ def _orbit_kernel(ops: _Ops, T: MapInstance, x0: SeqVec, steps: int,
             w = ops.width(x)
             if w > allowed:
                 allowed = _require_fit(w, breadth, k)
-            if every or at(k):
-                if ops.stacks:
-                    width = max(width, w) if chunk else w
-                    # measuring holds a few arrays the chunk's size at
-                    # once: half a block each
-                    if (len(chunk) > follows and 2 * (len(chunk) + 1)
-                            * (width + _ROW_COST) > BLOCK_ELEMENTS):
-                        measure()  # holds no point a walk with a stop measures
-                        width = max(ops.width(chunk[0]), w) if chunk else w
-                chunk.append(x)
-                ks.append(k)
+        if follows or at is None or at(k):
+            if ops.stacks:  # width: of the widest iterate in the chunk
+                width = max(width, w) if chunk else w
+                # measuring holds a few arrays the chunk's size at once:
+                # half a block each
+                if (len(chunk) > follows and 2 * (len(chunk) + 1)
+                        * (width + _ROW_COST) > BLOCK_ELEMENTS):
+                    measure()  # holds no point a walk with a stop measures
+                    width = max(ops.width(chunk[0]), w) if chunk else w
+            chunk.append(x)
+            ks.append(k)
         if len(chunk) > follows and (k == steps or not ops.stacks
-                                     or (stop is not None and at(k))):
+                                     or (stop is not None and ks[-1] == k)):
             if measure():
                 break
     if least.witness is not None:
@@ -522,8 +514,8 @@ def _orbit_kernel(ops: _Ops, T: MapInstance, x0: SeqVec, steps: int,
     return _Walked(values, least, top, ops.vec(x, 0))
 
 
-def _walk(T: MapInstance, x0: SeqVec, steps: int, at: Callable[[int], bool],
-          **how) -> _Walked:
+def _walk(T: MapInstance, x0: SeqVec, steps: int,
+          at: Callable[[int], bool] | None = None, **how) -> _Walked:
     """The orbit kernel on one-row blocks through T's batch form, and by
     points when T has none.  A sparse start with a far index (x0 = {10^9:
     t}) would make a row of that width, so it walks by points, as does a row
@@ -551,7 +543,7 @@ def orbit(T: MapInstance, x0: SeqVec, depth: int) -> OrbitResult:
     if depth < 0:
         raise InvalidBudgetError(f"depth {depth} is below 0")
     _require_member(T, x0, "orbit")
-    walk = _walk(T, x0, depth, lambda k: k < depth, norms=True)
+    walk = _walk(T, x0, depth, norms=True)
     return OrbitResult(walk.final, tuple(walk.values), walk.max_norm)
 
 
@@ -586,7 +578,7 @@ def _orbit_min(T: MapInstance, budget: int, seed: int, lambdas, target):
     steps = max(1, budget // max(1, len(starts)))
     least = _Least()
     for x0 in starts:
-        least.merge(_walk(T, x0, steps, lambda k: k < steps).least)
+        least.merge(_walk(T, x0, steps).least)
     return least
 
 
@@ -628,7 +620,7 @@ def _cesaro_affine(T: MapInstance, budget: int, seed: int, lambdas, target):
             "cesaro_affine needs an affine map (claims.affine)"
         )
     return _walk(T, T.domain.canonical_points()[0], budget - 1,
-                 lambda k: True, mean=True).least
+                 mean=True).least
 
 
 @dataclass(frozen=True)
@@ -897,8 +889,7 @@ def _approx_fixed_set(T: MapInstance, req: CheckRequest,
         raise InvalidBudgetError(f"samples {req.samples} is below 1")
     rng = as_rng(seed)
     qualifying = 0
-    max_second = 0.0
-    worst: Rows | None = None
+    worst = _Least()  # of the negated second steps
     width = _row_width(T.domain.breadth, 2)
     image = _image_width(T, T.domain.breadth, 2)
     if image > 2 * width:  # breaks the growth rule: blocks sized by it
@@ -907,14 +898,13 @@ def _approx_fixed_set(T: MapInstance, req: CheckRequest,
         x = T.domain.sample_rows(rng, k)
         kept, second = _sampled(T, _second_steps, (x,), req.delta)
         qualifying += int(kept.sum())
-        if second.max() > max_second:
-            j = int(np.argmax(second))
-            max_second, worst = float(second[j]), x.take([j])
+        worst.consider_rows(-second, x)
+    max_second = max(0.0, -worst.value)
     passed = max_second <= req.delta + _tolerance(req, DISPLACEMENT_TOL)
     return CheckRecord(
         "approx_fixed_set", req.delta, max_second,
         "pass" if passed else "fail",
-        None if passed else format_vec(worst.vec(0)),
+        None if passed else format_vec(worst.witness),
         direction=("max ||Tx - T^2x|| over sampled delta-approximate "
                    "fixed points"),
         details={"qualifying": qualifying, "samples": req.samples},

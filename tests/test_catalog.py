@@ -8,6 +8,7 @@ import pytest
 from holderlab.catalog import (
     CATALOG,
     RETRACTION_CATALOG,
+    ClaimProfile,
     FixedPointSet,
     affine_cube_map,
     affine_mixing_map,
@@ -195,6 +196,27 @@ def test_norming_oracle_sums_the_geometric_series_exactly():
             s = partial + phi * phi * 2.0 ** -n
             assert T.iterate_oracle(x, n) == SeqVec(((1, math.sqrt(s)),), 0.0)
     assert 1.0 - 2.0 ** -1100 == 1.0
+
+
+@pytest.mark.parametrize("T", [norming_map(0.5), hyperconvex_map(),
+                               l1_ball_composite_map()],
+                         ids=lambda T: T.name)
+def test_iterate_oracles_return_their_start_at_n_0(T):
+    for x in T.domain.canonical_points():
+        assert T.iterate_oracle(x, 0) is x
+
+
+def test_claim_profiles_reject_a_nonpositive_exponent_and_a_uniform_profile():
+    for alpha in (0.0, -0.5, math.nan):
+        with pytest.raises(InvalidParameterError) as err:
+            ClaimProfile(alpha=alpha, holder_constant=1.0, uniform=True)
+        assert err.value.parameter == "alpha"
+    with pytest.raises(InvalidParameterError) as err:
+        ClaimProfile(alpha=0.5, holder_constant=1.0, uniform=True,
+                     asymptotic_profile=lambda n: 1.0)
+    assert err.value.parameter == "uniform"
+    ClaimProfile(alpha=0.5, holder_constant=1.0, uniform=False,
+                 asymptotic_profile=lambda n: 1.0)
 
 
 def test_baseline_c_values():

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from holderlab.catalog import catalog_names, retraction_names
-from holderlab import cli
+from holderlab import cli, report
 from holderlab.cli import main
 from holderlab.domains import DOMAIN_KINDS
 from holderlab.report import canonical_bytes
@@ -160,6 +160,29 @@ def test_an_unwritable_report_exits_2_before_any_check(tmp_path, monkeypatch,
     assert taken.read_text(encoding="utf-8") == "kept"
 
 
+def test_a_report_write_that_fails_after_the_checks_exits_2(tmp_path,
+                                                           monkeypatch,
+                                                           capsys):
+    def write_report(report, out_dir):
+        raise OSError("the disk is full")
+
+    monkeypatch.setattr(cli, "write_report", write_report)
+    assert main(["run", write_config(tmp_path, base_config(tmp_path))]) == 2
+    err = capsys.readouterr().err
+    assert "cannot write report 'probe'" in err
+    assert "the disk is full" in err
+
+
+def test_a_failed_atomic_write_leaves_no_temp_file(tmp_path, monkeypatch):
+    def replace(src, dst):
+        raise OSError("replace failed")
+
+    monkeypatch.setattr(report.os, "replace", replace)
+    with pytest.raises(OSError, match="replace failed"):
+        report._atomic_write(str(tmp_path / "probe.summary.txt"), "text")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_the_longest_name_the_directory_allows_is_written(tmp_path):
     limit = os.pathconf(tmp_path, "PC_NAME_MAX")
     name = "n" * (limit - len(".summary.txt"))
@@ -226,6 +249,14 @@ def test_top_level_tolerance_applies_to_checks(tmp_path):
     cfg = base_config(tmp_path, checks=checks, tolerance=1e-2)
     assert main(["run", write_config(tmp_path, cfg)]) == 0
     assert read_report(tmp_path)["counts"]["pass"] == 1
+
+
+def test_a_domain_override_carries_its_tol(tmp_path, capsys):
+    assert cli._domain_from_obj({**ball_override(), "tol": 1e-6},
+                                None).tol == 1e-6
+    cfg = base_config(tmp_path, domain={**ball_override(), "tol": -1})
+    assert main(["run", write_config(tmp_path, cfg)]) == 3
+    assert "'tol'" in capsys.readouterr().err
 
 
 def test_domain_override_can_break_invariance(tmp_path, capsys):

@@ -373,6 +373,40 @@ def test_consider_rows_is_consider_in_turn(before, d):
                                                    b.evaluations)
 
 
+def test_a_walk_measures_every_iterate_at_picks():
+    """A lambda walk measures ||x_k - T x_k|| at each k that `at` picks,
+    and at every k when it is given none, by rows and by points."""
+    T, lam = hyperconvex_map(), 0.5
+    xs = [T.domain.canonical_points()[0]]
+    for _ in range(6):
+        xs.append(T.apply(scale(lam, xs[-1])))
+    want = [T.displacement(x) for x in xs]
+    for S in (_row_walk(T), _point_walk(T)):
+        assert verify._walk(S, xs[0], 6, lam=lam).values == want
+        assert (verify._walk(S, xs[0], 6, lambda k: k % 3 == 1,
+                             lam=lam).values == want[1::3])
+    # a mean's sums need every iterate: a pick would leave some out
+    with pytest.raises(TypeError):
+        verify._walk(T, xs[0], 6, lambda k: True, mean=True)
+
+
+def test_an_image_width_probe_that_raises_gives_the_input_width():
+    """A batch form that raises on the zero-row probe (here at its second
+    step, after widening the block) leaves the width as it was given."""
+    T = prus_map()
+
+    def rows(x):
+        if x.width != 7:
+            raise ValueError("the second step")
+        return Rows(np.empty((0, 9)), np.empty(0))
+
+    apply = _point_walk(T).apply
+    apply.rows = rows
+    S = dataclasses.replace(T, apply=apply)
+    assert verify._image_width(S, 7, 1) == 9
+    assert verify._image_width(S, 7, 2) == 7
+
+
 def test_the_growth_rule_admits_linear_growth_at_any_depth():
     """Two columns a step never break the rule, from any start width and
     far past BLOCK_ELEMENTS steps; doubling breaks it within a few steps."""
@@ -640,6 +674,12 @@ def test_lambda_scaling_validates_the_schedule():
     assert err.value.parameter == "target"
 
 
+def test_lambda_scaling_without_lambdas_evaluates_no_witness():
+    with pytest.raises(InsufficientSamplesError):
+        estimate_displacement(norming_map(), "lambda_scaling", budget=10,
+                              seed=0, lambdas=())
+
+
 def test_cesaro_needs_an_affine_map():
     with pytest.raises(InvalidStrategyError):
         estimate_displacement(norming_map(), "cesaro_affine",
@@ -863,6 +903,11 @@ def test_walks_reject_a_start_outside_the_domain():
         with pytest.raises(DomainViolationError,
                            match=rf"^{kind} start \{{1:5.0\}} is outside"):
             run_check(norming_map(), CheckRequest(kind, x0=outside))
+
+
+def test_oracle_compare_rejects_a_negative_n_max():
+    with pytest.raises(InvalidBudgetError, match="n_max -1"):
+        run_check(norming_map(), CheckRequest("oracle_compare", n_max=-1))
 
 
 def test_oracle_compare_needs_an_oracle():
