@@ -274,7 +274,7 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config: {exc}") from exc
     try:
         obj = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # nested too deep
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     return _parse_config(obj)
 

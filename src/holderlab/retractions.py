@@ -56,7 +56,7 @@ def radial_rows(x: Rows, r: float, kind: NormKind) -> Rows:
 def abs_retract(x: SeqVec) -> SeqVec:
     """Coordinatewise absolute value (retraction onto the nonnegative cone
     that preserves every norm used here)."""
-    return SeqVec.from_dict({i: abs(v) for i, v in x.support}, abs(x.tail))
+    return SeqVec.from_sorted([(i, abs(v)) for i, v in x.support], abs(x.tail))
 
 
 abs_retract.rows = lambda x: Rows(np.abs(x.vals), np.abs(x.tail))
@@ -64,8 +64,8 @@ abs_retract.rows = lambda x: Rows(np.abs(x.vals), np.abs(x.tail))
 
 def positive_part(x: SeqVec) -> SeqVec:
     """Coordinatewise max(t, 0), the metric projection onto the cone."""
-    return SeqVec.from_dict(
-        {i: v if v > 0.0 else 0.0 for i, v in x.support},
+    return SeqVec.from_sorted(
+        [(i, v if v > 0.0 else 0.0) for i, v in x.support],
         x.tail if x.tail > 0.0 else 0.0,
     )
 
@@ -78,8 +78,9 @@ def clamp_retract(x: SeqVec, r: float) -> SeqVec:
     """Coordinatewise min(t, r) on nonnegative vectors."""
     if x.tail < -CLAMP_NEG_TOL or any(v < -CLAMP_NEG_TOL for _, v in x.support):
         raise DomainViolationError("clamp_retract needs nonnegative coordinates")
-    return SeqVec.from_dict(
-        {i: v if v < r else r for i, v in x.support},
+    r = float(r)  # a clamped coordinate stores r: an int r would print as one
+    return SeqVec.from_sorted(
+        [(i, v if v < r else r) for i, v in x.support],
         x.tail if x.tail < r else r,
     )
 

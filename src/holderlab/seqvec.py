@@ -7,8 +7,10 @@ of c0 and the finitely supported parts of lp) that the catalog maps produce,
 and it is closed under all of them.
 
 Canonical form drops any stored value that equals the tail under exact float
-comparison, never under a tolerance, so structural equality of canonical
-vectors is coordinatewise equality.
+comparison, never under a tolerance, and stores +0.0 in place of -0.0, so
+structural equality of canonical vectors is coordinatewise equality.
+:meth:`SeqVec.from_sorted` is the one function that makes it; every other
+constructor of a computed vector hands its pairs there.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, NamedTuple
 
@@ -55,8 +58,8 @@ class SeqVec:
     """One eventually constant sequence.
 
     The raw constructor trusts its input to be canonical (sorted indices,
-    no value equal to the tail); use :meth:`from_dict` or :meth:`from_pairs`
-    for anything computed.
+    no value equal to the tail); use :meth:`from_sorted` for a computed
+    support in ascending index order and :meth:`from_dict` otherwise.
     """
 
     support: tuple[tuple[int, float], ...] = ()
@@ -64,15 +67,11 @@ class SeqVec:
 
     @staticmethod
     def from_dict(entries: Mapping[int, float], tail: float = 0.0) -> "SeqVec":
-        tail = tail + 0.0  # normalizes -0.0
-        kept = []
-        for i in sorted(entries):
-            if i < 1:
-                raise InvalidIndexError(f"coordinate index {i} is below 1")
-            v = entries[i] + 0.0
-            if v != tail:
-                kept.append((i, v))
-        return SeqVec(tuple(kept), tail)
+        index = sorted(entries)
+        if index and index[0] < 1:
+            raise InvalidIndexError(f"coordinate index {index[0]} is below 1")
+        # + 0.0 makes the floats of Python ints, which from_sorted keeps
+        return SeqVec.from_sorted([(i, entries[i] + 0.0) for i in index], tail)
 
     @staticmethod
     def from_pairs(pairs: Iterable[tuple[int, float]], tail: float = 0.0) -> "SeqVec":
@@ -80,10 +79,12 @@ class SeqVec:
 
     @staticmethod
     def from_sorted(pairs: Iterable[tuple[int, float]], tail: float = 0.0) -> "SeqVec":
-        """Like :meth:`from_pairs` for support already in strictly ascending
-        index order; skips the sort (the hot path for shifts and scalings)."""
+        """The canonical vector of float pairs in strictly ascending index
+        order (indices >= 1) and a tail: every value equal to the tail under
+        exact comparison is dropped, and -0.0 is stored as +0.0, in the
+        tail and in every kept value.  On tail 0 the values are kept as
+        given, since a value that survives is nonzero."""
         if tail == 0.0:
-            # nonzero survivors need no -0.0 normalization
             return SeqVec(tuple([p for p in pairs if p[1] != 0.0]), 0.0)
         tail = tail + 0.0
         return SeqVec(
@@ -487,30 +488,19 @@ def axpy(a: float, x: SeqVec, b: float, y: SeqVec) -> SeqVec:
 
 
 def scale(a: float, x: SeqVec) -> SeqVec:
-    t = a * x.tail
-    if t == 0.0:
-        return SeqVec(
-            tuple([(i, w) for i, v in x.support if (w := a * v) != 0.0]), 0.0
-        )
-    return SeqVec.from_sorted([(i, a * v) for i, v in x.support], t)
+    return SeqVec.from_sorted([(i, a * v) for i, v in x.support], a * x.tail)
 
 
 def shifted(head: list[float], x: SeqVec, tail: float,
             rule: Callable[[float], float] | None = None) -> SeqVec:
-    """(h1, ..., hk, rule(t1), rule(t2), ...) with tail = rule(x.tail); no
-    rule moves each t_i unchanged.  Canonical, as from_sorted would make it."""
-    tail += 0.0  # normalizes -0.0
+    """(h1, ..., hk, rule(t1), rule(t2), ...) with the given tail, built by
+    from_sorted; no rule moves each t_i unchanged."""
     k = len(head)
-    pairs = []
-    for j, h in enumerate(head, 1):
-        if h != tail:
-            pairs.append((j, h + 0.0))
-    for i, v in x.support:
-        if rule is not None:
-            v = rule(v) + 0.0
-        if v != tail:
-            pairs.append((i + k, v))
-    return SeqVec(tuple(pairs), tail)
+    if rule is None:
+        body = ((i + k, v) for i, v in x.support)
+    else:
+        body = ((i + k, rule(v)) for i, v in x.support)
+    return SeqVec.from_sorted(chain(enumerate(head, 1), body), tail)
 
 
 def shift_rows(head: list, body: np.ndarray, tail: np.ndarray) -> Rows:

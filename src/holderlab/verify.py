@@ -846,6 +846,9 @@ def _asymptotic_profile(T: MapInstance, req: CheckRequest,
         raise InvalidCheckError(f"{T.name} has no asymptotic profile")
     if req.n_max < 1:
         raise InvalidBudgetError(f"n_max {req.n_max} is below 1")
+    if req.n_max > BLOCK_ELEMENTS:  # one sup per n, each in the report
+        raise InvalidBudgetError(
+            f"n_max {req.n_max} is above {BLOCK_ELEMENTS}")
     ns = tuple(range(1, req.n_max + 1))
     est = pair_ratios(T, ns, req.pairs, seed)
     worst = max(est.sups[n] / profile(n) for n in ns)

@@ -1,5 +1,6 @@
 """Catalog constructions: worked examples, constraints, and combinators."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -495,6 +496,23 @@ def test_lift_to_ball_witnesses_transport_exactly():
     assert displacements == [r * F.displacement(p) for p in inner]
     est = estimate_displacement(T, "sample_min", 40, 0)
     assert est.value <= min(displacements)
+
+
+def test_lift_to_ball_transports_an_inner_witness_family():
+    family = [basis_vector(1, -0.5), basis_vector(2, 0.25)]
+    F = dataclasses.replace(baseline_c_map(),
+                            witness_family=lambda budget: family[:budget])
+    r = 1.0 / 16.0
+    T = lift_to_ball(F, r, 0.5, 0.5)
+    inner = list(F.domain.canonical_points()) + family
+    assert T.witness_family(2) == [scale(r, p) for p in inner]
+
+
+def test_lift_to_ball_of_a_map_with_a_fixed_point_claims_none_known():
+    F = norming_map()
+    assert F.claims.fixed_points.kind != "empty"
+    T = lift_to_ball(F, 0.01, 0.5, 0.5)
+    assert T.claims.fixed_points.kind == "unknown"
 
 
 def test_constant_map_probe():

@@ -345,6 +345,15 @@ def test_malformed_json(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+def test_a_config_nested_too_deeply_exits_2(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: config is not valid JSON: ")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("mangle, fragment", [
     (lambda c: c.update(surprise=1), "unknown config fields"),
     (lambda c: c.pop("seed"), "missing required field"),
@@ -505,6 +514,15 @@ def test_bad_strategy_is_a_config_error(tmp_path, capsys, strategy):
     err = capsys.readouterr().err
     assert strategy in err and "orbit_min" in err
     assert not list(tmp_path.glob("*.report.json"))
+
+
+def test_an_asymptotic_profile_past_the_block_exits_3(tmp_path, capsys):
+    cfg = base_config(tmp_path / "out", map={"name": "goebel_kirk"}, checks=[
+        {"kind": "asymptotic_profile", "n_max": 10 ** 14, "pairs": 2}])
+    assert main(["run", write_config(tmp_path, cfg)]) == 3
+    assert capsys.readouterr().err == (
+        "error: n_max 100000000000000 is above 16384\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_a_strategy_the_map_cannot_take_is_a_parameter_error(tmp_path):

@@ -25,6 +25,7 @@ from holderlab.seqvec import (
     SeqVec,
     basis_vector,
     distance,
+    format_vec,
     norm,
     scale,
 )
@@ -82,6 +83,11 @@ def test_clamp_examples():
     assert clamp_retract(SeqVec.from_dict({}, 0.75), r).tail == r
     with pytest.raises(DomainViolationError):
         clamp_retract(SeqVec.from_dict({1: -0.5}), r)
+
+
+def test_an_int_radius_clamps_to_a_float():
+    x = clamp_retract(SeqVec.from_dict({1: 2.0, 2: 0.5}), 1)
+    assert format_vec(x) == "{1:1.0, 2:0.5}"
 
 
 # ---------------------------------------------------------------------------

@@ -458,6 +458,27 @@ def test_a_tie_at_the_support_cut_keeps_the_key_order_support():
         "58f64c095bf8e147f51224380173fb124057ab74927a38b16f595087ec49d62f")
 
 
+class _FlatValues(np.random.Generator):
+    """A Generator whose value uniforms are all 0.5, so every value a ball
+    draws, -1 + 2 * 0.5, is zero."""
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        u = super().random(size)
+        b = (size[1] - 3) // 2
+        u[:, b + 1:2 * b + 1] = 0.5
+        return u
+
+
+def test_a_ball_draw_with_no_direction_lands_on_axis_1():
+    K = ball(0.75, NormKind.lp(2.0)).with_breadth(8)
+    x = K.sample_rows(_FlatValues(np.random.PCG64(5)), 17)
+    extra = _FlatValues(np.random.PCG64(5)).random((17, 19))[:, 17]
+    assert np.array_equal(x.vals[:, 0], 0.75 * extra)
+    assert not np.count_nonzero(x.vals[:, 1:])
+    assert not np.count_nonzero(x.tail)
+    assert K.contains_rows(x).all()
+
+
 def _peak_mb(fn):
     tracemalloc.start()
     try:

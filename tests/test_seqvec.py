@@ -23,6 +23,7 @@ from holderlab.seqvec import (
     reconstruct_from_c_basis,
     scale,
     shift_right,
+    shifted,
     tail_limit,
 )
 from holderlab.seqvec import _measure
@@ -77,6 +78,27 @@ def test_from_dict_rejects_bad_index():
         SeqVec.from_dict({0: 1.0})
     with pytest.raises(InvalidIndexError):
         SeqVec.from_dict({-3: 1.0})
+
+
+def test_from_dict_names_its_least_index_and_stores_floats():
+    with pytest.raises(InvalidIndexError, match="index -3 is below 1"):
+        SeqVec.from_dict({0: 1.0, 2: 1.0, -3: 1.0})
+    assert repr(SeqVec.from_dict({1: 1}).support) == "((1, 1.0),)"
+
+
+def test_every_builder_stores_plus_zero_on_a_nonzero_tail():
+    x = SeqVec.from_dict({1: 0.0}, 1.0)
+    assert [repr(v) for _, v in scale(-1.0, x).support] == ["0.0"]
+    y = shifted([-0.0], x, 1.0, lambda v: -v)
+    assert [repr(v) for _, v in y.support] == ["0.0", "0.0"]
+    assert shifted([-0.0], x, 0.0, lambda v: -v) == ZERO
+
+
+def test_is_canonical_rejects_unsorted_support_and_tail_values():
+    assert not SeqVec(((2, 1.0), (1, 1.0))).is_canonical()
+    assert not SeqVec(((1, 1.0), (1, 2.0))).is_canonical()
+    assert not SeqVec(((1, 0.5),), 0.5).is_canonical()
+    assert SeqVec(((1, 0.5),), 0.25).is_canonical()
 
 
 def test_renormalizing_is_idempotent():

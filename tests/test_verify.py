@@ -28,6 +28,7 @@ from holderlab.catalog import (
 from holderlab.domains import ball, simplex
 from holderlab.errors import (
     DomainViolationError,
+    HolderLabError,
     InsufficientSamplesError,
     InvalidBudgetError,
     InvalidCheckError,
@@ -121,6 +122,58 @@ def test_a_nan_image_fails_holder_ratio_and_invariance(factory):
     assert rec.measured == math.inf
     assert rec.details["qualifying"] == 20
     assert rec.witness.startswith("{")
+
+
+def _poisoned(T, bad):
+    """T with `bad` at coordinate 1 of every image, by points and by rows."""
+
+    def apply(x):
+        y = T.apply(x)
+        return SeqVec.from_dict({**dict(y.support), 1: bad}, y.tail)
+
+    def rows(x):
+        # iterates feed the inner batch form infinite coordinates, which no
+        # domain holds, so its arithmetic may meet inf * 0
+        with np.errstate(invalid="ignore"):
+            y = T.apply.rows(x).widen(1)
+        vals = y.vals.copy()
+        vals[:, 0] = bad
+        return Rows(vals, y.tail)
+
+    apply.rows = rows
+    return dataclasses.replace(T, apply=apply)
+
+
+EVERY_KIND = [
+    CheckRequest("holder_ratio", pairs=40),
+    CheckRequest("invariance", samples=40),
+    CheckRequest("orbit", depth=8),
+    *(CheckRequest("displacement", strategy=s, budget=40) for s in STRATEGIES),
+    CheckRequest("uniform_profile", n_list=(1, 2), pairs=20),
+    CheckRequest("asymptotic_profile", n_max=3, pairs=20),
+    CheckRequest("approx_fixed_set", samples=40),
+    CheckRequest("oracle_compare", n_max=4),
+]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("name", ["prus", "shift_simplex", "goebel_kirk",
+                                  "norming", "hyperconvex", "deficiency"])
+def test_a_nan_or_inf_image_passes_no_check(name, bad):
+    """Every check kind on a map whose images hold NaN or +inf either raises
+    or does not pass, with one pinned exception: under +inf no sample lies
+    within delta of its image, so approx_fixed_set passes on an empty set."""
+    assert {req.kind for req in EVERY_KIND} == set(CHECKS)
+    T = _poisoned(build_map(name), bad)
+    for req in EVERY_KIND:
+        try:
+            rec = run_check(T, req, 3)
+        except HolderLabError:
+            continue
+        if req.kind == "approx_fixed_set" and bad == math.inf:
+            assert (rec.verdict, rec.details["qualifying"]) == ("pass", 0)
+        else:
+            assert rec.verdict != "pass", (req, rec.measured)
 
 
 @pytest.mark.parametrize("factory", [hyperconvex_map, norming_map])
@@ -908,6 +961,12 @@ def test_walks_reject_a_start_outside_the_domain():
 def test_oracle_compare_rejects_a_negative_n_max():
     with pytest.raises(InvalidBudgetError, match="n_max -1"):
         run_check(norming_map(), CheckRequest("oracle_compare", n_max=-1))
+
+
+def test_asymptotic_profile_rejects_an_n_max_past_the_block():
+    req = CheckRequest("asymptotic_profile", n_max=BLOCK_ELEMENTS + 1, pairs=2)
+    with pytest.raises(InvalidBudgetError, match="n_max 16385 is above 16384"):
+        run_check(goebel_kirk_map(), req)
 
 
 def test_oracle_compare_needs_an_oracle():
