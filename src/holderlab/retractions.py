@@ -50,7 +50,7 @@ def radial_rows(x: Rows, r: float, kind: NormKind) -> Rows:
         return x
     with np.errstate(divide="ignore", invalid="ignore"):
         a = np.where(outside, r / n, 1.0)
-    return Rows(x.vals * a[:, None], x.tail * a)
+        return Rows(x.vals * a[:, None], x.tail * a)
 
 
 def abs_retract(x: SeqVec) -> SeqVec:

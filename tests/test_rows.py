@@ -364,6 +364,26 @@ def test_batch_form_matches_apply(T):
         assert failures > 0, T.name
 
 
+@pytest.mark.parametrize("T", [T for T in _maps() if T.name in BATCHED],
+                         ids=lambda T: T.name)
+def test_a_row_holding_inf_maps_as_apply_maps_it(T):
+    """A row holding +inf (a poisoned image fed back as the next iterate)
+    through the batch form: apply's image row by row, NaN included, or,
+    where apply rejects a row, a ValueError or ArithmeticError."""
+    x = T.domain.sample_rows(np.random.default_rng(6), 4)
+    x.vals[1, 0] = math.inf
+    x.vals[2, :2] = [math.inf, 0.0]  # t2 * t1^alpha is 0 * inf
+    x.vals[3] = math.inf
+    for rows in ([0, 1], [0, 2], [0, 3], [0, 1, 2, 3]):
+        block = x.take(rows)
+        want = [_outcome(T.apply, v) for v in _points(block)]
+        got = _outcome(T.apply.rows, block)
+        if any(isinstance(w, tuple) for w in want):
+            assert issubclass(got[0], (ValueError, ArithmeticError)), got
+        else:
+            assert [repr(g) for g in _points(got)] == list(map(repr, want))
+
+
 def test_replacing_apply_drops_the_batch_form():
     T = build_map("prus")
     U = dataclasses.replace(T, apply=lambda x: x)
