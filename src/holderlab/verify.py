@@ -699,7 +699,7 @@ def estimate_displacement(T: MapInstance, strategy: str, budget: int,
 
 
 class Measured(NamedTuple):
-    value: float | None  # what the claim bounds; None when nothing qualified
+    value: float         # what the claim bounds
     witness: object      # a SeqVec, a pair of them or None
     details: dict
 
@@ -833,7 +833,7 @@ def _second_steps(ops: _Ops, T: MapInstance, x, delta: float):
 def _approx_fixed_set(T: MapInstance, req: CheckRequest,
                       seed: int) -> Measured:
     """The largest ||Tx - T^2x|| among sampled x with ||x - Tx|| <= delta,
-    None when no sample qualifies.  The iterate-1 claim on the pair (x, Tx)
+    0.0 when no sample qualifies.  The iterate-1 claim on the pair (x, Tx)
     bounds it by L delta^alpha.  A NaN distance at either step counts as
     +inf; the witness is the first sample in draw order that reaches the
     largest second step."""
@@ -853,7 +853,7 @@ def _approx_fixed_set(T: MapInstance, req: CheckRequest,
         kept, second = _sampled(T, _second_steps, (x,), req.delta)
         qualifying += int(kept.sum())
         worst.consider_rows(-second, x)
-    return Measured(-worst.value if qualifying else None, worst.witness,
+    return Measured(max(0.0, -worst.value), worst.witness,
                     {"qualifying": qualifying, "samples": req.samples})
 
 
@@ -971,8 +971,8 @@ CheckRequest = make_dataclass(
 def run_check(T: MapInstance, req: CheckRequest,
               default_seed: int = 0) -> CheckRecord:
     """Run one CheckRequest against a map, time it and give the verdict by
-    the one rule: report_only when there is no bound, nothing was measured
-    or the claim is a map's whose claims are not hard; otherwise pass when
+    the one rule: report_only when there is no bound or the claim is a
+    map's whose claims are not hard; otherwise pass when
     measured <= bound (1 + RATIO_SLACK) + tol, with tol the request's
     tolerance (TOL by default on the kinds that read one, else 0).  Else
     fail, but for a zero displacement bound, which an upper estimate can
@@ -984,8 +984,7 @@ def run_check(T: MapInstance, req: CheckRequest,
     claimed, bound = check.claim(T.claims, req)
     tol = (req.tolerance if req.tolerance is not None
            else TOL if "tolerance" in check.fields else 0.0)
-    if bound is None or measured is None or (check.tests
-                                             and not T.claims.hard):
+    if bound is None or (check.tests and not T.claims.hard):
         verdict = "report_only"
     elif measured <= bound * (1.0 + RATIO_SLACK) + tol:
         verdict = "pass"
