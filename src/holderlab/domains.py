@@ -8,7 +8,6 @@ of canonical points used as deterministic witnesses by the verifier.
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -18,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidBudgetError, InvalidParameterError
 from .seqvec import (SeqVec, NormKind, Rows, ZERO, basis_vector, fsum_rows,
-                     norm, pow_each, rows_norm)
+                     pow_each, rows_norm)
 
 __all__ = [
     "DOMAIN_KINDS",
@@ -142,54 +141,39 @@ class DomainSpec:
         return np.array([self.sigma(i) for i in range(2, self.breadth + 1)])
 
     @cached_property
-    def _sigma_floor_list(self) -> list[float]:
-        return self._sigma_floors.tolist()
-
-    @cached_property
     def _sigma_spans(self) -> "np.ndarray":
         return (1.0 - self.delta) - self._sigma_floors
 
     def contains(self, x: SeqVec) -> bool:
-        tol = self.tol
-        k = self.kind
-        if x.tail != 0.0 and not self.carries_tail:
-            return False
-        if k in ("ball", "positive_ball"):
-            if not norm(x, self.norm) <= self.r + tol:  # NaN fails
-                return False
-            if k == "positive_ball":
-                if x.tail < -tol:
-                    return False
-                return all(v >= -tol for _, v in x.support)
-            return True
-        if k in ("simplex", "sub_simplex"):
-            if any(v < -tol for _, v in x.support):
-                return False
-            total = math.fsum(v for _, v in x.support)
-            if k == "simplex":
-                return abs(total - self.mass) <= tol
-            return total <= self.mass_cap + tol
-        if k == "coefficient_box":
-            return all(-tol <= v <= self.r + tol for _, v in x.support)
-        if k == "sigma_band":
-            top = 1.0 - self.delta
-            d = x._dict
-            if not abs(d.get(1, 0.0) - top) <= tol:
-                return False
-            floors = self._sigma_floor_list
-            for i in range(2, self.breadth + 1):
-                if not floors[i - 2] - tol <= d.get(i, 0.0) <= top + tol:
-                    return False
-            return True
-        # c_interval
-        if not (-tol <= x.tail <= self.cap + tol):
-            return False
-        return all(-tol <= v <= self.cap + tol for _, v in x.support)
+        """Membership of x: the one row of :meth:`contains_rows`."""
+        return bool(self.contains_rows(self.pack([x]))[0])
+
+    def pack(self, points) -> Rows:
+        """The block contains_rows reads for a sequence of points, one row
+        each.  sigma_band reads coordinates 1..breadth, so its rows hold
+        those, as far as the furthest stored index.  Every other kind reads
+        no index, so a row holds the support values in index order, padded
+        with the tail, and a far index costs nothing."""
+        if self.kind == "sigma_band":
+            ends = [min(x.support[-1][0], self.breadth) if x.support else 0
+                    for x in points]
+            rows = [[x._dict.get(i, x.tail) for i in range(1, end + 1)]
+                    for x, end in zip(points, ends)]
+        else:
+            rows = [[v for _, v in x.support] for x in points]
+        width = max(map(len, rows), default=0)
+        flat = []
+        for row, x in zip(rows, points):
+            flat += row
+            flat += [x.tail] * (width - len(row))
+        return Rows(np.array(flat, dtype=float).reshape(len(rows), width),
+                    np.array([x.tail for x in points], dtype=float))
 
     def contains_rows(self, x: Rows) -> np.ndarray:
-        """contains of every row of a block, row by row the same answer.
-        Element and bound tests are exact, simplex totals are fsum's, and
-        ball norms are rows_norm's, which equal the scalar norms."""
+        """Membership of every row of a block: a Rows block, or the block
+        :meth:`pack` makes of points.  Element and bound tests are exact,
+        simplex totals are fsum's, and ball norms are rows_norm's, which
+        equal the scalar norms."""
         tol = self.tol
         k = self.kind
         vals, tail = x.vals, x.tail
@@ -197,17 +181,16 @@ class DomainSpec:
         if k in ("ball", "positive_ball"):
             if k == "positive_ball":
                 ok &= (tail >= -tol) & (vals >= -tol).all(axis=1)
-            rows = np.flatnonzero(ok)
-            ok[rows] = rows_norm(x.take(rows), self.norm) <= self.r + tol
-            return ok
+            # rows already out are measured with tail 0, so that none raises
+            in_ball = rows_norm(Rows(vals, np.where(ok, tail, 0.0)), self.norm)
+            return ok & (in_ball <= self.r + tol)
         if k in ("simplex", "sub_simplex"):
             ok &= ~(vals < -tol).any(axis=1)
-            rows = np.flatnonzero(ok)
-            total = fsum_rows(vals[rows])
+            # rows already out are summed as zeros, so that none raises
+            total = fsum_rows(np.where(ok[:, None], vals, 0.0))
             with np.errstate(invalid="ignore"):
-                ok[rows] = (np.abs(total - self.mass) <= tol if k == "simplex"
-                            else total <= self.mass_cap + tol)
-            return ok
+                return ok & (np.abs(total - self.mass) <= tol if k == "simplex"
+                             else total <= self.mass_cap + tol)
         if k == "coefficient_box":
             return ok & ((vals >= -tol) & (vals <= self.r + tol)).all(axis=1)
         if k == "sigma_band":
@@ -287,7 +270,10 @@ class DomainSpec:
             vals *= mass[:, None]
             total = fsum_rows(vals)
             exact = total > 0.0
-            vals[exact] *= (mass[exact] / total[exact])[:, None]
+            if exact.all():
+                vals *= (mass / total)[:, None]
+            else:  # a zero total (mass 0) keeps its zeros
+                vals[exact] *= (mass[exact] / total[exact])[:, None]
             return Rows(vals, zeros)
 
         # values lo + (1 - lo) * w on the support, +0.0 off it

@@ -39,6 +39,7 @@ import math
 import time
 from dataclasses import dataclass, field, make_dataclass
 from itertools import compress, repeat
+from operator import getitem
 from typing import Callable, Iterator, Mapping, NamedTuple
 
 import numpy as np
@@ -274,7 +275,7 @@ _POINTS = _Ops(lambda x: [x], lambda x, j: x[j],
                lambda a, x: list(map(scale, repeat(a), x)), _point_means,
                lambda x, y, kind: list(map(distance, x, y, repeat(kind))),
                lambda x, kind: list(map(norm, x, repeat(kind))),
-               lambda K, x: list(map(K.contains, x)), lambda x: 0, False)
+               lambda K, x: K.contains_rows(K.pack(x)), lambda x: 0, False)
 
 
 def _by_points(T: MapInstance, kernel: Callable, blocks: tuple[Rows, ...],
@@ -391,14 +392,9 @@ class _Least:
         self.witness = None
         self.evaluations = 0
 
-    def consider(self, d: float, x) -> None:
-        self.evaluations += 1
-        if self.witness is None or d < self.value:
-            self.value, self.witness = (math.inf if d != d else d), x
-
     def consider_rows(self, d, x, vec: Callable = Rows.vec) -> None:
-        """consider(d[j], vec(x, j)) for each j in turn; only the point
-        kept as the witness is made a SeqVec."""
+        """Fold in the values d[j] of the points vec(x, j), in turn; only
+        the point kept as the witness is made a SeqVec."""
         kept, value = None, self.value
         for j, dj in enumerate(_floats(d)):
             if dj < value or (kept is None and self.witness is None):
@@ -561,12 +557,11 @@ def _displacements(ops: _Ops, T: MapInstance, x) -> np.ndarray:
 def _sample_min(T: MapInstance, budget: int, seed: int, lambdas, target):
     """The canonical points, the instance's witness family and random
     samples."""
-    least = _Least()
-    for x in T.domain.canonical_points():
-        least.consider(T.displacement(x), x)
+    points = T.domain.canonical_points()
     if T.witness_family is not None:
-        for x in T.witness_family(budget):
-            least.consider(T.displacement(x), x)
+        points += tuple(T.witness_family(budget))
+    least = _Least()
+    least.consider_rows([T.displacement(x) for x in points], points, getitem)
     rng = as_rng(seed)
     for k in _block_sizes(budget - least.evaluations, T.domain.breadth):
         x = T.domain.sample_rows(rng, k)
@@ -742,14 +737,20 @@ def _invariance(T: MapInstance, req: CheckRequest, seed: int) -> Measured:
     if req.samples < 0:
         raise InvalidBudgetError(f"samples {req.samples} is below 0")
     K = T.domain
-    witness = None
-    checked = 0
-    for x in K.canonical_points():
-        checked += 1
-        if not K.contains(T.apply(x)):
-            witness = x
-            break
+    points, images = K.canonical_points(), []
+    try:
+        for x in points:
+            images.append(T.apply(x))
+    except Exception:
+        # as point by point, an earlier image that escapes is the witness
+        if K.contains_rows(K.pack(images)).all():
+            raise
+    inside = K.contains_rows(K.pack(images)).tolist()
+    if False in inside:
+        checked = inside.index(False) + 1
+        witness = points[checked - 1]
     else:
+        checked, witness = len(points), None
         rng = as_rng(seed)
         for k in _block_sizes(req.samples, K.breadth):
             x = K.sample_rows(rng, k)

@@ -130,6 +130,60 @@ def test_sigma_band_truncation_semantics():
     assert not K.contains(SeqVec.from_dict(over))
 
 
+# {10**15: v} on every kind: (domain, v, whether it is a member); only
+# sigma_band reads an index, and its coordinate 1 is then 0
+_FAR = [
+    (ball(1.0, SUP), -1.0, True), (ball(1.0, SUP), 1.5, False),
+    (ball(1.0, L1), 0.5, True), (ball(1.0, L1), -1.25, False),
+    (ball(0.7, L2), 0.7, True), (ball(0.7, L2), 0.75, False),
+    (ball(1.0, MPN), -0.5, True), (ball(1.0, MPN), 2.0, False),
+    (positive_ball(0.9, L1), 0.9, True), (positive_ball(0.9, L1), -0.5, False),
+    (simplex(0.125), 0.125, True), (simplex(0.125), 0.25, False),
+    (sub_simplex(0.5), 0.5, True), (sub_simplex(0.5), 0.625, False),
+    (coefficient_box(1.0), 1.0, True), (coefficient_box(1.0), -0.5, False),
+    (sigma_band(0.125, 0.5), 0.875, False),
+    (c_interval(0.25), 0.25, True), (c_interval(0.25), 0.5, False),
+]
+
+
+@pytest.mark.parametrize("K, v, member", _FAR, ids=lambda a: (
+    a.describe() if isinstance(a, DomainSpec) else None))
+def test_a_far_index_point_is_a_member_as_its_value_says(K, v, member):
+    x = SeqVec(((10**15, v),))
+    assert K.contains(x) is member
+    # the block holds the one support value, or sigma_band's breadth
+    assert K.pack([x]).width == (K.breadth if K.kind == "sigma_band" else 1)
+
+
+def test_a_deficiency_iterate_past_two_to_the_700_is_a_member():
+    """deficiency walks 0 to r e_1, r e_2, r e_4, ...: one coordinate whose
+    index doubles each step."""
+    T = build_map("deficiency")
+    x = ZERO
+    for _ in range(702):
+        x = T.apply(x)
+    assert len(x.support) == 1 and x.support[0][0] > 2**700
+    assert T.domain.contains(x) is True
+    assert T.domain.contains(axpy(2.0, x, 0.0, ZERO)) is False
+    assert simplex(x.support[0][1]).contains(x) is True
+    assert c_interval(0.03125).contains(x) is False
+    # rows of one block padded to the widest support, each with its answer
+    points = [x, ZERO, SeqVec.from_dict({1: 0.03, 5: 0.03}),
+              axpy(0.5, x, 1.0, basis_vector(3, 0.06))]
+    assert T.domain.pack(points).vals.shape == (4, 2)
+    assert T.domain.contains_rows(T.domain.pack(points)).tolist() == [
+        True, True, True, False]
+
+
+def test_a_band_point_is_read_only_up_to_its_breadth():
+    K = sigma_band(0.125, 0.5, breadth=8)
+    band = {i: 0.875 ** i for i in range(1, 9)}
+    assert K.contains(SeqVec.from_dict({**band, 9: 5.0, 10**15: -3.0})) is True
+    assert K.contains(SeqVec.from_dict({**band, 8: 0.0, 9: 0.5})) is False
+    assert K.pack([SeqVec.from_dict({**band, 10**15: 1.0}),
+                   basis_vector(1, 0.875)]).vals.shape == (2, 8)
+
+
 def test_sigma_chain_decays_geometrically():
     K = sigma_band(0.125, 0.5)
     top = 1.0 - 0.125
@@ -218,6 +272,17 @@ def test_samples_land_in_domain():
             assert K.contains(block.vec(i))
 
 
+def test_a_sub_simplex_draw_of_mass_zero_stays_zero():
+    """A mass cap of 5e-324 makes mass_cap * u round to 0 for u < 1/2, so
+    some rows have a zero total and are rescaled by none."""
+    rng = np.random.default_rng(9)
+    K = sub_simplex(5e-324)
+    x = K.sample_rows(rng, 256)
+    zero = ~x.vals.any(axis=1)
+    assert 0 < zero.sum() < 256
+    assert K.contains_rows(x).all()
+
+
 def test_convex_combinations_stay_inside():
     """10^4 sampled (x, y, t) triples across every kind."""
     domains = all_domains()
@@ -257,7 +322,8 @@ def test_contains_rejects_nan():
 
 
 # ---------------------------------------------------------------------------
-# contains_rows, the block twin of contains
+# contains_rows on dense Rows blocks answers as contains, its one-row case
+# on each packed row
 
 
 def _row_domains():

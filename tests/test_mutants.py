@@ -54,6 +54,26 @@ MUTANTS = [
     pytest.param("hyperconvex", {"classical_lipschitz": 2.0}, LIPSCHITZ,
                  "hyperconvex is not Lipschitz", id="hyperconvex-lip2",
                  marks=EXPONENT),
+    pytest.param("shift_simplex", {"holder_constant": 0.45},
+                 CheckRequest("uniform_profile", n_list=(1, 2), pairs=10_000),
+                 "iterate-1 ratios reach the true constant 0.5",
+                 id="shift_simplex-L0.45-uniform_profile"),
+    pytest.param("affine_cube", {"holder_constant": 0.34},
+                 CheckRequest("uniform_profile", n_list=(1, 2), pairs=10_000),
+                 "the pair (r e_64, 0) has ratio (64/65) r^(1/2) = 0.348 at "
+                 "r = 1/8", id="affine_cube-L0.34-uniform_profile"),
+    pytest.param("goebel_kirk",
+                 {"asymptotic_profile": lambda n: 0.45 * (n + 1) / n},
+                 CheckRequest("asymptotic_profile", n_max=2, pairs=10_000),
+                 "T^n(t e1) = (n+1)/(2n) t^a e_(n+1) and T^n(0) = 0, so the "
+                 "pair (t e1, 0) has ratio 0.5 (n+1)/n at every n",
+                 id="goebel_kirk-profile0.45"),
+    pytest.param("c0_family", {"displacement_bound": 1e-5},
+                 CheckRequest("displacement", budget=1000),
+                 "with f(t) = 0.5 t^0.9, a member displaced by d < "
+                 "max (f(t) - t) = 3.8e-5 keeps t_(i+1) >= f(t_i) - d above "
+                 "the least root of f(t) - t = d, so it is not in c0",
+                 id="c0_family-disp1e-5"),
     pytest.param("norming",
                  {"fixed_points": FixedPointSet.singleton(
                      basis_vector(1, 2.0))},

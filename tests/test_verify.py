@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from operator import getitem
 
 import numpy as np
 import pytest
@@ -209,6 +210,27 @@ def test_invariance_reports_the_first_violation():
     assert rec.details["checked"] == 1
 
 
+def test_invariance_meets_the_canonical_points_in_order():
+    """The canonical images are tested as one block, but as point by point:
+    an image that escapes before a point apply rejects is the witness, and
+    the error is raised only when every image before it stays inside."""
+    T = norming_map()
+    small = dataclasses.replace(T.domain, r=0.25)  # T(0) lands outside
+    last = {K.canonical_points()[-1] for K in (T.domain, small)}
+
+    def apply(x):
+        if x in last:
+            raise DomainViolationError("apply rejects the last point")
+        return T.apply(x)
+
+    req = CheckRequest("invariance", samples=10)
+    rec = run_check(dataclasses.replace(T, apply=apply, domain=small), req, 7)
+    assert (rec.measured, rec.witness, rec.details["checked"]) == (
+        1.0, format_vec(ZERO), 1)
+    with pytest.raises(DomainViolationError, match="the last point"):
+        run_check(dataclasses.replace(T, apply=apply), req, 7)
+
+
 def test_invariance_rejects_negative_budget():
     with pytest.raises(InvalidBudgetError):
         run_check(norming_map(), CheckRequest("invariance", samples=-1))
@@ -411,20 +433,29 @@ _SPECIAL = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 0.5,
 _DISPLACEMENTS = st.lists(st.one_of(_SPECIAL, st.floats()), max_size=12)
 
 
+def _least_in_turn(stream):
+    """The reference fold, one value at a time: the least value, NaN
+    counting as +inf, the first point that reached it (the first point
+    when every value is +inf), and the number of values."""
+    value, witness = math.inf, None
+    for d, x in stream:
+        if witness is None or d < value:
+            value, witness = (math.inf if d != d else d), x
+    return value, witness, len(stream)
+
+
 @given(_DISPLACEMENTS, _DISPLACEMENTS.filter(bool))
 def test_consider_rows_is_consider_in_turn(before, d):
-    """_Least.consider_rows(d, x) is consider(d[j], x[j]) for each j in
-    turn, after any stream before it, on NaN, infinities and ties."""
+    """_Least.consider_rows(d, x) folds in d[j] and x[j] for each j in
+    turn, after any stream before it (a list, as sample_min's canonical
+    points go), on NaN, infinities and ties."""
     x = Rows(np.arange(1.0, len(d) + 1)[:, None], np.zeros(len(d)))
-    a, b = _Least(), _Least()
-    for v in before:
-        a.consider(v, ZERO)
-        b.consider(v, ZERO)
+    a = _Least()
+    a.consider_rows(before, [ZERO] * len(before), getitem)
     a.consider_rows(np.array(d), x)
-    for j, v in enumerate(d):
-        b.consider(v, x.vec(j))
-    assert (a.value, a.witness, a.evaluations) == (b.value, b.witness,
-                                                   b.evaluations)
+    want = _least_in_turn([(v, ZERO) for v in before]
+                          + [(v, x.vec(j)) for j, v in enumerate(d)])
+    assert (a.value, a.witness, a.evaluations) == want
 
 
 def test_a_walk_measures_every_iterate_at_picks():
