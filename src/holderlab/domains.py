@@ -270,10 +270,9 @@ class DomainSpec:
             vals *= mass[:, None]
             total = fsum_rows(vals)
             exact = total > 0.0
-            if exact.all():
-                vals *= (mass / total)[:, None]
-            else:  # a zero total (mass 0) keeps its zeros
-                vals[exact] *= (mass[exact] / total[exact])[:, None]
+            # a zero total (mass 0) keeps its zeros
+            vals *= np.divide(mass, total, out=np.ones(count),
+                              where=exact)[:, None]
             return Rows(vals, zeros)
 
         # values lo + (1 - lo) * w on the support, +0.0 off it

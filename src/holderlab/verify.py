@@ -737,15 +737,16 @@ def _invariance(T: MapInstance, req: CheckRequest, seed: int) -> Measured:
     if req.samples < 0:
         raise InvalidBudgetError(f"samples {req.samples} is below 0")
     K = T.domain
-    points, images = K.canonical_points(), []
+    points, images, err = K.canonical_points(), [], None
     try:
         for x in points:
             images.append(T.apply(x))
-    except Exception:
-        # as point by point, an earlier image that escapes is the witness
-        if K.contains_rows(K.pack(images)).all():
-            raise
+    except Exception as e:
+        err = e
     inside = K.contains_rows(K.pack(images)).tolist()
+    # as point by point, an earlier image that escapes is the witness
+    if err is not None and False not in inside:
+        raise err
     if False in inside:
         checked = inside.index(False) + 1
         witness = points[checked - 1]

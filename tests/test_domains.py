@@ -322,8 +322,8 @@ def test_contains_rejects_nan():
 
 
 # ---------------------------------------------------------------------------
-# contains_rows on dense Rows blocks answers as contains, its one-row case
-# on each packed row
+# contains_rows on dense Rows blocks, and contains, its one-row case on
+# each packed row, answer as a per-kind reference written in this file
 
 
 def _row_domains():
@@ -340,10 +340,52 @@ def _row_domains():
     ]
 
 
+def _contains_ref(K, x):
+    """Membership of one point, kind by kind, written apart from
+    contains_rows as the reference the block answers are held to."""
+    tol = K.tol
+    k = K.kind
+    if x.tail != 0.0 and not K.carries_tail:
+        return False
+    if k in ("ball", "positive_ball"):
+        if not norm(x, K.norm) <= K.r + tol:  # NaN fails
+            return False
+        if k == "positive_ball":
+            if x.tail < -tol:
+                return False
+            return all(v >= -tol for _, v in x.support)
+        return True
+    if k in ("simplex", "sub_simplex"):
+        if any(v < -tol for _, v in x.support):
+            return False
+        total = math.fsum(v for _, v in x.support)
+        if k == "simplex":
+            return abs(total - K.mass) <= tol
+        return total <= K.mass_cap + tol
+    if k == "coefficient_box":
+        return all(-tol <= v <= K.r + tol for _, v in x.support)
+    if k == "sigma_band":
+        top = 1.0 - K.delta
+        d = x._dict
+        if not abs(d.get(1, 0.0) - top) <= tol:
+            return False
+        for i in range(2, K.breadth + 1):
+            if not K.sigma(i) - tol <= d.get(i, 0.0) <= top + tol:
+                return False
+        return True
+    # c_interval
+    if not (-tol <= x.tail <= K.cap + tol):
+        return False
+    return all(-tol <= v <= K.cap + tol for _, v in x.support)
+
+
 def _same_answers(K, x):
-    """contains_rows(x) is [contains(row) for each row]; returns that."""
-    want = [K.contains(x.vec(i)) for i in range(len(x.tail))]
+    """contains_rows(x), and contains of each row, give the reference's
+    answer row by row; returns those answers."""
+    points = [x.vec(i) for i in range(len(x.tail))]
+    want = [_contains_ref(K, p) for p in points]
     assert K.contains_rows(x).tolist() == want, K.describe()
+    assert [K.contains(p) for p in points] == want, K.describe()
     return want
 
 
