@@ -57,6 +57,7 @@ from .seqvec import (
     basis_vector,
     coordinate,
     distance,
+    exact_sum,
     fsum_rows,
     norm,
     pow_each,
@@ -451,8 +452,9 @@ def affine_mixing_map(
         v = _support_values(x)
         g = np.ldexp(1.0, -np.arange(1, x.width + 1))
         vals = np.zeros((len(x.tail), x.width + 1))
-        vals[:, 1:] = g * v
-        vals[:, :-1] += (1.0 - g) * v
+        with np.errstate(over="ignore", invalid="ignore"):  # as floats do
+            vals[:, 1:] = g * v
+            vals[:, :-1] += (1.0 - g) * v
         return Rows(vals, np.zeros(len(x.tail)))
 
     return MapInstance(
@@ -606,7 +608,8 @@ def hyperconvex_map(N: int = 4, alpha: float = 0.5) -> MapInstance:
         t1, t2 = x.column(1), x.column(2)
         if np.count_nonzero(t1 < 0.0):
             raise DomainViolationError("hyperconvex needs t1 >= 0")
-        with np.errstate(invalid="ignore"):  # nan, as the scalar 0 * inf gives
+        # inf and nan, as the scalar t2 * inf and 0 * inf give
+        with np.errstate(over="ignore", invalid="ignore"):
             return shift_rows([cap, t2 * pow_each(t1, alpha)], x.vals, x.tail)
 
     def oracle(x: SeqVec, n: int) -> SeqVec:
@@ -768,7 +771,7 @@ def renormed_l1_map() -> MapInstance:
     An affine fixed-point-free isometry in that norm."""
 
     def apply(x: SeqVec) -> SeqVec:
-        s = math.fsum(v for _, v in x.support)
+        s = exact_sum([v for _, v in x.support])
         if x.tail != 0.0:
             raise NotInSpaceError("renormed_l1 is defined on l1 (tail 0)")
         return shifted([1.0 - s], x, 0.0)

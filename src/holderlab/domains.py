@@ -172,7 +172,8 @@ class DomainSpec:
     def contains_rows(self, x: Rows) -> np.ndarray:
         """Membership of every row of a block: a Rows block, or the block
         :meth:`pack` makes of points.  Element and bound tests are exact,
-        simplex totals are fsum's, and ball norms are rows_norm's, which
+        simplex totals are fsum_rows' exact sums (+inf past the float
+        range, so never an error), and ball norms are rows_norm's, which
         equal the scalar norms."""
         tol = self.tol
         k = self.kind
@@ -304,6 +305,11 @@ class DomainSpec:
     # -- canonical points ----------------------------------------------------
 
     def canonical_points(self) -> tuple[SeqVec, ...]:
+        return self._canonical_points
+
+    @cached_property
+    def _canonical_points(self) -> tuple[SeqVec, ...]:
+        """Built once per domain: every check that starts from them asks."""
         k = self.kind
         if k in ("ball", "positive_ball"):
             r = self.r

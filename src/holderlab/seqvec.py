@@ -39,6 +39,7 @@ __all__ = [
     "rows_distance",
     "pow_each",
     "fsum_rows",
+    "exact_sum",
     "axpy",
     "scale",
     "shifted",
@@ -119,13 +120,20 @@ class Rows(NamedTuple):
     tail: np.ndarray  # (rows,)
 
     @staticmethod
-    def of(x: SeqVec) -> "Rows":
-        """x as a one-row block, as wide as its last stored coordinate."""
-        vals = np.full((1, x.support[-1][0] if x.support else 0), x.tail)
-        if x.support:
-            index, values = zip(*x.support)
-            vals[0, np.array(index) - 1] = values
-        return Rows(vals, np.array([x.tail]))
+    def of(*points: SeqVec) -> "Rows":
+        """The points as one block, as wide as the furthest stored index: a
+        row holds its point's stored values at their indices and its tail
+        elsewhere, filled into one flat list that becomes one array."""
+        width = max([x.support[-1][0] for x in points if x.support],
+                    default=0)
+        flat = []
+        for x in points:
+            row = [x.tail] * width
+            for i, v in x.support:
+                row[i - 1] = v
+            flat += row
+        return Rows(np.array(flat, dtype=float).reshape(len(points), width),
+                    np.array([x.tail for x in points], dtype=float))
 
     @property
     def width(self) -> int:
@@ -230,11 +238,12 @@ def _two_sum(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def fsum_rows(vals: np.ndarray) -> np.ndarray:
-    """math.fsum of each row, bit for bit.  From FEW_ROWS rows on, a TwoSum
-    tree adds each row with its errors summed aside (Ogita, Rump & Oishi's
-    Sum2), kept where the exact total is provably inside its rounding
-    interval; other rows (not finite, near overflow, zero, near a tie) go to
-    math.fsum in row order, fed their nonzeros (zeros change no result)."""
+    """exact_sum of each row, so math.fsum's bit for bit wherever fsum
+    returns.  From FEW_ROWS rows on, a TwoSum tree adds each row with its
+    errors summed aside (Ogita, Rump & Oishi's Sum2), kept where the exact
+    total is provably inside its rounding interval; other rows (not finite,
+    near overflow, zero, near a tie) go to exact_sum, fed their nonzeros
+    (zeros change no result)."""
     rows, n = vals.shape
     r, redo = np.zeros(rows), slice(None)
     if rows >= FEW_ROWS and n > 1:
@@ -265,9 +274,36 @@ def fsum_rows(vals: np.ndarray) -> np.ndarray:
     nonzero = (part := vals[redo]) != 0.0
     flat = part[nonzero].tolist()
     ends = np.cumsum(nonzero.sum(axis=1)).tolist()
-    r[redo] = [math.fsum(flat[start:end])
+    r[redo] = [exact_sum(flat[start:end])
                for start, end in zip([0] + ends, ends)]
     return r
+
+
+def exact_sum(values: list[float]) -> float:
+    """The sum of the values rounded once, and never an error: math.fsum's
+    value wherever fsum returns one.  Where fsum raises, the sum is NaN if
+    a term is NaN or infinities of both signs meet, the infinity if every
+    infinite term has its sign, and otherwise the exact sum of the finite
+    terms rounded, +-inf past the float range (fsum raises when a partial
+    sum overflows, even where the total would not)."""
+    try:
+        return math.fsum(values)
+    except (OverflowError, ValueError):
+        pass
+    if any(v != v for v in values):
+        return math.nan
+    infinite = {v for v in values if math.isinf(v)}
+    if infinite:
+        return infinite.pop() if len(infinite) == 1 else math.nan
+    # every finite float is a whole multiple of 2^-1074, so the sum is exact
+    # in integers, and int / int rounds once
+    unit = 1 << 1074
+    total = sum(n * (unit // d)
+                for n, d in map(float.as_integer_ratio, values))
+    try:
+        return total / unit
+    except OverflowError:
+        return math.inf if total > 0 else -math.inf
 
 
 # The block evaluators: one entry per row, NaN propagating.  Sums run left

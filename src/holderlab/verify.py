@@ -19,9 +19,11 @@ reads beyond the budget.  Every orbit-style walk (the orbit check,
 oracle_compare and the orbit strategies) is one call of the orbit kernel.
 Each kernel is written once over an _Ops table, which holds its points as
 Rows or as SeqVecs; the sampled kernels (pairs, displacements, escapes,
-one step) run under the one fallback rule of _sampled.  The orbit kernel
-steps one iterate at a time.  A walk of x_k against x_k+1 (orbit,
-orbit_min) measures every iterate; a walk with lam or an oracle measures
+one step) run under the one fallback rule of _sampled.  Invariance and
+sample_min walk one stream (_stream): their deterministic points as one
+Rows.of block, then the draws.  The orbit kernel steps one iterate at a
+time.  A walk of x_k against x_k+1 (orbit, orbit_min) measures every
+iterate; a walk with lam or an oracle measures
 the iterates its `at` picks (every one without it), and a mean walk every
 iterate, as its sums need them all.  A chunk holds exactly the iterates
 its measurement reads, and is stacked into one block and measured whole.
@@ -39,13 +41,12 @@ import math
 import time
 from dataclasses import dataclass, field, make_dataclass
 from itertools import compress, repeat
-from operator import getitem
 from typing import Callable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
 from .catalog import ClaimProfile, MapInstance
-from .domains import as_rng
+from .domains import DomainSpec, as_rng
 from .errors import (
     InvalidBudgetError,
     InvalidCheckError,
@@ -186,7 +187,7 @@ class _Ops(NamedTuple):
     form (_ROWS) or as a list of SeqVecs through T.apply (_POINTS).  A
     measurement gives one entry per point."""
 
-    point: Callable     # SeqVec -> a one-point block
+    points: Callable    # a list of SeqVecs -> one block of them
     vec: Callable       # (a block, j) -> its point j as a SeqVec
     take: Callable      # (a block, a mask or a slice) -> the points kept
     stack: Callable     # a list of blocks -> their points as one block
@@ -261,13 +262,13 @@ def _apply_rows(T: MapInstance, x: Rows) -> Rows:
 # Rows through the batch form.  Block norms are the scalar ones bit for bit,
 # and scale and means round as `scale` and `axpy` do.  The growth rule
 # bounds the width of each iterate.
-_ROWS = _Ops(Rows.of, Rows.vec, Rows.take, _stack_rows, _apply_rows,
-             lambda a, x: Rows(a * x.vals, a * x.tail), _row_means,
-             rows_distance, rows_norm, lambda K, x: K.contains_rows(x),
-             lambda x: x.vals.shape[1], True)
+_ROWS = _Ops(lambda xs: Rows.of(*xs), Rows.vec, Rows.take, _stack_rows,
+             _apply_rows, lambda a, x: Rows(a * x.vals, a * x.tail),
+             _row_means, rows_distance, rows_norm,
+             lambda K, x: K.contains_rows(x), lambda x: x.vals.shape[1], True)
 # Lists of SeqVecs.  The seqvec functions are looked up when called, so a
 # wrapper set on this module's names (the benchmark's tracer) sees them.
-_POINTS = _Ops(lambda x: [x], lambda x, j: x[j],
+_POINTS = _Ops(list, lambda x, j: x[j],
                lambda x, keep: (x[keep] if isinstance(keep, slice)
                                 else list(compress(x, keep))),
                lambda blocks: [p for b in blocks for p in b],
@@ -314,6 +315,15 @@ def _sampled(T: MapInstance, kernel: Callable, blocks: tuple[Rows, ...],
         return _by_points(T, kernel, blocks, args, _POINT_ROWS, until)
     except Exception:
         return _by_points(T, kernel, blocks, args, 1, until)
+
+
+def _stream(K: DomainSpec, points, seed: int, count: int) -> Iterator[Rows]:
+    """The stream of blocks a sampled check walks in order: the given
+    points as one block, then `count` draws from K, block by block."""
+    yield Rows.of(*points)
+    rng = as_rng(seed)
+    for k in _block_sizes(count, K.breadth):
+        yield K.sample_rows(rng, k)
 
 
 def _pair_kernel(ops: _Ops, T: MapInstance, x, y, ns: list[int]):
@@ -444,7 +454,7 @@ def _orbit_kernel(ops: _Ops, T: MapInstance, x0: SeqVec, steps: int,
     follows = lam is None and not mean and oracle is None
     if mean and at is not None:
         raise TypeError("a mean walk measures every iterate")
-    x = ops.point(x0)
+    x = ops.points([x0])
     w = ops.width(x)  # of x_k
     breadth = max(w, T.domain.breadth)
     allowed = 0  # by the growth rule, as of the last step that checked it
@@ -478,7 +488,7 @@ def _orbit_kernel(ops: _Ops, T: MapInstance, x0: SeqVec, steps: int,
             if mean:
                 total, p = ops.means(total, p, ks)
             q = (ops.apply(T, p) if oracle is None else
-                 ops.stack([ops.point(oracle(x0, k)) for k in ks]))
+                 ops.points([oracle(x0, k) for k in ks]))
         d = _floats(ops.distance(p, q, T.norm))
         values.extend(d)
         # the witness is made a SeqVec once, when the walk ends
@@ -556,15 +566,12 @@ def _displacements(ops: _Ops, T: MapInstance, x) -> np.ndarray:
 
 def _sample_min(T: MapInstance, budget: int, seed: int, lambdas, target):
     """The canonical points, the instance's witness family and random
-    samples."""
-    points = T.domain.canonical_points()
+    samples, in that order: one stream of blocks."""
+    points = list(T.domain.canonical_points())
     if T.witness_family is not None:
-        points += tuple(T.witness_family(budget))
+        points += T.witness_family(budget)
     least = _Least()
-    least.consider_rows([T.displacement(x) for x in points], points, getitem)
-    rng = as_rng(seed)
-    for k in _block_sizes(budget - least.evaluations, T.domain.breadth):
-        x = T.domain.sample_rows(rng, k)
+    for x in _stream(T.domain, points, seed, budget - len(points)):
         least.consider_rows(_sampled(T, _displacements, (x,)), x)
     return least
 
@@ -732,36 +739,19 @@ def _escapes(ops: _Ops, T: MapInstance, x) -> np.ndarray:
 
 
 def _invariance(T: MapInstance, req: CheckRequest, seed: int) -> Measured:
-    """T(K) inside K, on the canonical points and `samples` random draws,
-    up to the first violation; the draws go block by block."""
+    """T(K) inside K, on the canonical points and then `samples` random
+    draws, one stream of blocks, up to the first violation."""
     if req.samples < 0:
         raise InvalidBudgetError(f"samples {req.samples} is below 0")
-    K = T.domain
-    points, images, err = K.canonical_points(), [], None
-    try:
-        for x in points:
-            images.append(T.apply(x))
-    except Exception as e:
-        err = e
-    inside = K.contains_rows(K.pack(images)).tolist()
-    # as point by point, an earlier image that escapes is the witness
-    if err is not None and False not in inside:
-        raise err
-    if False in inside:
-        checked = inside.index(False) + 1
-        witness = points[checked - 1]
-    else:
-        checked, witness = len(points), None
-        rng = as_rng(seed)
-        for k in _block_sizes(req.samples, K.breadth):
-            x = K.sample_rows(rng, k)
-            outside = np.flatnonzero(_sampled(T, _escapes, (x,),
-                                              until=np.any))
-            if len(outside):
-                checked += int(outside[0]) + 1
-                witness = x.vec(int(outside[0]))
-                break
-            checked += k
+    checked, witness = 0, None
+    for x in _stream(T.domain, T.domain.canonical_points(), seed,
+                     req.samples):
+        outside = np.flatnonzero(_sampled(T, _escapes, (x,), until=np.any))
+        if len(outside):
+            checked += int(outside[0]) + 1
+            witness = x.vec(int(outside[0]))
+            break
+        checked += len(x.tail)
     return Measured(float(witness is not None), witness, {"checked": checked})
 
 

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import re
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -303,6 +304,54 @@ def test_a_huge_simplex_override_squares_past_the_float_range(tmp_path):
         checks=[{"kind": "invariance", "samples": 8},
                 {"kind": "holder_ratio", "pairs": 8}])
     assert main(["run", write_config(tmp_path, cfg)]) == 5
+
+
+@pytest.mark.parametrize("x0", ["{1:1e308, 2:1e308}",
+                                "{1000000000000000:1e308, "
+                                "1000000000000001:1e308}"])
+@pytest.mark.parametrize("name", ["shift_simplex", "affine_mixing",
+                                  "renormed_l1"])
+def test_a_start_whose_mass_passes_the_float_range_exits_3(tmp_path, name,
+                                                           x0):
+    # the exact sum of the two coordinates is +inf: outside the simplex
+    cfg = base_config(tmp_path, map={"name": name},
+                      checks=[{"kind": "orbit", "x0": x0, "depth": 5}])
+    assert main(["run", write_config(tmp_path, cfg)]) == 3
+
+
+_HUGE = sys.float_info.max
+HUGE_OVERRIDES = [
+    {"kind": "ball", "params": {"r": _HUGE,
+                                "norm": {"variant": "lp", "p": 1}}},
+    {"kind": "positive_ball", "params": {"r": _HUGE,
+                                         "norm": {"variant": "sup"}}},
+    {"kind": "simplex", "params": {"mass": _HUGE}},
+    {"kind": "sub_simplex", "params": {"mass_cap": _HUGE}},
+    {"kind": "coefficient_box", "params": {"r": _HUGE}},
+    {"kind": "c_interval", "params": {"cap": _HUGE}},
+]
+SAMPLED_CHECKS = [{"kind": "holder_ratio", "pairs": 24},
+                  {"kind": "invariance", "samples": 24},
+                  {"kind": "approx_fixed_set", "samples": 24},
+                  {"kind": "displacement", "strategy": "sample_min",
+                   "budget": 16}]
+
+
+# The ball sampler's rescale rho / n passes the float range at this radius
+# and numpy warns (a known defect, logged in CHANGES.md); the run goes on,
+# as `holderlab run` goes on, and this test reads only its exit code.
+@pytest.mark.filterwarnings(
+    "default:overflow encountered in divide:RuntimeWarning")
+@pytest.mark.parametrize("domain", HUGE_OVERRIDES, ids=lambda d: d["kind"])
+def test_overrides_at_the_largest_float_map_to_an_exit_code(tmp_path, domain):
+    """Every map under a domain set at the largest float, one sampled check
+    a config: sums past the float range are +-inf or NaN, never an error."""
+    for name in MAPS + RETRACTIONS:
+        for check in SAMPLED_CHECKS:
+            cfg = base_config(tmp_path, map={"name": name}, domain=domain,
+                              breadth=8, seed=3, checks=[check])
+            code = main(["run", write_config(tmp_path, cfg)])
+            assert code in (0, 2, 3, 4, 5), (name, check["kind"])
 
 
 def test_top_level_breadth_applies_to_a_domain_override(tmp_path):

@@ -312,6 +312,15 @@ def test_describe_mentions_the_shape():
     assert "band" in sigma_band(0.125, 0.5).describe()
 
 
+def test_a_mass_past_the_float_range_is_outside_the_simplices():
+    """Two coordinates of 1e308 sum past the float range: math.fsum raises
+    on them, the exact sum is +inf, and the point is outside."""
+    huge = SeqVec(((1, 1e308), (2, 1e308)))
+    for K in (simplex(0.125), sub_simplex(1.0)):
+        assert not K.contains(huge), K.describe()
+        assert not K.contains_rows(Rows.of(*[huge] * 70)).any(), K.describe()
+
+
 def test_contains_rejects_nan():
     for K in all_domains():
         for x in K.canonical_points():

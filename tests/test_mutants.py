@@ -1,12 +1,14 @@
 """Wrong claims the checks must catch: one table of mutants.
 
-Each row is a catalog map, an override of its ClaimProfile that makes the
-claim false, a CheckRequest at acceptance counts and why the claim is
-false.  A caught mutant fails its check.  A row that no check catches yet
-is an expected failure naming the ROADMAP item that should catch it; once
-that item lands, the row passes, strict xfail fails the suite and the
-marker goes, so the kill rate only rises.  `pytest -rxX` lists the missed
-rows with their items.
+Each row is a catalog map, an override that makes a claim false, a
+CheckRequest at acceptance counts and why the claim is false.  The override
+is a dict of ClaimProfile fields, or, for the structural kinds that test no
+claim field (invariance, oracle_compare), a function that makes the map
+itself wrong.  A caught mutant fails its check.  A row that no check
+catches yet is an expected failure naming the ROADMAP item that should
+catch it; once that item lands, the row passes, strict xfail fails the
+suite and the marker goes, so the kill rate only rises.  `pytest -rxX`
+lists the missed rows with their items.
 """
 
 import dataclasses
@@ -14,7 +16,7 @@ import dataclasses
 import pytest
 
 from holderlab.catalog import FixedPointSet, build_map
-from holderlab.seqvec import basis_vector
+from holderlab.seqvec import axpy, basis_vector, scale
 from holderlab.verify import CheckRequest, run_check
 
 SEED = 600
@@ -29,6 +31,21 @@ def _missed(item, why):
 SUPREMA = _missed(2, "sampled suprema fall short of the true constant")
 EXPONENT = _missed(3, "random pairs do not measure the exponent")
 UNTESTED = _missed(4, "no check tests this ClaimProfile field")
+
+
+def _doubled(T):
+    """T with every image scaled by 2."""
+    return dataclasses.replace(T, apply=lambda x: scale(2.0, T.apply(x)))
+
+
+def _oracle_off(T):
+    """T with its closed form for T^n moved by 1e-6 e1 at every n >= 1."""
+    def oracle(x, n):
+        y = T.iterate_oracle(x, n)
+        return y if n == 0 else axpy(1.0, y, 1e-6, basis_vector(1))
+
+    return dataclasses.replace(T, iterate_oracle=oracle)
+
 
 MUTANTS = [
     pytest.param("prus", {"holder_constant": 0.9}, PAIRS,
@@ -80,6 +97,14 @@ MUTANTS = [
                  CheckRequest("displacement", budget=1000),
                  "the fixed point is e1; 2e1 is outside the unit ball",
                  id="norming-fixed-2e1", marks=UNTESTED),
+    pytest.param("shift_simplex", _doubled,
+                 CheckRequest("invariance", samples=1000),
+                 "2T x has mass 0.25, off the simplex of mass 0.125",
+                 id="shift_simplex-doubled-invariance"),
+    pytest.param("norming", _oracle_off,
+                 CheckRequest("oracle_compare", n_max=50),
+                 "the closed form is 1e-6 off each iterate, past the "
+                 "tolerance 1e-12", id="norming-oracle-off"),
     pytest.param("renormed_l1", {"lower_bound": 1.01}, PAIRS,
                  "renormed_l1 is an isometry: every ratio is 1",
                  id="renormed_l1-floor1.01", marks=UNTESTED),
@@ -99,6 +124,6 @@ def test_the_true_claims_hold(name, override, req, why):
 @pytest.mark.parametrize("name, override, req, why", MUTANTS)
 def test_a_wrong_claim_fails(name, override, req, why):
     T = build_map(name)
-    wrong = dataclasses.replace(
-        T, claims=dataclasses.replace(T.claims, **override))
+    wrong = (override(T) if callable(override) else dataclasses.replace(
+        T, claims=dataclasses.replace(T.claims, **override)))
     assert run_check(wrong, req, SEED).verdict == "fail", why

@@ -29,6 +29,7 @@ from holderlab.seqvec import (
     SeqVec,
     coordinate,
     distance,
+    exact_sum,
     fsum_rows,
     norm,
     pow_each,
@@ -145,11 +146,15 @@ def test_fsum_rows_is_fsum_bit_for_bit():
     assert _bits(fsum_rows(vals)) == _fsum_each(vals)
 
 
-def test_fsum_rows_raises_what_the_first_failing_row_raises():
+def test_fsum_rows_is_exact_sum_on_rows_fsum_rejects():
+    """Rows that math.fsum raises on (infinities of both signs, a partial
+    sum past the float range) take exact_sum's value, in the block code and
+    in the row code, and the block raises nothing."""
     rng = np.random.default_rng(7)
     clean = rng.random((FEW_ROWS + 3, 64))
     bad = {"inf": [math.inf], "both infs": [math.inf, 1.0, -math.inf],
-           "overflow": [1e308, 1e308, -1e308], "nan": [math.nan, 1.0]}
+           "overflow": [1e308, 1e308, -1e308], "nan": [math.nan, 1.0],
+           "past the range": [1e308, 1e308]}
     for first in bad:
         for second in bad:
             vals = np.vstack([clean, clean[:2], clean])
@@ -158,8 +163,8 @@ def test_fsum_rows_raises_what_the_first_failing_row_raises():
             vals[FEW_ROWS + 3, :len(bad[first])] = bad[first]
             vals[FEW_ROWS + 4, :len(bad[second])] = bad[second]
             for block in (vals, vals[FEW_ROWS:]):
-                got = _outcome(lambda v: _bits(fsum_rows(v)), block)
-                assert got == _outcome(_fsum_each, block), (first, second)
+                assert _bits(fsum_rows(block)) == _bits(
+                    [exact_sum(r) for r in block.tolist()]), (first, second)
 
 
 def test_row_sums_add_left_to_right():
@@ -243,6 +248,26 @@ def test_rows_norm_on_special_rows_is_the_scalar_norm(kind):
     else:
         for g, w in zip(got, outcomes):
             assert _same_number(float(g), w)
+
+
+def test_rows_of_is_the_explicit_block():
+    """Rows.of(*points) is as wide as the furthest stored coordinate, and
+    each row holds its point's coordinates, read off its tail past its own
+    support: mixed widths, nonzero tails, an empty support, no points."""
+    points = [SeqVec(((2, 0.5), (4, -1.0)), 0.25), SeqVec((), -2.0),
+              SeqVec(((1, 3.0),)), SeqVec(((1, 1.0), (6, 7.0)), 1.5), SeqVec()]
+    block = Rows.of(*points)
+    assert np.array_equal(block.vals, np.array([
+        [0.25, 0.5, 0.25, -1.0, 0.25, 0.25],
+        [-2.0, -2.0, -2.0, -2.0, -2.0, -2.0],
+        [3.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [1.0, 1.5, 1.5, 1.5, 1.5, 7.0],
+        [0.0, 0.0, 0.0, 0.0, 0.0, 0.0]]))
+    assert np.array_equal(block.tail, [0.25, -2.0, 0.0, 1.5, 0.0])
+    assert [block.vec(j) for j in range(len(points))] == points
+    for empty in (Rows.of(), Rows.of(SeqVec()), Rows.of(SeqVec((), 0.5))):
+        assert empty.vals.shape == (len(empty.tail), 0)
+    assert Rows.of().tail.shape == (0,)
 
 
 def test_one_row_blocks_round_trip_and_trim():
@@ -426,6 +451,26 @@ def test_sample_rows_do_not_depend_on_block_sizes(K):
     assert (np.concatenate([p.vals for p in parts]) == one.vals).all()
     assert (np.concatenate([p.tail for p in parts]) == one.tail).all()
     assert K.sample(5) == one.vec(0)
+
+
+def _deterministic_points():
+    """The canonical points of every domain kind and every catalog witness
+    family at budget 600, as (label, points) pairs."""
+    assert {K.kind for K in _domains()} == set(DOMAIN_KINDS)
+    for K in _domains():
+        yield K.describe(), list(K.canonical_points())
+    for T in _maps():
+        if T.witness_family is not None:
+            yield T.name, list(T.witness_family(600))
+
+
+@pytest.mark.parametrize("label, points", list(_deterministic_points()),
+                         ids=lambda v: v if isinstance(v, str) else "")
+def test_rows_of_round_trips_the_deterministic_points(label, points):
+    """The block a sampled check takes its deterministic points in gives
+    each point back as it was."""
+    block = Rows.of(*points)
+    assert [block.vec(j) for j in range(len(points))] == points, label
 
 
 def _pinned_domains():

@@ -1,6 +1,7 @@
 """Kernel tests: canonical form, coordinates, norms, linear ops, literals."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from holderlab.seqvec import (
     c_basis_coefficients,
     coordinate,
     distance,
+    exact_sum,
     format_vec,
     norm,
     parse_vec,
@@ -411,6 +413,53 @@ def test_c_basis_round_trip_close_in_general(x):
     for i in range(1, 55):
         v, w = coordinate(x, i), coordinate(back, i)
         assert abs(v - w) <= 4 * math.ulp(max(abs(v), abs(t)))
+
+
+# ---------------------------------------------------------------------------
+# exact_sum
+
+
+def test_exact_sum_where_fsum_raises():
+    # a partial sum overflows, the total does not
+    assert exact_sum([1e308, 1e308, -1e308]) == 1e308
+    assert exact_sum([1e308, 1e308]) == math.inf
+    assert exact_sum([-1e308, -1e308, 1.0]) == -math.inf
+    assert math.isnan(exact_sum([math.inf, -math.inf]))
+    assert math.isnan(exact_sum([math.nan, math.inf, -math.inf]))
+    assert math.isnan(exact_sum([1e308, 1e308, math.nan]))
+    # the infinity fsum would give but for the overflow of the finite terms
+    assert exact_sum([math.inf, 1e308, 1e308]) == math.inf
+    assert exact_sum([-math.inf, -1e308, -1e308, 1.0]) == -math.inf
+
+
+_SUM_TERMS = st.lists(st.one_of(
+    st.floats(),
+    st.sampled_from([1e308, -1e308, 1.7976931348623157e308, 5e-324, -0.0,
+                     math.inf, -math.inf])), max_size=8)
+
+
+@given(_SUM_TERMS)
+def test_exact_sum_is_fsum_bit_for_bit_or_its_stated_value(values):
+    """math.fsum's value bit for bit wherever fsum returns one; elsewhere
+    NaN for a NaN term or infinities of both signs, the infinity every
+    infinite term shares, or the exact sum of the terms rounded once."""
+    got = exact_sum(values)
+    try:
+        want = math.fsum(values)
+    except (OverflowError, ValueError):
+        infinite = {v for v in values if math.isinf(v)}
+        if any(v != v for v in values) or len(infinite) > 1:
+            assert got != got
+            return
+        if infinite:
+            assert got == infinite.pop()
+            return
+        total = sum(map(Fraction, values))
+        try:
+            want = float(total)
+        except OverflowError:
+            want = math.inf if total > 0 else -math.inf
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 # ---------------------------------------------------------------------------

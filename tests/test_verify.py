@@ -447,8 +447,8 @@ def _least_in_turn(stream):
 @given(_DISPLACEMENTS, _DISPLACEMENTS.filter(bool))
 def test_consider_rows_is_consider_in_turn(before, d):
     """_Least.consider_rows(d, x) folds in d[j] and x[j] for each j in
-    turn, after any stream before it (a list, as sample_min's canonical
-    points go), on NaN, infinities and ties."""
+    turn, after any stream before it (here a list of values and points),
+    on NaN, infinities and ties."""
     x = Rows(np.arange(1.0, len(d) + 1)[:, None], np.zeros(len(d)))
     a = _Least()
     a.consider_rows(before, [ZERO] * len(before), getitem)
@@ -581,7 +581,8 @@ def _invariance_by_rows_and_points(T, samples, seed):
 def test_block_invariance_equals_point_invariance(T):
     rec, blocks = _invariance_by_rows_and_points(T, 700, 13)
     assert rec.verdict == "pass"
-    assert sum(blocks) == 700 and len(blocks) > 1
+    n = len(T.domain.canonical_points())  # the first block
+    assert sum(blocks) == 700 + n and len(blocks) > 1
 
 
 def test_block_invariance_reports_a_late_escape_as_the_points_do():
