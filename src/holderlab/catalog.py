@@ -173,10 +173,9 @@ class MapInstance:
     block of their images, equal to `apply` row by row on rows `apply`
     accepts, and raising a ValueError or ArithmeticError on a block that
     holds a row `apply` rejects.  Which error it raises is not part of the
-    contract: the verifier then goes through `apply`, the whole block and,
-    if that raises, row by row in draw order, so the error reported is
-    `apply`'s first in draw order.  Replacing `apply` drops the batch
-    form."""
+    contract: the verifier then goes through `apply` row by row in draw
+    order, so the error reported is `apply`'s first in draw order.
+    Replacing `apply` drops the batch form."""
 
     name: str
     params: Mapping[str, object]
@@ -821,6 +820,10 @@ def l1_ball_composite_map(alpha: float = 0.5, lam: float = 0.5) -> MapInstance:
     def apply(x: SeqVec) -> SeqVec:
         return shift_right(to_sphere(x))
 
+    def apply_rows(x: Rows) -> Rows:
+        s = abs_retract.rows(l1_sphere_rows(radial_rows(x, r, L1), r))
+        return shift_rows([0.0], s.vals, s.tail)
+
     def oracle(x: SeqVec, n: int) -> SeqVec:
         # T^n = shift^n . abs . sphere . ball: the shift fixes the landed
         # sphere pointwise apart from moving it, and the retractions fix it.
@@ -834,7 +837,7 @@ def l1_ball_composite_map(alpha: float = 0.5, lam: float = 0.5) -> MapInstance:
         params={"alpha": alpha, "lambda": lam, "radius": r},
         domain=ball(1.0, L1),
         norm=L1,
-        apply=apply,
+        apply=_batched(apply, apply_rows),
         claims=ClaimProfile(
             alpha=alpha,
             holder_constant=lam,

@@ -286,8 +286,13 @@ class DomainSpec:
             vals += 0.0  # turns those -0.0 into +0.0
             n = rows_norm(Rows(vals, zeros), self.norm)
             rho = self.r * pow_each(extra, 1.0 / size)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                vals *= (rho / n)[:, None]
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                a = rho / n
+                wide = np.isinf(a) & (n > 0.0)
+                if wide.any():  # rho / n passes the float range: divide first
+                    vals[wide] /= n[wide, None]
+                    a[wide] = rho[wide]
+                vals *= a[:, None]
             flat = n == 0.0
             if flat.any():  # no direction to scale: a point on axis 1
                 vals[flat] = 0.0

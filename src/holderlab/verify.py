@@ -93,9 +93,6 @@ BLOCK_ELEMENTS = 2 ** 14
 # What a row kept in a chunk of orbit iterates costs beyond its values (two
 # array headers and a tuple, ~500 bytes), in array elements.
 _ROW_COST = 64
-# Rows a block goes by at a time as SeqVecs: a whole block of SeqVecs and
-# their iterates kept alive at once busies the garbage collector.
-_POINT_ROWS = 8
 
 
 @dataclass(frozen=True)
@@ -279,42 +276,28 @@ _POINTS = _Ops(list, lambda x, j: x[j],
                lambda K, x: K.contains_rows(K.pack(x)), lambda x: 0, False)
 
 
-def _by_points(T: MapInstance, kernel: Callable, blocks: tuple[Rows, ...],
-               args: tuple, rows: int, until: Callable | None):
-    """kernel on `rows` rows of the blocks at a time, as lists of SeqVecs,
-    in draw order up to the first part whose result meets `until`; the
-    parts' arrays concatenated."""
-    parts, n = [], len(blocks[0].tail)
-    for start in range(0, n, rows):
-        stop = min(start + rows, n)
-        points = ([b.vec(j) for j in range(start, stop)] for b in blocks)
-        parts.append(kernel(_POINTS, T, *points, *args))
-        if until is not None and until(parts[-1]):
-            break
-    if isinstance(parts[0], tuple):
-        return tuple(map(np.concatenate, zip(*parts)))
-    return np.concatenate(parts)
-
-
 def _sampled(T: MapInstance, kernel: Callable, blocks: tuple[Rows, ...],
              *args, until: Callable | None = None):
     """kernel(ops, T, *blocks, *args), whose arrays have one entry per row
     of the sampled blocks, by the one fallback rule: (1) the whole blocks as
-    Rows, when T.apply has a batch form; (2) as SeqVecs, _POINT_ROWS rows
-    at a time, when it has none or step 1 raised a ValueError or an
-    ArithmeticError (a batch form's answer to a row `apply` rejects) or
-    _Outgrown; (3) when step 2 raised anything, row by row in draw order,
-    so the error raised is `apply`'s first in draw order.  Steps 2 and 3
-    stop after the first part whose result meets `until`."""
+    Rows, when T.apply has a batch form; (2) when it has none or step 1
+    raised a ValueError or an ArithmeticError (a batch form's answer to a
+    row `apply` rejects) or _Outgrown, as SeqVecs one row at a time in
+    draw order, so the error raised is `apply`'s first.  Step 2 stops after
+    the first row whose result meets `until`."""
     if getattr(T.apply, "rows", None) is not None:
         try:
             return kernel(_ROWS, T, *blocks, *args)
         except (ValueError, ArithmeticError, _Outgrown):
             pass
-    try:
-        return _by_points(T, kernel, blocks, args, _POINT_ROWS, until)
-    except Exception:
-        return _by_points(T, kernel, blocks, args, 1, until)
+    parts = []
+    for j in range(len(blocks[0].tail)):
+        parts.append(kernel(_POINTS, T, *([b.vec(j)] for b in blocks), *args))
+        if until is not None and until(parts[-1]):
+            break
+    if isinstance(parts[0], tuple):
+        return tuple(map(np.concatenate, zip(*parts)))
+    return np.concatenate(parts)
 
 
 def _stream(K: DomainSpec, points, seed: int, count: int) -> Iterator[Rows]:

@@ -337,11 +337,6 @@ SAMPLED_CHECKS = [{"kind": "holder_ratio", "pairs": 24},
                    "budget": 16}]
 
 
-# The ball sampler's rescale rho / n passes the float range at this radius
-# and numpy warns (a known defect, logged in CHANGES.md); the run goes on,
-# as `holderlab run` goes on, and this test reads only its exit code.
-@pytest.mark.filterwarnings(
-    "default:overflow encountered in divide:RuntimeWarning")
 @pytest.mark.parametrize("domain", HUGE_OVERRIDES, ids=lambda d: d["kind"])
 def test_overrides_at_the_largest_float_map_to_an_exit_code(tmp_path, domain):
     """Every map under a domain set at the largest float, one sampled check
@@ -800,7 +795,8 @@ GOLDEN_REPORTS = [
      "e73eec3a18b0b4979e4874365de96e97add64f39494ab2abe196611d82b9cffa"),
     ("l1_sphere", {"kind": "holder_ratio", "pairs": 60},
      "22b60034860bb701c45a331be2e3051f9a02aca1131335317884298d68bf5011"),
-    # The SeqVec paths: l1_ball_composite has no batch form, and
+    # Recorded on the SeqVec paths: l1_ball_composite walked SeqVecs
+    # before it had a batch form, so its rows reproduce those bytes, and
     # deficiency's pair blocks outgrow the growth rule by iterate 3.
     ("l1_ball_composite", {"kind": "holder_ratio", "pairs": 60, "iterate": 2},
      "4e56d739929d98cadc1a46e852c8821ca295490fc5dffdbfaed966494940eb27"),
@@ -829,8 +825,9 @@ GOLDEN_REPORTS = [
      "7fddd7813a07ebc2e4408b87b750cdcc85df5cd17ce56cbf1637229405b47ede"),
     # Walk shapes recorded before the orbit kernel measured every chunk one
     # way: deficiency's rows outgrow the growth rule and its walks go by
-    # points, l1_ball_composite walks SeqVecs and norms them, and the lambda
-    # walks end a chunk at each checkpoint (hyperconvex's stops at 0.01).
+    # points, l1_ball_composite's was recorded as a walk of SeqVecs, which
+    # its row walk reproduces, and the lambda walks end a chunk at each
+    # checkpoint (hyperconvex's stops at 0.01).
     ("deficiency", {"kind": "displacement", "strategy": "orbit_min",
                     "budget": 300},
      "f30aa5695c94756ff784108f947874b2b049531e05cb7aed1be4f246f37a1752"),

@@ -1,6 +1,7 @@
 """Domain membership, sampling, and convexity checks."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -262,14 +263,15 @@ def test_sample_respects_breadth_override():
 
 def test_samples_land_in_domain():
     """sample-then-contains over 10^5 draws spread across every kind, drawn
-    as blocks of rows."""
+    as blocks of rows; every row goes through Rows.vec and pack, and each
+    kind's draws are checked in one contains_rows call."""
     domains = all_domains()
     per = 100_000 // len(domains)
     for K in domains:
         rng = np.random.default_rng(2024)
         block = K.sample_rows(rng, per)
-        for i in range(per):
-            assert K.contains(block.vec(i))
+        inside = K.contains_rows(K.pack([block.vec(i) for i in range(per)]))
+        assert inside.all(), (K.describe(), np.flatnonzero(~inside)[:5])
 
 
 def test_a_sub_simplex_draw_of_mass_zero_stays_zero():
@@ -281,6 +283,21 @@ def test_a_sub_simplex_draw_of_mass_zero_stays_zero():
     zero = ~x.vals.any(axis=1)
     assert 0 < zero.sum() < 256
     assert K.contains_rows(x).all()
+
+
+@pytest.mark.parametrize("make", [ball, positive_ball],
+                         ids=["ball", "positive_ball"])
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+def test_ball_draws_at_the_largest_float_are_members(make, p):
+    """At radius 1.797e308, rho / n passes the float range for rows whose
+    direction norm n is below 1; those rows divide before they scale, and
+    every row is a member, with no warning."""
+    K = make(1.7976931348623157e308, NormKind.lp(p))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = K.sample_rows(np.random.default_rng(3), 2000)
+        assert K.contains_rows(x).all()
+    assert np.isfinite(x.vals).all()
 
 
 def test_convex_combinations_stay_inside():

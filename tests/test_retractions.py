@@ -173,10 +173,15 @@ def test_sphere_rows_equal_the_scalar_retraction_bit_for_bit(r):
     rng = np.random.default_rng(31)
     x = ball(r, L1).sample_rows(rng, 3000)
     # both branches, the tie at r/2, the sphere itself and the zero row
+    sphere = Rows(np.array([[r, 0.0, 0.0], [0.0, -r, 0.0],
+                            [r / 2, 0.0, -r / 2]]), np.zeros(3))
     blocks = [x, Rows(x.vals * 0.4, x.tail), l1_sphere_rows(x, r),
               Rows(np.array([[r / 4, r / 4, 0.0], [0.0, r / 2, 0.0],
                              [r, 0.0, 0.0], [0.0, 0.0, 0.0],
-                             [-r / 2, 0.0, r / 2]]), np.zeros(5))]
+                             [-r / 2, 0.0, r / 2]]), np.zeros(5)), sphere]
+    # a block on the sphere is returned as it is, as the scalar form
+    # returns a point on it
+    assert l1_sphere_rows(sphere, r) is sphere
     for block in blocks:
         got = l1_sphere_rows(block, r)
         assert got.tail.tolist() == [0.0] * len(block.tail)

@@ -53,8 +53,7 @@ assert {k.variant for k in KINDS} == set(NORM_VARIANTS)
 BATCHED = {"prus", "norming", "baseline_c", "shift_simplex", "affine_mixing",
            "deficiency", "goebel_kirk", "hyperconvex", "c0_family",
            "affine_cube", "renormed_l1", "radial", "abs", "positive_part",
-           "clamp", "l1_sphere"}
-SCALAR_ONLY = {"l1_ball_composite"}
+           "clamp", "l1_sphere", "l1_ball_composite"}
 
 
 def _random_rows(rng, count, width, tails):
@@ -352,7 +351,6 @@ def _maps():
 def test_batch_forms_cover_the_intended_maps():
     have = {T.name for T in _maps() if hasattr(T.apply, "rows")}
     assert have == BATCHED
-    assert not have & SCALAR_ONLY
 
 
 def _check_block(T, x):
