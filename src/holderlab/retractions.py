@@ -192,8 +192,10 @@ def l1_sphere_rows(x: Rows, r: float) -> Rows:
             or np.count_nonzero(~(nx <= r * (1.0 + 1e-9)))):
         raise DomainViolationError(
             f"l1_sphere_retract needs ||x||_1 <= r = {r!r} in every row")
-    if not np.count_nonzero(nx < r):
-        return x  # every row on the sphere, which the map fixes
+    # every row on the sphere, which the map fixes; a block of no rows is
+    # widened as any other, for verify's probe of the image width
+    if len(nx) and not np.count_nonzero(nx < r):
+        return x
     count, width = vals.shape
     out = np.zeros((count, width + 1))
     low = nx <= r / 2.0

@@ -19,14 +19,15 @@ reads beyond the budget.  Every orbit-style walk (the orbit check,
 oracle_compare and the orbit strategies) is one call of the orbit kernel.
 Each kernel is written once over an _Ops table, which holds its points as
 Rows or as SeqVecs; the sampled kernels (pairs, displacements, escapes,
-one step) run under the one fallback rule of _sampled.  Invariance and
-sample_min walk one stream (_stream): their deterministic points as one
-Rows.of block, then the draws.  The orbit kernel steps one iterate at a
-time.  A walk of x_k against x_k+1 (orbit, orbit_min) measures every
-iterate; a walk with lam or an oracle measures
-the iterates its `at` picks (every one without it), and a mean walk every
-iterate, as its sums need them all.  A chunk holds exactly the iterates
-its measurement reads, and is stacked into one block and measured whole.
+one step) run under the one fallback rule of _sampled.  Every sampled
+check walks one stream (_stream): its deterministic points, if any, as
+one Rows.of block, then the draws, a pair as two rows and whole pairs to
+a block.  The orbit kernel steps one iterate at a time.  A walk of x_k
+against x_k+1 (orbit, orbit_min) measures every iterate; a walk with lam
+measures the checkpoints its `at` picks, and an oracle walk or a mean
+walk every iterate (a mean's sums need them all).  A chunk holds exactly
+the iterates its measurement reads, and is stacked into one block and
+measured whole.
 One fold, _Least, picks every witness that is the first in draw order to
 reach an extreme: the least displacement, the largest pair ratio and the
 largest second step.
@@ -132,13 +133,6 @@ class CheckRecord:
         return self.verdict == "pass"
 
 
-def _block_sizes(count: int, width: int) -> Iterator[int]:
-    """Split `count` items of `width` array elements each into blocks."""
-    step = max(1, BLOCK_ELEMENTS // width)
-    for start in range(0, count, step):
-        yield min(step, count - start)
-
-
 def _row_width(breadth: int, steps: int) -> int:
     """The width of a row that blocks of rows `breadth` wide are sized for
     when they go `steps` steps."""
@@ -164,9 +158,9 @@ def _require_fit(width: int, breadth: int, steps: int) -> int:
 
 def _image_width(T: MapInstance, width: int, steps: int) -> int:
     """The width of a block `width` wide after `steps` applications of T's
-    batch form, probed on a block of no rows: a batch form sizes its image
-    by the width of the block alone.  `width` if T has no batch form or the
-    probe raises."""
+    batch form, probed on a block of no rows, which a batch form widens as
+    far as any block of that width: the widest image such a block can have.
+    `width` if T has no batch form or the probe raises."""
     rows = getattr(T.apply, "rows", None)
     if rows is None:
         return width
@@ -300,13 +294,18 @@ def _sampled(T: MapInstance, kernel: Callable, blocks: tuple[Rows, ...],
     return np.concatenate(parts)
 
 
-def _stream(K: DomainSpec, points, seed: int, count: int) -> Iterator[Rows]:
+def _stream(K: DomainSpec, seed: int, count: int, width: int, points=(),
+            per: int = 1) -> Iterator[Rows]:
     """The stream of blocks a sampled check walks in order: the given
-    points as one block, then `count` draws from K, block by block."""
-    yield Rows.of(*points)
+    points as one block when there are any, then `count` draws from K of
+    `per` consecutive rows each (a pair is two), as many whole draws to a
+    block as BLOCK_ELEMENTS holds at `width` elements a row, at least one."""
+    if points:
+        yield Rows.of(*points)
     rng = as_rng(seed)
-    for k in _block_sizes(count, K.breadth):
-        yield K.sample_rows(rng, k)
+    step = max(1, BLOCK_ELEMENTS // (per * width))
+    for start in range(0, count, step):
+        yield K.sample_rows(rng, per * min(step, count - start))
 
 
 def _pair_kernel(ops: _Ops, T: MapInstance, x, y, ns: list[int]):
@@ -343,13 +342,11 @@ def pair_ratios(T: MapInstance, ns: tuple[int, ...], pairs: int, seed: int,
     if not ns or min(ns) < 1:
         raise InvalidBudgetError("iterates must be integers >= 1")
     a = T.claims.alpha if exponent is None else exponent
-    rng = as_rng(seed)
     steps = sorted(set(ns))
     sups = dict.fromkeys(ns, -1.0)
     best = _Least()  # of the negated largest ratio of each pair used
-    # two rows per pair
-    for k in _block_sizes(pairs, 2 * _row_width(T.domain.breadth, steps[-1])):
-        rows = T.domain.sample_rows(rng, 2 * k)
+    for rows in _stream(T.domain, seed, pairs,
+                        _row_width(T.domain.breadth, steps[-1]), per=2):
         x, y = rows.take(slice(0, None, 2)), rows.take(slice(1, None, 2))
         d, dists = _sampled(T, _pair_kernel, (x, y), steps)
         kept = np.flatnonzero(~(d < PAIR_CUTOFF))
@@ -554,7 +551,8 @@ def _sample_min(T: MapInstance, budget: int, seed: int, lambdas, target):
     if T.witness_family is not None:
         points += T.witness_family(budget)
     least = _Least()
-    for x in _stream(T.domain, points, seed, budget - len(points)):
+    for x in _stream(T.domain, seed, budget - len(points), T.domain.breadth,
+                     points):
         least.consider_rows(_sampled(T, _displacements, (x,)), x)
     return least
 
@@ -727,8 +725,8 @@ def _invariance(T: MapInstance, req: CheckRequest, seed: int) -> Measured:
     if req.samples < 0:
         raise InvalidBudgetError(f"samples {req.samples} is below 0")
     checked, witness = 0, None
-    for x in _stream(T.domain, T.domain.canonical_points(), seed,
-                     req.samples):
+    for x in _stream(T.domain, seed, req.samples, T.domain.breadth,
+                     T.domain.canonical_points()):
         outside = np.flatnonzero(_sampled(T, _escapes, (x,), until=np.any))
         if len(outside):
             checked += int(outside[0]) + 1
@@ -816,15 +814,13 @@ def _approx_fixed_set(T: MapInstance, req: CheckRequest,
         raise InvalidParameterError("delta", "requires delta >= 1")
     if req.samples < 1:
         raise InvalidBudgetError(f"samples {req.samples} is below 1")
-    rng = as_rng(seed)
     qualifying = 0
     worst = _Least()  # of the negated second steps
     width = _row_width(T.domain.breadth, 2)
     image = _image_width(T, T.domain.breadth, 2)
     if image > 2 * width:  # breaks the growth rule: blocks sized by it
         width = image
-    for k in _block_sizes(req.samples, width):
-        x = T.domain.sample_rows(rng, k)
+    for x in _stream(T.domain, seed, req.samples, width):
         kept, second = _sampled(T, _second_steps, (x,), req.delta)
         qualifying += int(kept.sum())
         worst.consider_rows(-second, x)
@@ -840,7 +836,8 @@ def _oracle_compare(T: MapInstance, req: CheckRequest, seed: int) -> Measured:
         raise InvalidBudgetError(f"n_max {req.n_max} is below 0")
     x0 = _start(T, req)
     _require_member(T, x0, "oracle_compare")
-    walk = _walk(T, x0, req.n_max, lambda k: k > 0, oracle=T.iterate_oracle)
+    # every oracle returns its start at k = 0, a distance of 0
+    walk = _walk(T, x0, req.n_max, oracle=T.iterate_oracle)
     # NaN is unbounded
     worst = max([0.0] + [math.inf if d != d else d for d in walk.values])
     return Measured(worst, x0, {"n_max": req.n_max})

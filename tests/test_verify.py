@@ -21,6 +21,7 @@ from holderlab.catalog import (
     goebel_kirk_map,
     hyperconvex_map,
     l1_ball_composite_map,
+    lambda_scale,
     norming_map,
     prus_map,
     renormed_l1_map,
@@ -490,6 +491,19 @@ def test_an_image_width_probe_that_raises_gives_the_input_width():
     S = dataclasses.replace(T, apply=apply)
     assert verify._image_width(S, 7, 1) == 9
     assert verify._image_width(S, 7, 2) == 7
+
+
+@pytest.mark.parametrize("T", _batched_maps(), ids=lambda T: T.name)
+def test_the_image_width_probe_reads_the_widest_image(T):
+    """The zero-row probe reads the width of the images of a real block,
+    so it bounds the width a block of images can reach."""
+    for breadth in (64, 8, 11):
+        S = build_map(T.name, breadth=breadth)
+        x = S.domain.sample_rows(np.random.default_rng(4), 50)
+        for steps in (1, 2):
+            x = S.apply.rows(x)
+            assert verify._image_width(S, breadth, steps) == x.width, (
+                breadth, steps)
 
 
 def test_the_growth_rule_admits_linear_growth_at_any_depth():
@@ -1114,6 +1128,39 @@ def test_run_check_is_reproducible(kind, extra):
     b = run_check(T, req)
     assert _comparable(a) == _comparable(b)
     assert a.runtime_ms >= 0.0
+
+
+def _block_cases():
+    """Every catalog map and retraction at its own breadth and at breadth
+    11, and a map with no batch form."""
+    for name in catalog_names() + retraction_names():
+        yield build_map(name)
+        yield build_map(name, breadth=11)
+    yield lambda_scale(prus_map(), 0.5)
+
+
+def _sampled_records(T):
+    """The records of every sampled check T accepts, with runtime_ms 0."""
+    reqs = [CheckRequest("holder_ratio", pairs=80),
+            CheckRequest("invariance", samples=40),
+            CheckRequest("approx_fixed_set", samples=40),
+            CheckRequest("displacement", strategy="sample_min", budget=40)]
+    if T.claims.uniform:
+        reqs.append(CheckRequest("uniform_profile", pairs=60))
+    if T.claims.asymptotic_profile is not None:
+        reqs.append(CheckRequest("asymptotic_profile", pairs=60))
+    return [_comparable(run_check(T, req, 5)) for req in reqs]
+
+
+@pytest.mark.parametrize("T", list(_block_cases()),
+                         ids=lambda T: f"{T.name}-{T.domain.breadth}")
+def test_sampled_records_do_not_depend_on_block_sizes(T, monkeypatch):
+    """A sampled check draws the same points, and pairs stay whole, however
+    its stream is cut into blocks: a 2^10 block of rows 11 wide holds an
+    odd number of rows."""
+    want = _sampled_records(T)
+    monkeypatch.setattr(verify, "BLOCK_ELEMENTS", 2 ** 10)
+    assert _sampled_records(T) == want
 
 
 def test_request_seed_overrides_the_default():
