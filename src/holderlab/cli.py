@@ -26,7 +26,7 @@ from dataclasses import replace
 import numpy as np
 
 from .catalog import CATALOG, RETRACTION_CATALOG, build_map
-from .domains import DOMAIN_KINDS, MAX_BREADTH, DomainSpec
+from .domains import DOMAIN_KINDS, MAX_BREADTH, DomainSpec, _is_finite
 from .errors import (
     ConfigError,
     DomainViolationError,
@@ -99,9 +99,7 @@ _breadth = functools.partial(_integer, minimum=1, maximum=MAX_BREADTH)
 
 
 def _number(value: object, name: str, where: str = "") -> float:
-    _require(isinstance(value, (int, float)) and not isinstance(value, bool)
-             and abs(value) <= sys.float_info.max,
-             f"{where}{name} must be a finite number")
+    _require(_is_finite(value), f"{where}{name} must be a finite number")
     return float(value)
 
 

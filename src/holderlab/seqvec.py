@@ -223,6 +223,8 @@ def pow_each(base: np.ndarray, exponent) -> np.ndarray:
 # Blocks of fewer rows keep the row code of fsum_rows and _row_sums.  On 2
 # Xeon vCPUs their block code broke even at 48-64 rows of width 64 (16 at
 # 257, over 64 at 8) and about 16 rows; orbit chunks stay on the row code.
+# It must stay >= 2: _row_sums' reduce adds a row's columns in order only
+# on two rows or more (numpy sums a one-row copy's contiguous axis pairwise).
 FEW_ROWS = 64
 
 
@@ -314,6 +316,7 @@ def exact_sum(values: list[float]) -> float:
 def _row_sums(a: np.ndarray) -> np.ndarray:
     if len(a) >= FEW_ROWS:
         # reducing a C-contiguous copy's outer axis adds a's columns in order
+        # (on two rows or more: see FEW_ROWS)
         return np.add.reduce(np.ascontiguousarray(a.T), axis=0)
     if a.shape[1] == 0:
         return np.zeros(a.shape[0])

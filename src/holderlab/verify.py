@@ -139,8 +139,10 @@ def _row_width(breadth: int, steps: int) -> int:
     return max(breadth, 2 * steps)
 
 
-class _Outgrown(Exception):
-    """A block of rows grew wider than the growth rule allows."""
+class _Outgrown(ArithmeticError):
+    """A block of rows grew wider than the growth rule allows: an
+    ArithmeticError, so the fallback rule of _sampled and _walk sends the
+    block to points as it does after a batch form's own errors."""
 
 
 def _require_fit(width: int, breadth: int, steps: int) -> int:
@@ -201,17 +203,10 @@ def _stack_rows(blocks: list[Rows]) -> Rows:
     row's stored values, then its tail.  One block is returned as it is."""
     if len(blocks) == 1:
         return blocks[0]
-    tail = np.concatenate([b.tail for b in blocks])
-    widths = np.repeat([b.vals.shape[1] for b in blocks],
-                       [len(b.tail) for b in blocks])
-    width = int(widths.max())
-    if widths.min() == width:
-        return Rows(np.concatenate([b.vals for b in blocks]), tail)
-    vals = np.empty((len(tail), width))
-    vals[:] = tail[:, None]
-    vals[np.arange(width) < widths[:, None]] = np.concatenate(
-        [b.vals.ravel() for b in blocks])
-    return Rows(vals, tail)
+    width = max(b.width for b in blocks)
+    blocks = [b.widen(width) for b in blocks]
+    return Rows(np.concatenate([b.vals for b in blocks]),
+                np.concatenate([b.tail for b in blocks]))
 
 
 def _row_means(total: Rows | None, x: Rows, ks: list[int]):
@@ -276,13 +271,13 @@ def _sampled(T: MapInstance, kernel: Callable, blocks: tuple[Rows, ...],
     of the sampled blocks, by the one fallback rule: (1) the whole blocks as
     Rows, when T.apply has a batch form; (2) when it has none or step 1
     raised a ValueError or an ArithmeticError (a batch form's answer to a
-    row `apply` rejects) or _Outgrown, as SeqVecs one row at a time in
-    draw order, so the error raised is `apply`'s first.  Step 2 stops after
-    the first row whose result meets `until`."""
+    row `apply` rejects, or _Outgrown past the growth rule), as SeqVecs one
+    row at a time in draw order, so the error raised is `apply`'s first.
+    Step 2 stops after the first row whose result meets `until`."""
     if getattr(T.apply, "rows", None) is not None:
         try:
             return kernel(_ROWS, T, *blocks, *args)
-        except (ValueError, ArithmeticError, _Outgrown):
+        except (ValueError, ArithmeticError):
             pass
     parts = []
     for j in range(len(blocks[0].tail)):
@@ -513,7 +508,7 @@ def _walk(T: MapInstance, x0: SeqVec, steps: int,
             and not (x0.support and x0.support[-1][0] > BLOCK_ELEMENTS)):
         try:
             return _orbit_kernel(_ROWS, T, x0, steps, at, **how)
-        except (ValueError, ArithmeticError, _Outgrown):
+        except (ValueError, ArithmeticError):
             pass
     return _orbit_kernel(_POINTS, T, x0, steps, at, **how)
 
@@ -816,10 +811,9 @@ def _approx_fixed_set(T: MapInstance, req: CheckRequest,
         raise InvalidBudgetError(f"samples {req.samples} is below 1")
     qualifying = 0
     worst = _Least()  # of the negated second steps
-    width = _row_width(T.domain.breadth, 2)
-    image = _image_width(T, T.domain.breadth, 2)
-    if image > 2 * width:  # breaks the growth rule: blocks sized by it
-        width = image
+    b = T.domain.breadth
+    # sized so that the second images keep the growth rule
+    width = max(_row_width(b, 2), (_image_width(T, b, 2) + 1) // 2)
     for x in _stream(T.domain, seed, req.samples, width):
         kept, second = _sampled(T, _second_steps, (x,), req.delta)
         qualifying += int(kept.sum())

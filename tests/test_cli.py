@@ -193,6 +193,21 @@ def test_the_longest_name_the_directory_allows_is_written(tmp_path):
     assert (tmp_path / f"{name}.report.json").exists()
 
 
+def test_a_directory_whose_name_limit_cannot_be_read_allows_255(
+        tmp_path, monkeypatch, capsys):
+    def pathconf(path, name):
+        raise OSError("no such limit")
+
+    monkeypatch.setattr(cli.os, "pathconf", pathconf)
+    # 244 characters and the 12 of ".summary.txt" make 256 bytes
+    path = write_config(tmp_path, base_config(tmp_path, name="n" * 244))
+    assert main(["run", path]) == 2
+    assert "past the 255" in capsys.readouterr().err
+    path = write_config(tmp_path, base_config(tmp_path, name="n" * 243))
+    assert main(["run", path]) == 0
+    assert (tmp_path / f"{'n' * 243}.summary.txt").exists()
+
+
 def test_one_parser_serves_every_call(tmp_path):
     """main reuses one parser per process: no option of one call reaches
     the next, and a bad command line exits 2 every time."""

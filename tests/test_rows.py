@@ -9,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from holderlab import seqvec
 from holderlab.catalog import build_map, catalog_names, retraction_names
 from holderlab.domains import (
     DOMAIN_KINDS,
@@ -40,8 +41,8 @@ from holderlab.seqvec import (
     shifted,
     _row_sums,
 )
-from holderlab.verify import (CheckRequest, estimate_displacement,
-                              pair_ratios, run_check)
+from holderlab.verify import (BLOCK_ELEMENTS, CheckRequest,
+                              estimate_displacement, pair_ratios, run_check)
 
 SUP = NormKind.sup()
 L1 = NormKind.lp(1.0)
@@ -166,22 +167,27 @@ def test_fsum_rows_is_exact_sum_on_rows_fsum_rejects():
                     [exact_sum(r) for r in block.tolist()]), (first, second)
 
 
-def test_row_sums_add_left_to_right():
+def test_row_sums_add_left_to_right(monkeypatch):
     """The block code reduces a transposed copy; each row must still be
-    added left to right, which these spreads tell from a pairwise sum."""
+    added left to right, which these spreads tell from a pairwise sum.
+    The small shapes run again with FEW_ROWS at 2, its least value, so
+    that the block code sees them too."""
     rng = np.random.default_rng(3)
-    shapes = [(rows, width) for rows in range(1, 41)
-              for width in (0, 1, 2, 9, 64, 300)]
-    shapes += [(int(rng.integers(FEW_ROWS - 2, 3 * FEW_ROWS)),
-                int(rng.integers(0, 301))) for _ in range(300)]
+    small = [(rows, width) for rows in range(1, 41)
+             for width in (0, 1, 2, 9, 64, 300)]
+    shapes = small + [(int(rng.integers(FEW_ROWS - 2, 3 * FEW_ROWS)),
+                       int(rng.integers(0, 301))) for _ in range(300)]
     pairwise_differs = False
-    for rows, width in shapes:
-        a = (rng.normal(size=(rows, width))
-             * 2.0 ** rng.integers(-60, 60, (rows, width)))
-        want = (np.add.accumulate(a, axis=1)[:, -1] if width
-                else np.zeros(rows))
-        assert _row_sums(a).tobytes() == want.tobytes(), (rows, width)
-        pairwise_differs |= (a.sum(axis=1) != want).any()
+    for few_rows, each in [(FEW_ROWS, shapes), (2, small)]:
+        monkeypatch.setattr(seqvec, "FEW_ROWS", few_rows)
+        for rows, width in each:
+            a = (rng.normal(size=(rows, width))
+                 * 2.0 ** rng.integers(-60, 60, (rows, width)))
+            want = (np.add.accumulate(a, axis=1)[:, -1] if width
+                    else np.zeros(rows))
+            assert _row_sums(a).tobytes() == want.tobytes(), (rows, width,
+                                                              few_rows)
+            pairwise_differs |= (a.sum(axis=1) != want).any()
     assert pairwise_differs
 
 
@@ -561,9 +567,10 @@ def test_pair_ratios_memory_is_bounded_by_the_block():
 def test_blocks_that_double_in_width_stay_bounded():
     """deficiency doubles a row's width each step: its pair blocks break the
     growth rule at step 2 and go by points, and approx_fixed_set, whose
-    second image is four times as wide as a draw, sizes its blocks by it.
-    The batch form fails the test on a block wider than that before it
-    allocates an image, so a broken rule cannot run away with memory."""
+    second image is four times as wide as a draw, sizes its blocks at half
+    of it.  The batch form fails the test on a block wider than that
+    before it allocates an image, so a broken rule cannot run away with
+    memory."""
     T = build_map("deficiency")
     limit = 2 * T.domain.breadth
 
@@ -580,6 +587,42 @@ def test_blocks_that_double_in_width_stay_bounded():
     assert _peak_mb(lambda: pair_ratios(guarded, steps, 40, seed=1)) < 16.0
     req = CheckRequest("approx_fixed_set", samples=500)
     assert _peak_mb(lambda: run_check(guarded, req, 1)) < 16.0
+
+
+@pytest.mark.parametrize("breadth", [64, 11])
+@pytest.mark.parametrize("name", sorted(BATCHED))
+def test_every_block_a_batch_form_is_handed_keeps_the_growth_rule(name,
+                                                                  breadth):
+    """Pair blocks, one-step and two-step images, and the deterministic
+    points of sample_min: no block a batch form receives holds more than
+    twice BLOCK_ELEMENTS values, whatever the map does to a row's width.
+    Without the pair kernel's growth-rule check, deficiency's pair blocks
+    would pass that bound at iterate 4."""
+    T = build_map(name, breadth=breadth)
+    sizes = [0]
+
+    def apply(x):
+        return T.apply(x)
+
+    def rows(x):
+        sizes.append(x.vals.size)
+        return T.apply.rows(x)
+
+    apply.rows = rows
+    recorded = dataclasses.replace(T, apply=apply)
+    draws = 300
+    reqs = [CheckRequest("holder_ratio", pairs=draws, iterate=n)
+            for n in (1, 2, 4)]
+    reqs += [CheckRequest("invariance", samples=draws),
+             CheckRequest("approx_fixed_set", samples=draws),
+             CheckRequest("displacement", strategy="sample_min", budget=64)]
+    if T.claims.uniform:
+        reqs.append(CheckRequest("uniform_profile", pairs=draws))
+    if T.claims.asymptotic_profile is not None:
+        reqs.append(CheckRequest("asymptotic_profile", pairs=draws))
+    for req in reqs:
+        run_check(recorded, req, 1)
+    assert max(sizes) <= 2 * BLOCK_ELEMENTS, max(sizes)
 
 
 def _record(T, req, seed=3):
